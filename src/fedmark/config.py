@@ -154,6 +154,16 @@ def validate_config(config: RunConfig) -> None:
         problems.append("head_layers must leave at least one representation layer")
     if config.private_bits < 0 or config.slice_total_bits < 0:
         problems.append("watermark bit counts must be non-negative")
+    if 0 < config.slice_total_bits < config.n_clients:
+        problems.append(
+            f"slice_total_bits ({config.slice_total_bits}) must be at least n_clients "
+            f"({config.n_clients}) to give every client a slice"
+        )
+    if 0 < config.private_bits < config.head_layers:
+        problems.append(
+            f"private_bits ({config.private_bits}) must be at least head_layers "
+            f"({config.head_layers}) to mark every head layer"
+        )
     if config.dataset not in ("blobs", "idx"):
         problems.append(f"dataset must be 'blobs' or 'idx', got {config.dataset!r}")
     if config.dataset == "idx" and not (config.idx_images and config.idx_labels):

@@ -78,10 +78,22 @@ class DetectionLedger:
     malicious: list = field(default_factory=list)
     pending: list = field(default_factory=list)
     history: list = field(default_factory=list)  # (record, accepted) in arrival order
+    # (pool length, (mean, std)) of the rejected pool; the pool only grows,
+    # so its length identifies the records the stats were computed over.
+    _pool_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_malicious(self) -> int:
         return len(self.malicious)
+
+    def pool_stats(self) -> tuple[float, float]:
+        """(mean, sample std) of the rejected pool's accuracies; needs at
+        least two rejected records."""
+        num = len(self.malicious)
+        if self._pool_memo is None or self._pool_memo[0] != num:
+            accs = [r.acc for r in self.malicious]
+            self._pool_memo = (num, (statistics.fmean(accs), statistics.stdev(accs)))
+        return self._pool_memo[1]
 
     def begin_round(self, records) -> None:
         if self.pending:
@@ -132,12 +144,10 @@ def decide(record: DetectionRecord, ledger: DetectionLedger, config: DetectorCon
             return record.acc >= mean
         return record.acc > lower_band(mean, std, num, config.honest_confidence)
 
-    accs = [r.acc for r in ledger.malicious]
-    num = len(accs)
+    num = ledger.num_malicious
     if num < config.min_cohort or num < 2:
         return True
-    mean = statistics.fmean(accs)
-    std = statistics.stdev(accs)
+    mean, std = ledger.pool_stats()
     return record.acc > upper_band(mean, std, num, config.malicious_confidence)
 
 

@@ -211,17 +211,22 @@ def client_local_update(
     head_ids = list(model.head_layer_ids)
     rep_ids = list(model.rep_layer_ids)
 
+    # Head epochs leave the representation frozen, so its features over the
+    # shard are computed once and the head trains on them directly; the head
+    # view holds the model's own arrays, so its SGD steps update `model`.
+    features, _ = nn.forward(model.view(0, head_start), shard_x)
+    head = model.view(head_start, model.num_layers)
     for _ in range(config.head_epochs):
-        for batch in _minibatches(shard_x, shard_y, config.batch_size, rng):
-            _, grads = nn.main_task_loss_and_grads(model, batch)
+        for batch in _minibatches(features, shard_y, config.batch_size, rng):
+            _, grads = nn.main_task_loss_and_grads(head, batch)
             if client.private is not None and config.embed_strength != 0.0:
                 _, flat_grads = private_embedding_loss_and_grads(model, client.private)
                 for layer_id, flat in flat_grads.items():
-                    w, b = nn.unflatten_layer(config.embed_strength * flat, specs[layer_id])
-                    dw, db = grads[layer_id]
-                    dw += w
-                    db += b
-            nn.apply_sgd(model, grads, config.lr, layers=head_ids)
+                    dw, db = grads[layer_id - head_start]
+                    scaled = config.embed_strength * flat
+                    dw += scaled[: dw.size].reshape(dw.shape)
+                    db += scaled[dw.size :]
+            nn.apply_sgd(head, grads, config.lr)
 
     slice_target = None
     if client.assignment is not None and config.slice_strength != 0.0:

@@ -84,6 +84,16 @@ class Model:
     def rep_param_count(self) -> int:
         return sum(self.specs[k].flat_size for k in self.rep_layer_ids)
 
+    def view(self, start: int, stop: int) -> "Model":
+        """Layers [start, stop) as a model holding this model's own weight
+        and bias arrays, so in-place updates through either reach both."""
+        return Model(
+            specs=self.specs[start:stop],
+            weights=self.weights[start:stop],
+            biases=self.biases[start:stop],
+            head_start=min(max(self.head_start - start, 0), stop - start),
+        )
+
     def copy(self) -> "Model":
         return Model(
             specs=list(self.specs),

@@ -96,12 +96,9 @@ def detection_rate(expected: np.ndarray, extracted: np.ndarray) -> float:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; each side picks the form that stays exact.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def embedding_loss_and_grad(params_flat, matrix, bits) -> tuple[float, np.ndarray]:
@@ -142,7 +139,7 @@ class PrivateWatermarkSpec:
         if not (len(self.target_layers) == len(self.layer_sizes) == len(self.matrix_seeds)):
             raise ValueError("target_layers, layer_sizes and matrix_seeds must align")
 
-    @property
+    @functools.cached_property
     def segments(self) -> list[np.ndarray]:
         return split_watermark(self.bits, self.layer_sizes)
 

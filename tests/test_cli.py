@@ -1,8 +1,11 @@
 """Command-line workflows: artifacts, reruns, overrides, and the sweeps."""
 
 import csv
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +59,42 @@ def test_train_rerun_is_byte_identical(tiny_cfg_file, tmp_path):
     assert cli.main(["train", str(tiny_cfg_file)]) == 0
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob, name
+
+
+def test_train_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """Runs split into different BLAS thread counts write the same bytes.
+    Shards of 200 rows through 64x64 layers are big enough for OpenBLAS to
+    split the product across threads."""
+    cfg = tiny_config(
+        n_clients=2,
+        rounds=2,
+        head_epochs=1,
+        blob_classes=4,
+        blob_samples_per_class=100,
+        hidden_dims=(64, 64),
+        output_dir="run",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        (work / "run.cfg").write_text(config_text(cfg))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        subprocess.run(
+            [sys.executable, "-m", "fedmark.cli", "train", "run.cfg"],
+            cwd=work,
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        out = work / "run"
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()})
+    assert "models.npz" in digests[0]
+    assert digests[0] == digests[1]
 
 
 def test_train_missing_config_fails_cleanly(capsys):

@@ -92,6 +92,20 @@ def test_validate_sample_rate_interaction():
         validate_config(dataclasses.replace(RunConfig(), n_clients=4, sample_rate=0.1))
 
 
+def test_validate_needs_a_slice_bit_per_client():
+    with pytest.raises(ConfigError, match="slice_total_bits"):
+        validate_config(dataclasses.replace(RunConfig(), n_clients=10, slice_total_bits=5))
+    validate_config(dataclasses.replace(RunConfig(), n_clients=10, slice_total_bits=10))
+    validate_config(dataclasses.replace(RunConfig(), n_clients=10, slice_total_bits=0))
+
+
+def test_validate_needs_a_private_bit_per_head_layer():
+    with pytest.raises(ConfigError, match="private_bits"):
+        validate_config(dataclasses.replace(RunConfig(), private_bits=1, head_layers=2))
+    validate_config(dataclasses.replace(RunConfig(), private_bits=2, head_layers=2))
+    validate_config(dataclasses.replace(RunConfig(), private_bits=0, head_layers=2))
+
+
 def test_config_text_round_trips_custom_values(tmp_path):
     custom = dataclasses.replace(RunConfig(), hidden_dims=(8,), detector=True, lr=0.125)
     path = write(tmp_path, config_text(custom))

@@ -2,6 +2,7 @@
 accept/reject rule, and detection metrics."""
 
 import math
+import statistics
 
 import pytest
 
@@ -159,6 +160,24 @@ def test_phase_switch_at_pool_threshold():
     assert not detection.decide(record(0.55), below_threshold, config)  # phase 1: far below cohort
     at_threshold = ledger_with(honest=honest, malicious=malicious_pool([0.5, 0.52, 0.48, 0.5, 0.5]))
     assert detection.decide(record(0.55), at_threshold, config)  # phase 2: above pool mean
+
+
+def test_phase2_verdicts_follow_a_growing_pool():
+    """The ledger memoizes the rejected pool's stats; as the pool grows,
+    every verdict must equal one decided against a fresh ledger."""
+    config = detection.DetectorConfig()
+    ledger = ledger_with(malicious=malicious_pool([0.5, 0.52, 0.48, 0.5, 0.5]))
+    probes = [0.45, 0.49, 0.5, 0.505, 0.55, 0.6]
+    seen = set()
+    for extra in ([], [0.9], [0.1, 0.95], [0.6, 0.6, 0.6], [0.3, 0.7, 0.52]):
+        ledger.malicious.extend(malicious_pool(extra))
+        fresh = ledger_with(malicious=list(ledger.malicious))
+        accs = [r.acc for r in ledger.malicious]
+        verdicts = tuple(detection.decide(record(a), ledger, config) for a in probes)
+        assert verdicts == tuple(detection.decide(record(a), fresh, config) for a in probes)
+        assert ledger.pool_stats() == (statistics.fmean(accs), statistics.stdev(accs))
+        seen.add(verdicts)
+    assert len(seen) > 1  # the pool's growth moved the band
 
 
 # --- ledger bookkeeping ---------------------------------------------------------

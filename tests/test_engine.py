@@ -6,8 +6,9 @@ import pytest
 
 from conftest import plain_fedrep_oracle, tiny_config
 from fedmark import engine, nn
-from fedmark.seeding import STREAM_INIT, derive_seed
+from fedmark.seeding import STREAM_INIT, STREAM_LOCAL_BATCHES, derive_seed
 from fedmark.slicing import assign_slices, generate_common_watermark
+from fedmark.watermark import make_private_spec, private_embedding_loss_and_grads, random_bits
 
 
 # --- building blocks ------------------------------------------------------------
@@ -132,6 +133,57 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
     # no private watermark and no main gradient: the head must not move
     for pos, k in enumerate(base.head_layer_ids):
         np.testing.assert_array_equal(client.head_weights[pos], base.weights[k])
+
+
+def test_head_epochs_on_cached_features_match_full_model_steps():
+    """Head epochs train on representation features computed once per round.
+    With a two-layer head and a private mark, the upload and the head must
+    equal a reference loop that runs the whole model on every batch."""
+    config = tiny_config(head_layers=2, embed_strength=3.0, batch_size=7)
+    dataset, partition, specs, head_start, base = update_setup(config)
+    head_ids = list(base.head_layer_ids)
+    rep_ids = list(base.rep_layer_ids)
+    private = make_private_spec(
+        random_bits(config.private_bits, seed=3),
+        head_ids,
+        [specs[k].flat_size for k in head_ids],
+        key_seed=4,
+    )
+    assert all(len(segment) > 0 for segment in private.segments)
+    client = make_client(1, base, partition, private=private)
+    upload = engine.client_local_update(
+        client, nn.rep_flat(base), dataset, config, specs, head_start, 2
+    )
+
+    model = base.copy()
+    xs = dataset.inputs[client.indices]
+    ys = dataset.labels[client.indices]
+    assert len(ys) % config.batch_size != 0  # a short last batch is covered
+    batch_rng = np.random.default_rng(derive_seed(config.seed, STREAM_LOCAL_BATCHES, 1, 2))
+
+    def batches():
+        order = batch_rng.permutation(len(ys))
+        for lo in range(0, len(order), config.batch_size):
+            take = order[lo : lo + config.batch_size]
+            yield nn.Batch(xs[take], ys[take])
+
+    for _ in range(config.head_epochs):
+        for batch in batches():
+            _, grads = nn.main_task_loss_and_grads(model, batch)
+            _, flat_grads = private_embedding_loss_and_grads(model, private)
+            for layer_id, flat in flat_grads.items():
+                w, b = nn.unflatten_layer(config.embed_strength * flat, specs[layer_id])
+                grads[layer_id] = (grads[layer_id][0] + w, grads[layer_id][1] + b)
+            nn.apply_sgd(model, grads, config.lr, layers=head_ids)
+    for batch in batches():
+        _, grads = nn.main_task_loss_and_grads(model, batch)
+        nn.apply_sgd(model, grads, config.lr, layers=rep_ids)
+
+    assert np.array_equal(upload, nn.rep_flat(model))
+    for pos, k in enumerate(head_ids):
+        assert np.array_equal(client.head_weights[pos], model.weights[k])
+        assert np.array_equal(client.head_biases[pos], model.biases[k])
+        assert not np.array_equal(client.head_weights[pos], base.weights[k])
 
 
 # --- full runs ------------------------------------------------------------------
