@@ -15,23 +15,6 @@ from .slicing import extract_slice
 from .watermark import detection_rate
 
 
-@dataclass
-class AttackConfig:
-    malicious_fraction: float = 0.0  # share of clients that tamper
-    tamper_rate: float = 0.0  # share of slice bits each tamperer flips
-    fresh_positions: bool = True  # new flip positions every round
-    prune_rate: float = 0.0
-    finetune_rounds: int = 25
-
-    def __post_init__(self):
-        for name in ("malicious_fraction", "tamper_rate", "prune_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.finetune_rounds < 0:
-            raise ValueError("finetune_rounds must be non-negative")
-
-
 def tamper_bits(bits: np.ndarray, tamper_rate: float, seed: int) -> np.ndarray:
     """Flip max(1, floor(tamper_rate * len(bits))) seeded distinct positions.
 
@@ -76,17 +59,9 @@ def prune_attack(model: nn.Model, prune_rate: float) -> nn.Model:
     pruned = model.copy()
     if prune_rate == 0.0:
         return pruned
-    head_ids = list(pruned.head_layer_ids)
-    flat = np.concatenate([nn.layer_flat(pruned, k) for k in head_ids])
-    kill = np.argsort(np.abs(flat), kind="stable")[: int(prune_rate * len(flat))]
-    flat[kill] = 0.0
-    offset = 0
-    for k in head_ids:
-        spec = pruned.specs[k]
-        w, b = nn.unflatten_layer(flat[offset : offset + spec.flat_size], spec)
-        pruned.weights[k] = w
-        pruned.biases[k] = b
-        offset += spec.flat_size
+    head = pruned.params[pruned.rep_param_count :]
+    kill = np.argsort(np.abs(head), kind="stable")[: int(prune_rate * len(head))]
+    head[kill] = 0.0
     return pruned
 
 
@@ -104,7 +79,7 @@ def finetune_attack(
             take = order[lo : lo + batch_size]
             batch = nn.Batch(dataset.inputs[take], dataset.labels[take])
             _, grads = nn.main_task_loss_and_grads(tuned, batch)
-            nn.apply_sgd(tuned, grads, lr)
+            nn.apply_sgd(tuned.params, grads, lr)
     return tuned
 
 

@@ -92,11 +92,11 @@ def _write_keys_json(result: TrainingResult, config: RunConfig, path: str) -> No
 
 
 def _write_models_npz(result: TrainingResult, path: str) -> None:
-    arrays = {"rep_flat": result.server.rep_flat}
-    for client, model in zip(result.clients, result.models):
-        head = np.concatenate([nn.layer_flat(model, k) for k in model.head_layer_ids])
-        arrays[f"head_{client.client_id}"] = head
-    np.savez(path, **arrays)
+    heads = {
+        f"head_{client.client_id}": model.params[model.rep_param_count :]
+        for client, model in zip(result.clients, result.models)
+    }
+    np.savez(path, rep_flat=result.server.rep_flat, **heads)
 
 
 def write_run_artifacts(result: TrainingResult, config: RunConfig, out_dir: str) -> None:
@@ -124,32 +124,16 @@ def _load_run_models(run_dir: str):
     """Rebuild final models and private watermark specs from run artifacts."""
     with open(os.path.join(run_dir, "keys.json")) as f:
         keys = json.load(f)
-    arrays = np.load(os.path.join(run_dir, "models.npz"))
     specs = build_layer_specs(keys["input_dim"], tuple(keys["hidden_dims"]), keys["num_classes"])
     head_start = len(specs) - keys["head_layers"]
-    models = []
+    with np.load(os.path.join(run_dir, "models.npz")) as arrays:
+        rep = arrays["rep_flat"]
+        models = [
+            nn.Model(list(specs), np.concatenate([rep, arrays[f"head_{entry['client_id']}"]]), head_start)
+            for entry in keys["clients"]
+        ]
     wm_specs = []
     for entry in keys["clients"]:
-        cid = entry["client_id"]
-        model = nn.Model(
-            specs=list(specs),
-            weights=[None] * len(specs),
-            biases=[None] * len(specs),
-            head_start=head_start,
-        )
-        for k in model.rep_layer_ids:
-            model.weights[k] = np.empty((specs[k].input_dim, specs[k].output_dim))
-            model.biases[k] = np.empty(specs[k].output_dim)
-        nn.set_rep_flat(model, arrays["rep_flat"])
-        head = arrays[f"head_{cid}"]
-        offset = 0
-        for k in model.head_layer_ids:
-            size = specs[k].flat_size
-            w, b = nn.unflatten_layer(head[offset : offset + size], specs[k])
-            model.weights[k] = w
-            model.biases[k] = b
-            offset += size
-        models.append(model)
         private = entry.get("private")
         if private is None:
             wm_specs.append(None)

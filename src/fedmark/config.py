@@ -4,6 +4,8 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
+from .nn import LayerSpec
+
 OUTPUT_ROOT_ENV = "FEDMARK_OUTPUT_ROOT"
 
 
@@ -150,6 +152,10 @@ def validate_config(config: RunConfig) -> None:
         problems.append("lr must be non-negative")
     if not config.hidden_dims:
         problems.append("hidden_dims must name at least one layer")
+    elif min(config.hidden_dims) < 1:
+        problems.append("hidden_dims must be positive")
+    if config.blob_dim < 1:
+        problems.append("blob_dim must be positive")
     if not 1 <= config.head_layers <= len(config.hidden_dims):
         problems.append("head_layers must leave at least one representation layer")
     if config.private_bits < 0 or config.slice_total_bits < 0:
@@ -188,6 +194,24 @@ def validate_config(config: RunConfig) -> None:
         problems.append("seed must be non-negative")
     if config.region_size < 0:
         problems.append("region_size must be non-negative (0 means auto)")
+    if not problems and config.dataset == "blobs" and config.slice_total_bits > 0:
+        # a blobs run's representation size follows from the config alone
+        n, total = config.n_clients, config.slice_total_bits
+        dims = (config.blob_dim, *config.hidden_dims)
+        rep_layers = range(len(dims) - config.head_layers)
+        rep_size = sum(LayerSpec(dims[i], dims[i + 1]).flat_size for i in rep_layers)
+        region = config.region_size or rep_size // n
+        largest = total // n + total % n  # the last slice takes the remainder
+        if n * config.region_size > rep_size:
+            problems.append(
+                f"region_size ({config.region_size}) times n_clients ({n}) exceeds the "
+                f"{rep_size}-param representation"
+            )
+        elif region < largest:
+            problems.append(
+                f"slice_total_bits ({total}) over {n} clients gives slices of up to "
+                f"{largest} bits, more than a region of {region} params can carry"
+            )
     if problems:
         raise ConfigError("; ".join(problems))
 

@@ -56,10 +56,6 @@ class Partition:
         if len(np.unique(merged)) != len(merged):
             raise ValueError("client shards must be pairwise disjoint")
 
-    @property
-    def n_clients(self) -> int:
-        return len(self.client_indices)
-
 
 def gen_synthetic_blobs(
     num_classes: int, dim: int, samples_per_class: int, spread: float, seed: int

@@ -64,8 +64,7 @@ class ClientState:
     material, and attack role."""
 
     client_id: int
-    head_weights: list
-    head_biases: list
+    head: np.ndarray  # flat head parameters, the tail of the model's vector
     indices: np.ndarray
     private: PrivateWatermarkSpec | None = None
     assignment: SliceAssignment | None = None
@@ -94,10 +93,6 @@ class RoundReport:
     accepted: dict  # client_id -> bool
     main_acc: dict  # client_id -> personalized model accuracy on own shard
     private_rate: dict  # client_id -> own head-watermark detection rate
-
-    @property
-    def mean_main_acc(self) -> float:
-        return float(np.mean(list(self.main_acc.values())))
 
 
 @dataclass
@@ -164,21 +159,7 @@ def aggregate(reps: list) -> np.ndarray:
 
 
 def _assemble(specs, head_start, rep_flat, client: ClientState) -> nn.Model:
-    model = nn.Model(
-        specs=list(specs),
-        weights=[None] * len(specs),
-        biases=[None] * len(specs),
-        head_start=head_start,
-    )
-    for pos, k in enumerate(model.head_layer_ids):
-        model.weights[k] = client.head_weights[pos].copy()
-        model.biases[k] = client.head_biases[pos].copy()
-    # placeholders so set_rep_flat can size-check against specs
-    for k in model.rep_layer_ids:
-        model.weights[k] = np.empty((specs[k].input_dim, specs[k].output_dim))
-        model.biases[k] = np.empty(specs[k].output_dim)
-    nn.set_rep_flat(model, np.asarray(rep_flat, dtype=np.float64))
-    return model
+    return nn.Model(list(specs), np.concatenate([rep_flat, client.head]), head_start)
 
 
 def _minibatches(inputs, labels, batch_size, rng):
@@ -199,8 +180,8 @@ def client_local_update(
 ) -> np.ndarray:
     """One client's round: head epochs, then a single representation epoch.
 
-    Returns the updated flattened representation; the client's head is
-    updated in place and retained locally.
+    Returns the updated flattened representation; the updated head stays
+    with the client.
     """
     model = _assemble(specs, head_start, rep_flat, client)
     shard_x = dataset.inputs[client.indices]
@@ -208,12 +189,11 @@ def client_local_update(
     rng = np.random.default_rng(
         derive_seed(config.seed, STREAM_LOCAL_BATCHES, client.client_id, round_index)
     )
-    head_ids = list(model.head_layer_ids)
-    rep_ids = list(model.rep_layer_ids)
+    rep_size = model.rep_param_count
 
     # Head epochs leave the representation frozen, so its features over the
     # shard are computed once and the head trains on them directly; the head
-    # view holds the model's own arrays, so its SGD steps update `model`.
+    # view is a slice of the model's parameter vector, so its steps update `model`.
     features, _ = nn.forward(model.view(0, head_start), shard_x)
     head = model.view(head_start, model.num_layers)
     for _ in range(config.head_epochs):
@@ -222,11 +202,9 @@ def client_local_update(
             if client.private is not None and config.embed_strength != 0.0:
                 _, flat_grads = private_embedding_loss_and_grads(model, client.private)
                 for layer_id, flat in flat_grads.items():
-                    dw, db = grads[layer_id - head_start]
-                    scaled = config.embed_strength * flat
-                    dw += scaled[: dw.size].reshape(dw.shape)
-                    db += scaled[dw.size :]
-            nn.apply_sgd(head, grads, config.lr)
+                    lo = model.offsets[layer_id] - rep_size
+                    grads[lo : lo + len(flat)] += config.embed_strength * flat
+            nn.apply_sgd(head.params, grads, config.lr)
 
     slice_target = None
     if client.assignment is not None and config.slice_strength != 0.0:
@@ -240,22 +218,18 @@ def client_local_update(
     for batch in _minibatches(shard_x, shard_y, config.batch_size, rng):
         _, grads = nn.main_task_loss_and_grads(model, batch)
         if slice_target is not None:
-            _, seg_grad = slice_loss_and_grad(nn.rep_flat(model), client.assignment, slice_target)
-            flat_grad = np.zeros(model.rep_param_count)
+            _, seg_grad = slice_loss_and_grad(model.params[:rep_size], client.assignment, slice_target)
             start = client.assignment.region_start
-            flat_grad[start : start + len(seg_grad)] = config.slice_strength * seg_grad
-            nn.add_rep_flat_grad(model, grads, flat_grad)
-        nn.apply_sgd(model, grads, config.lr, layers=rep_ids)
+            grads[start : start + len(seg_grad)] += config.slice_strength * seg_grad
+        nn.apply_sgd(model.params[:rep_size], grads[:rep_size], config.lr)
 
-    for pos, k in enumerate(head_ids):
-        client.head_weights[pos] = model.weights[k]
-        client.head_biases[pos] = model.biases[k]
-    return nn.rep_flat(model)
+    client.head = model.params[rep_size:].copy()  # a view would pin the whole vector
+    return model.params[:rep_size]
 
 
-def _setup_clients(config, dataset, partition, base_model, specs):
-    head_sizes = [specs[k].flat_size for k in base_model.head_layer_ids]
+def _setup_clients(config, partition, base_model):
     head_ids = list(base_model.head_layer_ids)
+    head_sizes = [base_model.specs[k].flat_size for k in head_ids]
     clients = []
     for cid in range(config.n_clients):
         private = None
@@ -267,8 +241,7 @@ def _setup_clients(config, dataset, partition, base_model, specs):
         clients.append(
             ClientState(
                 client_id=cid,
-                head_weights=[base_model.weights[k].copy() for k in head_ids],
-                head_biases=[base_model.biases[k].copy() for k in head_ids],
+                head=base_model.params[base_model.rep_param_count :].copy(),
                 indices=partition.client_indices[cid],
                 private=private,
             )
@@ -286,9 +259,8 @@ def run_training(config: RunConfig) -> TrainingResult:
     )
     head_start = len(specs) - config.head_layers
     base = nn.init_model(specs, derive_seed(config.seed, STREAM_INIT), head_start)
-    rep = nn.rep_flat(base)
-
-    clients = _setup_clients(config, dataset, partition, base, specs)
+    rep = base.params[: base.rep_param_count].copy()
+    clients = _setup_clients(config, partition, base)
 
     common = None
     assignments = ()

@@ -1,12 +1,16 @@
 """Dense feedforward networks with manual backpropagation.
 
-Parameters are plain numpy arrays so watermarking code can address the
-flattened weight space directly. The model is split at a configurable layer
-boundary into a shared representation part and a private head part; training
-code updates the two parts separately.
+A model's parameters are one flat float64 vector: layer by layer, row-major
+weights then bias. Per-layer weight and bias arrays are views into it, so the
+forward and backward passes work per layer while watermarking code addresses
+the flat vector directly. A configurable layer boundary splits the vector in
+two: the shared representation is its prefix and the private head the rest.
+Gradients share the layout, so training code updates either part with one
+slice operation.
 """
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,15 +62,39 @@ class Batch:
         return self.inputs.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class Model:
-    """Dense network whose layers [0, head_start) form the shared
-    representation and layers [head_start, L) the private head."""
+    """Dense network over one flat parameter vector.
+
+    `params` holds every layer in order, each as row-major weights followed
+    by its bias; `weights[k]` and `biases[k]` are reshaped views into it, so
+    writes through either reach the other. Layers [0, head_start) form the
+    shared representation, the prefix `params[:rep_param_count]`; layers
+    [head_start, L) form the private head, the rest of the vector.
+    """
 
     specs: list[LayerSpec]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
     head_start: int
+    offsets: tuple = field(init=False, repr=False)
+    weights: tuple = field(init=False, repr=False)
+    biases: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = np.asarray(self.params, dtype=np.float64)
+        self.offsets = (0, *itertools.accumulate(spec.flat_size for spec in self.specs))
+        if self.params.shape != (self.offsets[-1],):
+            raise ValueError(
+                f"expected a parameter vector of length {self.offsets[-1]}, "
+                f"got shape {self.params.shape}"
+            )
+        self.weights = tuple(
+            self.params[lo : hi - s.output_dim].reshape(s.input_dim, s.output_dim)
+            for s, lo, hi in zip(self.specs, self.offsets, self.offsets[1:])
+        )
+        self.biases = tuple(
+            self.params[hi - s.output_dim : hi] for s, hi in zip(self.specs, self.offsets[1:])
+        )
 
     @property
     def num_layers(self) -> int:
@@ -82,25 +110,19 @@ class Model:
 
     @property
     def rep_param_count(self) -> int:
-        return sum(self.specs[k].flat_size for k in self.rep_layer_ids)
+        return self.offsets[self.head_start]
+
+    def layer_flat(self, layer_id: int) -> np.ndarray:
+        return self.params[self.offsets[layer_id] : self.offsets[layer_id + 1]]
 
     def view(self, start: int, stop: int) -> "Model":
-        """Layers [start, stop) as a model holding this model's own weight
-        and bias arrays, so in-place updates through either reach both."""
-        return Model(
-            specs=self.specs[start:stop],
-            weights=self.weights[start:stop],
-            biases=self.biases[start:stop],
-            head_start=min(max(self.head_start - start, 0), stop - start),
-        )
+        """Layers [start, stop) as a model over a slice of this model's
+        parameter vector, so in-place updates through either reach both."""
+        params = self.params[self.offsets[start] : self.offsets[stop]]
+        return Model(self.specs[start:stop], params, min(max(self.head_start - start, 0), stop - start))
 
     def copy(self) -> "Model":
-        return Model(
-            specs=list(self.specs),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            head_start=self.head_start,
-        )
+        return Model(list(self.specs), self.params.copy(), self.head_start)
 
 
 def init_model(specs: list[LayerSpec], seed: int, head_start: int | None = None) -> Model:
@@ -125,13 +147,12 @@ def init_model(specs: list[LayerSpec], seed: int, head_start: int | None = None)
             f"head_start must leave at least one layer on each side, got {head_start}"
         )
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
+    pieces = []
     for spec in specs:
         scale = 1.0 / np.sqrt(spec.input_dim)
-        weights.append(scale * rng.standard_normal((spec.input_dim, spec.output_dim)))
-        biases.append(np.zeros(spec.output_dim))
-    return Model(specs=list(specs), weights=weights, biases=biases, head_start=head_start)
+        pieces.append((scale * rng.standard_normal((spec.input_dim, spec.output_dim))).ravel())
+        pieces.append(np.zeros(spec.output_dim))
+    return Model(specs=list(specs), params=np.concatenate(pieces), head_start=head_start)
 
 
 def forward(model: Model, inputs: np.ndarray) -> tuple[np.ndarray, list]:
@@ -159,8 +180,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def main_task_loss_and_grads(model: Model, batch: Batch):
     """Mean softmax cross-entropy over the batch and its exact gradients.
 
-    Returns (loss, grads) with grads a list of (dW, db) per layer covering
-    the whole model; callers decide which layers to update.
+    Returns (loss, grads) with grads one flat vector laid out like
+    `model.params`; callers decide which slice of it to apply.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -177,25 +198,21 @@ def main_task_loss_and_grads(model: Model, batch: Batch):
     delta[np.arange(n), batch.labels] -= 1.0
     delta /= n
 
-    grads = [None] * model.num_layers
+    pieces = []
     for k in range(model.num_layers - 1, -1, -1):
         x_in, z = cache[k]
         if model.specs[k].activation == "relu":
             delta = delta * (z > 0.0)
-        grads[k] = (x_in.T @ delta, delta.sum(axis=0))
+        pieces = [(x_in.T @ delta).ravel(), delta.sum(axis=0), *pieces]
         if k > 0:
             delta = delta @ model.weights[k].T
-    return loss, grads
+    return loss, np.concatenate(pieces)
 
 
-def apply_sgd(model: Model, grads: list, lr: float, layers=None) -> Model:
-    """In-place SGD step p <- p - lr * g, optionally restricted to `layers`."""
-    ids = range(model.num_layers) if layers is None else layers
-    for k in ids:
-        dw, db = grads[k]
-        model.weights[k] -= lr * dw
-        model.biases[k] -= lr * db
-    return model
+def apply_sgd(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    """In-place SGD step p <- p - lr * g on a parameter vector or a slice of
+    one; pass matching slices of params and grads to update part of a model."""
+    params -= lr * grads
 
 
 def evaluate_accuracy(model: Model, dataset) -> float:
@@ -204,58 +221,3 @@ def evaluate_accuracy(model: Model, dataset) -> float:
         raise ValueError("empty dataset")
     logits, _ = forward(model, dataset.inputs)
     return float((logits.argmax(axis=1) == dataset.labels).mean())
-
-
-# --- flattened parameter views ------------------------------------------------
-#
-# The flat layout of a layer is always row-major weights followed by the bias;
-# the flat layout of the representation concatenates its layers in order.
-
-
-def flatten_layer(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return np.concatenate([weights.ravel(), bias])
-
-
-def unflatten_layer(flat: np.ndarray, spec: LayerSpec) -> tuple[np.ndarray, np.ndarray]:
-    if flat.shape != (spec.flat_size,):
-        raise ValueError(f"expected flat length {spec.flat_size}, got {flat.shape}")
-    split = spec.input_dim * spec.output_dim
-    return flat[:split].reshape(spec.input_dim, spec.output_dim).copy(), flat[split:].copy()
-
-
-def layer_flat(model: Model, layer_id: int) -> np.ndarray:
-    return flatten_layer(model.weights[layer_id], model.biases[layer_id])
-
-
-def rep_flat(model: Model) -> np.ndarray:
-    return np.concatenate([layer_flat(model, k) for k in model.rep_layer_ids])
-
-
-def set_rep_flat(model: Model, flat: np.ndarray) -> None:
-    if flat.shape != (model.rep_param_count,):
-        raise ValueError(
-            f"expected representation length {model.rep_param_count}, got {flat.shape}"
-        )
-    offset = 0
-    for k in model.rep_layer_ids:
-        size = model.specs[k].flat_size
-        w, b = unflatten_layer(flat[offset : offset + size], model.specs[k])
-        model.weights[k] = w
-        model.biases[k] = b
-        offset += size
-
-
-def add_rep_flat_grad(model: Model, grads: list, flat_grad: np.ndarray) -> None:
-    """Scatter a gradient over the flattened representation into per-layer
-    (dW, db) entries of `grads`, adding in place."""
-    if flat_grad.shape != (model.rep_param_count,):
-        raise ValueError("flat gradient does not match representation size")
-    offset = 0
-    for k in model.rep_layer_ids:
-        spec = model.specs[k]
-        piece = flat_grad[offset : offset + spec.flat_size]
-        dw, db = grads[k]
-        split = spec.input_dim * spec.output_dim
-        dw += piece[:split].reshape(spec.input_dim, spec.output_dim)
-        db += piece[split:]
-        offset += spec.flat_size

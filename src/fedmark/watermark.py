@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
 from .seeding import derive_seed
 
 
@@ -166,8 +165,7 @@ def private_embedding_loss_and_grads(model, spec: PrivateWatermarkSpec):
         segment = spec.segments[pos]
         if len(segment) == 0:
             continue
-        flat = nn.layer_flat(model, layer_id)
-        loss, grad = embedding_loss_and_grad(flat, spec.matrix(pos), segment)
+        loss, grad = embedding_loss_and_grad(model.layer_flat(layer_id), spec.matrix(pos), segment)
         total += loss
         flat_grads[layer_id] = grad
     return total, flat_grads
@@ -180,8 +178,7 @@ def extract_private_bits(model, spec: PrivateWatermarkSpec) -> np.ndarray:
         segment = spec.segments[pos]
         if len(segment) == 0:
             continue
-        flat = nn.layer_flat(model, layer_id)
-        pieces.append(extract_bits(flat, spec.matrix(pos)))
+        pieces.append(extract_bits(model.layer_flat(layer_id), spec.matrix(pos)))
     return np.concatenate(pieces) if pieces else np.array([], dtype=np.uint8)
 
 

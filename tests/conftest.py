@@ -29,19 +29,6 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray, rel_tol: float
     assert worst <= rel_tol, f"worst relative gradient error {worst:.3e} > {rel_tol}"
 
 
-def model_flat(model: nn.Model) -> np.ndarray:
-    return np.concatenate([nn.layer_flat(model, k) for k in range(model.num_layers)])
-
-
-def set_model_flat(model: nn.Model, flat: np.ndarray) -> None:
-    offset = 0
-    for k, spec in enumerate(model.specs):
-        w, b = nn.unflatten_layer(flat[offset : offset + spec.flat_size], spec)
-        model.weights[k] = w
-        model.biases[k] = b
-        offset += spec.flat_size
-
-
 def normal_cdf(x: float) -> float:
     """Analytic standard normal CDF via the error function."""
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
@@ -109,16 +96,10 @@ def plain_fedrep_oracle(config):
     ]
     head_start = len(specs) - config.head_layers
     base = nn.init_model(specs, seeding.derive_seed(config.seed, seeding.STREAM_INIT), head_start)
-    head_ids = list(base.head_layer_ids)
-    rep_ids = list(base.rep_layer_ids)
-    rep = nn.rep_flat(base)
-    heads = [
-        (
-            [base.weights[k].copy() for k in head_ids],
-            [base.biases[k].copy() for k in head_ids],
-        )
-        for _ in range(config.n_clients)
-    ]
+    head_part = slice(base.rep_param_count, None)
+    rep_part = slice(0, base.rep_param_count)
+    rep = base.params[rep_part].copy()
+    heads = [base.params[head_part].copy() for _ in range(config.n_clients)]
 
     for round_index in range(1, config.rounds + 1):
         chooser = np.random.default_rng(
@@ -129,31 +110,26 @@ def plain_fedrep_oracle(config):
         uploads = []
         for cid in sampled:
             model = base.copy()
-            for pos, k in enumerate(head_ids):
-                model.weights[k] = heads[cid][0][pos].copy()
-                model.biases[k] = heads[cid][1][pos].copy()
-            nn.set_rep_flat(model, rep)
+            model.params[head_part] = heads[cid]
+            model.params[rep_part] = rep
             shard = partition.client_indices[cid]
             xs, ys = dataset.inputs[shard], dataset.labels[shard]
             batch_rng = np.random.default_rng(
                 seeding.derive_seed(config.seed, seeding.STREAM_LOCAL_BATCHES, cid, round_index)
             )
 
-            def epoch(layer_ids):
+            def epoch(part):
                 order = batch_rng.permutation(len(ys))
                 for lo in range(0, len(order), config.batch_size):
                     take = order[lo : lo + config.batch_size]
                     _, grads = nn.main_task_loss_and_grads(model, nn.Batch(xs[take], ys[take]))
-                    nn.apply_sgd(model, grads, config.lr, layers=layer_ids)
+                    nn.apply_sgd(model.params[part], grads[part], config.lr)
 
             for _ in range(config.head_epochs):
-                epoch(head_ids)
-            epoch(rep_ids)
-            heads[cid] = (
-                [model.weights[k] for k in head_ids],
-                [model.biases[k] for k in head_ids],
-            )
-            uploads.append(nn.rep_flat(model))
+                epoch(head_part)
+            epoch(rep_part)
+            heads[cid] = model.params[head_part].copy()
+            uploads.append(model.params[rep_part].copy())
         if uploads:
             rep = np.mean(np.stack(uploads), axis=0)
 

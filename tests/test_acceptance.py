@@ -24,9 +24,7 @@ import pytest
 from conftest import (
     assert_grads_close,
     finite_difference_grads,
-    model_flat,
     plain_fedrep_oracle,
-    set_model_flat,
     tiny_config,
 )
 from fedmark import nn
@@ -164,15 +162,14 @@ def test_02_gradients_match_finite_differences():
         if min(np.abs(z).min() for _, z in cache[:-1]) < 1e-3:
             continue
         checked += 1
-        _, grads = nn.main_task_loss_and_grads(model, batch)
-        analytic = np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
+        _, analytic = nn.main_task_loss_and_grads(model, batch)
 
         def loss_at(flat, model=model, batch=batch):
             probe = model.copy()
-            set_model_flat(probe, flat)
+            probe.params[:] = flat
             return nn.main_task_loss_and_grads(probe, batch)[0]
 
-        numeric = finite_difference_grads(loss_at, model_flat(model))
+        numeric = finite_difference_grads(loss_at, model.params)
         assert_grads_close(analytic, numeric)
 
 
@@ -351,10 +348,7 @@ def test_10_deterministic_artifacts_and_clean_decoupling(tmp_path):
     result = run_training(plain)
     oracle_rep, oracle_heads = plain_fedrep_oracle(plain)
     np.testing.assert_array_equal(result.server.rep_flat, oracle_rep)
-    for client, (weights, biases) in zip(result.clients, oracle_heads):
-        for ours, ref in zip(client.head_weights, weights):
-            np.testing.assert_array_equal(ours, ref)
-        for ours, ref in zip(client.head_biases, biases):
-            np.testing.assert_array_equal(ours, ref)
+    for client, head in zip(result.clients, oracle_heads):
+        np.testing.assert_array_equal(client.head, head)
     assert result.common is None
     assert result.server.assignments == ()

@@ -144,6 +144,20 @@ def test_heatmap_requires_private_watermarks(tiny_cfg_file, tmp_path, capsys):
     assert "private watermarks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["head_0", "rep_flat"])
+def test_heatmap_rejects_truncated_model_arrays(tiny_cfg_file, tmp_path, capsys, key):
+    cli.main(["train", str(tiny_cfg_file)])
+    path = tmp_path / "out" / "models.npz"
+    with np.load(path) as stored:
+        arrays = dict(stored)
+    expected = len(arrays["rep_flat"]) + len(arrays["head_0"])
+    arrays[key] = arrays[key][:-1]
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    assert f"length {expected}" in capsys.readouterr().err
+
+
 # --- fidelity sweep -------------------------------------------------------------
 
 

@@ -71,7 +71,10 @@ def test_bad_boolean_word(tmp_path):
 
 
 def test_apply_overrides():
-    merged = apply_overrides(RunConfig(), ["rounds=5", "hidden_dims=8,8", "detector=1"])
+    # 8,8 layers leave 144 representation params, too few for 20 slices of 32 bits
+    merged = apply_overrides(
+        RunConfig(), ["rounds=5", "hidden_dims=8,8", "detector=1", "slice_total_bits=0"]
+    )
     assert merged.rounds == 5
     assert merged.hidden_dims == (8, 8)
     assert merged.detector is True
@@ -102,12 +105,45 @@ def test_validate_needs_a_slice_bit_per_client():
 def test_validate_needs_a_private_bit_per_head_layer():
     with pytest.raises(ConfigError, match="private_bits"):
         validate_config(dataclasses.replace(RunConfig(), private_bits=1, head_layers=2))
-    validate_config(dataclasses.replace(RunConfig(), private_bits=2, head_layers=2))
-    validate_config(dataclasses.replace(RunConfig(), private_bits=0, head_layers=2))
+    # a one-layer representation (576 params) is too small for default slices
+    no_slices = dataclasses.replace(RunConfig(), slice_total_bits=0)
+    validate_config(dataclasses.replace(no_slices, private_bits=2, head_layers=2))
+    validate_config(dataclasses.replace(no_slices, private_bits=0, head_layers=2))
+
+
+def test_validate_layer_widths_are_positive():
+    with pytest.raises(ConfigError) as err:
+        validate_config(dataclasses.replace(RunConfig(), blob_dim=0, hidden_dims=(8, 0)))
+    assert "blob_dim" in str(err.value) and "hidden_dims" in str(err.value)
+
+
+def test_validate_region_size_fits_the_representation():
+    # blob_dim 8 -> 64 -> 64 with a one-layer head: 576 + 4160 = 4736 params
+    crowd = dataclasses.replace(RunConfig(), n_clients=200, slice_total_bits=2000)
+    with pytest.raises(ConfigError, match="region_size .*4736"):
+        validate_config(dataclasses.replace(crowd, region_size=24))
+    validate_config(dataclasses.replace(crowd, region_size=23))
+
+
+def test_validate_region_carries_the_largest_slice():
+    # auto region 4736 // 200 = 23 params; the last slice takes 6 + 1280 % 200 = 86 bits
+    with pytest.raises(ConfigError, match="slice_total_bits .*86 bits.*23 params"):
+        validate_config(dataclasses.replace(RunConfig(), n_clients=200, slice_total_bits=1280))
+    with pytest.raises(ConfigError, match="slice_total_bits"):
+        validate_config(
+            dataclasses.replace(RunConfig(), n_clients=10, slice_total_bits=640, region_size=63)
+        )
+    validate_config(dataclasses.replace(RunConfig(), n_clients=10, slice_total_bits=640, region_size=64))
+    # hidden_dims 128,128: 1152 + 16512 = 17664 params, so 88-param regions
+    validate_config(
+        dataclasses.replace(RunConfig(), n_clients=200, slice_total_bits=1280, hidden_dims=(128, 128))
+    )
 
 
 def test_config_text_round_trips_custom_values(tmp_path):
-    custom = dataclasses.replace(RunConfig(), hidden_dims=(8,), detector=True, lr=0.125)
+    custom = dataclasses.replace(
+        RunConfig(), hidden_dims=(8,), slice_total_bits=0, detector=True, lr=0.125
+    )
     path = write(tmp_path, config_text(custom))
     assert load_config(path) == custom
 

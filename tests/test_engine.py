@@ -68,11 +68,9 @@ def update_setup(config):
 
 
 def make_client(cid, base, partition, assignment=None, private=None):
-    head_ids = list(base.head_layer_ids)
     return engine.ClientState(
         client_id=cid,
-        head_weights=[base.weights[k].copy() for k in head_ids],
-        head_biases=[base.biases[k].copy() for k in head_ids],
+        head=base.params[base.rep_param_count :].copy(),
         indices=partition.client_indices[cid],
         private=private,
         assignment=assignment,
@@ -93,7 +91,7 @@ def test_malicious_update_differs_only_inside_its_region():
     attacker.malicious = True
     attacker.tamper_rate = 0.5
 
-    rep = nn.rep_flat(base)
+    rep = base.params[: base.rep_param_count].copy()
     up_honest = engine.client_local_update(honest, rep, dataset, config, specs, head_start, 1)
     up_attack = engine.client_local_update(attacker, rep, dataset, config, specs, head_start, 1)
 
@@ -101,8 +99,7 @@ def test_malicious_update_differs_only_inside_its_region():
     inside[assignments[1].region_start : assignments[1].region_stop] = True
     np.testing.assert_array_equal(up_honest[~inside], up_attack[~inside])
     assert not np.array_equal(up_honest[inside], up_attack[inside])
-    for wa, wb in zip(honest.head_weights, attacker.head_weights):
-        np.testing.assert_array_equal(wa, wb)
+    np.testing.assert_array_equal(honest.head, attacker.head)
 
 
 def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
@@ -116,14 +113,10 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
     client = make_client(2, base, partition, assignment=assignments[2])
 
     def zero_main(model, batch):
-        grads = [
-            (np.zeros_like(model.weights[k]), np.zeros_like(model.biases[k]))
-            for k in range(model.num_layers)
-        ]
-        return 0.0, grads
+        return 0.0, np.zeros_like(model.params)
 
     monkeypatch.setattr(nn, "main_task_loss_and_grads", zero_main)
-    rep = nn.rep_flat(base)
+    rep = base.params[: base.rep_param_count].copy()
     upload = engine.client_local_update(client, rep, dataset, config, specs, head_start, 1)
 
     inside = np.zeros(base.rep_param_count, dtype=bool)
@@ -131,8 +124,7 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
     np.testing.assert_array_equal(upload[~inside], rep[~inside])
     assert not np.array_equal(upload[inside], rep[inside])
     # no private watermark and no main gradient: the head must not move
-    for pos, k in enumerate(base.head_layer_ids):
-        np.testing.assert_array_equal(client.head_weights[pos], base.weights[k])
+    np.testing.assert_array_equal(client.head, base.params[base.rep_param_count :])
 
 
 def test_head_epochs_on_cached_features_match_full_model_steps():
@@ -142,7 +134,7 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
     config = tiny_config(head_layers=2, embed_strength=3.0, batch_size=7)
     dataset, partition, specs, head_start, base = update_setup(config)
     head_ids = list(base.head_layer_ids)
-    rep_ids = list(base.rep_layer_ids)
+    rep_size = base.rep_param_count
     private = make_private_spec(
         random_bits(config.private_bits, seed=3),
         head_ids,
@@ -152,7 +144,7 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
     assert all(len(segment) > 0 for segment in private.segments)
     client = make_client(1, base, partition, private=private)
     upload = engine.client_local_update(
-        client, nn.rep_flat(base), dataset, config, specs, head_start, 2
+        client, base.params[:rep_size].copy(), dataset, config, specs, head_start, 2
     )
 
     model = base.copy()
@@ -172,18 +164,18 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
             _, grads = nn.main_task_loss_and_grads(model, batch)
             _, flat_grads = private_embedding_loss_and_grads(model, private)
             for layer_id, flat in flat_grads.items():
-                w, b = nn.unflatten_layer(config.embed_strength * flat, specs[layer_id])
-                grads[layer_id] = (grads[layer_id][0] + w, grads[layer_id][1] + b)
-            nn.apply_sgd(model, grads, config.lr, layers=head_ids)
+                lo, hi = model.offsets[layer_id], model.offsets[layer_id + 1]
+                grads[lo:hi] = grads[lo:hi] + config.embed_strength * flat
+            nn.apply_sgd(model.params[rep_size:], grads[rep_size:], config.lr)
     for batch in batches():
         _, grads = nn.main_task_loss_and_grads(model, batch)
-        nn.apply_sgd(model, grads, config.lr, layers=rep_ids)
+        nn.apply_sgd(model.params[:rep_size], grads[:rep_size], config.lr)
 
-    assert np.array_equal(upload, nn.rep_flat(model))
-    for pos, k in enumerate(head_ids):
-        assert np.array_equal(client.head_weights[pos], model.weights[k])
-        assert np.array_equal(client.head_biases[pos], model.biases[k])
-        assert not np.array_equal(client.head_weights[pos], base.weights[k])
+    assert np.array_equal(upload, model.params[:rep_size])
+    assert np.array_equal(client.head, model.params[rep_size:])
+    for k in head_ids:
+        lo, hi = base.offsets[k] - rep_size, base.offsets[k + 1] - rep_size
+        assert not np.array_equal(client.head[lo:hi], base.layer_flat(k))
 
 
 # --- full runs ------------------------------------------------------------------
@@ -195,8 +187,7 @@ def test_run_training_is_deterministic():
     b = engine.run_training(config)
     np.testing.assert_array_equal(a.server.rep_flat, b.server.rep_flat)
     for ca, cb in zip(a.clients, b.clients):
-        for wa, wb in zip(ca.head_weights, cb.head_weights):
-            np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(ca.head, cb.head)
     assert [r.main_acc for r in a.reports] == [r.main_acc for r in b.reports]
 
 
@@ -204,7 +195,7 @@ def test_zero_rounds_returns_initialization():
     config = tiny_config(rounds=0)
     result = engine.run_training(config)
     base = nn.init_model(result.specs, derive_seed(config.seed, STREAM_INIT), result.head_start)
-    np.testing.assert_array_equal(result.server.rep_flat, nn.rep_flat(base))
+    np.testing.assert_array_equal(result.server.rep_flat, base.params[: base.rep_param_count])
     for model in result.models:
         for k in model.head_layer_ids:
             np.testing.assert_array_equal(model.weights[k], base.weights[k])
@@ -219,8 +210,7 @@ def test_unsampled_heads_persist():
     unsampled = [cid for cid in range(4) if cid not in second.sampled]
     assert unsampled, "expected at least one unsampled client with sample_rate 0.5"
     for cid in unsampled:
-        for wa, wb in zip(one_round.clients[cid].head_weights, two_rounds.clients[cid].head_weights):
-            np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(one_round.clients[cid].head, two_rounds.clients[cid].head)
 
 
 def test_embedding_count_tracks_sampling():
@@ -234,8 +224,7 @@ def test_server_never_holds_head_parameters():
     result = engine.run_training(tiny_config())
     assert result.server.rep_flat.shape == (result.models[0].rep_param_count,)
     for client in result.clients:
-        for head_array in client.head_weights + client.head_biases:
-            assert not np.shares_memory(result.server.rep_flat, head_array)
+        assert not np.shares_memory(result.server.rep_flat, client.head)
 
 
 def test_region_auto_sizing_covers_all_clients():
@@ -272,10 +261,7 @@ def test_disabling_watermarks_reproduces_plain_federated_training():
     result = engine.run_training(config)
     oracle_rep, oracle_heads = plain_fedrep_oracle(config)
     np.testing.assert_array_equal(result.server.rep_flat, oracle_rep)
-    for client, (weights, biases) in zip(result.clients, oracle_heads):
-        for ours, ref in zip(client.head_weights, weights):
-            np.testing.assert_array_equal(ours, ref)
-        for ours, ref in zip(client.head_biases, biases):
-            np.testing.assert_array_equal(ours, ref)
+    for client, head in zip(result.clients, oracle_heads):
+        np.testing.assert_array_equal(client.head, head)
     assert result.common is None
     assert result.server.assignments == ()

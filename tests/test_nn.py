@@ -1,9 +1,9 @@
-"""Network core: initialization, forward/backward, SGD, flattening."""
+"""Network core: initialization, forward/backward, SGD, the flat parameter vector."""
 
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, finite_difference_grads, model_flat, set_model_flat
+from conftest import assert_grads_close, finite_difference_grads
 from fedmark import nn
 
 
@@ -63,6 +63,14 @@ def test_head_boundary_is_configurable():
         nn.init_model(small_specs(), seed=0, head_start=3)
 
 
+def test_model_rejects_params_of_wrong_length():
+    size = sum(spec.flat_size for spec in small_specs())
+    nn.Model(small_specs(), np.zeros(size), head_start=2)
+    for bad in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size))):
+        with pytest.raises(ValueError, match=f"length {size}"):
+            nn.Model(small_specs(), bad, head_start=2)
+
+
 # --- forward ------------------------------------------------------------------
 
 
@@ -75,8 +83,8 @@ def test_forward_shapes():
 
 def test_forward_identity_single_layer_is_affine():
     model = nn.init_model([nn.LayerSpec(3, 3, "identity"), nn.LayerSpec(3, 2, "softmax")], seed=1)
-    model.weights[0] = np.eye(3)
-    model.biases[0] = np.array([1.0, -2.0, 0.5])
+    model.weights[0][...] = np.eye(3)
+    model.biases[0][...] = np.array([1.0, -2.0, 0.5])
     x = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     logits, cache = nn.forward(model, x)
     np.testing.assert_allclose(cache[1][0], x + model.biases[0])
@@ -146,18 +154,15 @@ def test_main_task_grads_match_finite_differences():
         if min(np.abs(z).min() for _, z in cache[:-1]) < 1e-3:
             continue
         checked += 1
-        _, grads = nn.main_task_loss_and_grads(model, batch)
-        analytic = np.concatenate(
-            [np.concatenate([dw.ravel(), db]) for dw, db in grads]
-        )
+        _, analytic = nn.main_task_loss_and_grads(model, batch)
 
         def loss_at(flat, model=model, batch=batch):
             probe = model.copy()
-            set_model_flat(probe, flat)
+            probe.params[:] = flat
             loss, _ = nn.main_task_loss_and_grads(probe, batch)
             return loss
 
-        numeric = finite_difference_grads(loss_at, model_flat(model))
+        numeric = finite_difference_grads(loss_at, model.params)
         assert_grads_close(analytic, numeric)
 
 
@@ -172,38 +177,38 @@ def one_param_model():
 def test_sgd_arithmetic():
     model = one_param_model()
     model.weights[0][:] = 1.0
-    grads = [(np.full((1, 1), 0.5), np.zeros(1)), (np.zeros((1, 2)), np.zeros(2))]
-    nn.apply_sgd(model, grads, lr=0.01)
+    grads = np.concatenate([np.full(1, 0.5), np.zeros(1), np.zeros(2), np.zeros(2)])
+    nn.apply_sgd(model.params, grads, lr=0.01)
     assert model.weights[0][0, 0] == pytest.approx(0.995, abs=1e-15)
 
 
 def test_sgd_zero_gradient_is_fixed_point():
     model = one_param_model()
-    before = model_flat(model)
-    zeros = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(model.weights, model.biases)]
-    nn.apply_sgd(model, zeros, lr=0.5)
-    np.testing.assert_array_equal(model_flat(model), before)
+    before = model.params.copy()
+    nn.apply_sgd(model.params, np.zeros_like(model.params), lr=0.5)
+    np.testing.assert_array_equal(model.params, before)
 
 
 def test_sgd_two_steps_equal_summed_update():
-    g1 = np.full((1, 1), 0.3)
-    g2 = np.full((1, 1), -0.1)
+    g1 = np.full(1, 0.3)
+    g2 = np.full(1, -0.1)
     a = one_param_model()
     a.weights[0][:] = 1.0
-    zeros_tail = (np.zeros((1, 2)), np.zeros(2))
-    nn.apply_sgd(a, [(g1, np.zeros(1)), zeros_tail], lr=0.1)
-    nn.apply_sgd(a, [(g2, np.zeros(1)), zeros_tail], lr=0.1)
+    zeros_tail = np.zeros(5)
+    nn.apply_sgd(a.params, np.concatenate([g1, zeros_tail]), lr=0.1)
+    nn.apply_sgd(a.params, np.concatenate([g2, zeros_tail]), lr=0.1)
     b = one_param_model()
     b.weights[0][:] = 1.0
-    nn.apply_sgd(b, [(g1 + g2, np.zeros(1)), zeros_tail], lr=0.1)
+    nn.apply_sgd(b.params, np.concatenate([g1 + g2, zeros_tail]), lr=0.1)
     np.testing.assert_allclose(a.weights[0], b.weights[0], atol=1e-15)
 
 
 def test_sgd_layer_restriction():
     model = nn.init_model(small_specs(), seed=4)
     before = [w.copy() for w in model.weights]
-    grads = [(np.ones_like(w), np.ones_like(b)) for w, b in zip(model.weights, model.biases)]
-    nn.apply_sgd(model, grads, lr=0.1, layers=[2])
+    grads = np.ones_like(model.params)
+    layer = slice(model.offsets[2], model.offsets[3])
+    nn.apply_sgd(model.params[layer], grads[layer], lr=0.1)
     np.testing.assert_array_equal(model.weights[0], before[0])
     np.testing.assert_array_equal(model.weights[1], before[1])
     assert not np.array_equal(model.weights[2], before[2])
@@ -220,9 +225,9 @@ class _Data:
 
 def test_accuracy_perfect_and_permuted():
     model = nn.init_model([nn.LayerSpec(3, 3, "identity"), nn.LayerSpec(3, 3, "softmax")], seed=0)
-    model.weights[0] = np.eye(3)
+    model.weights[0][...] = np.eye(3)
     model.biases[0][:] = 0.0
-    model.weights[1] = np.eye(3) * 10
+    model.weights[1][...] = np.eye(3) * 10
     model.biases[1][:] = 0.0
     x = np.eye(3)[[0, 1, 2, 0]]
     assert nn.evaluate_accuracy(model, _Data(x, np.array([0, 1, 2, 0]))) == 1.0
@@ -243,43 +248,3 @@ def test_accuracy_rejects_empty():
     model = one_param_model()
     with pytest.raises(ValueError, match="empty"):
         nn.evaluate_accuracy(model, _Data(np.empty((0, 1)), np.empty(0, dtype=int)))
-
-
-# --- flatten round trips ------------------------------------------------------
-
-
-def test_flatten_layer_round_trip():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        d_in = int(rng.integers(1, 9))
-        d_out = int(rng.integers(1, 9))
-        spec = nn.LayerSpec(d_in, d_out, "relu")
-        w = rng.standard_normal((d_in, d_out))
-        b = rng.standard_normal(d_out)
-        flat = nn.flatten_layer(w, b)
-        assert flat.shape == (spec.flat_size,)
-        w2, b2 = nn.unflatten_layer(flat, spec)
-        np.testing.assert_array_equal(w, w2)
-        np.testing.assert_array_equal(b, b2)
-
-
-def test_rep_flat_round_trip():
-    model = nn.init_model(small_specs(), seed=21, head_start=2)
-    flat = nn.rep_flat(model)
-    assert flat.shape == (model.rep_param_count,)
-    other = nn.init_model(small_specs(), seed=22, head_start=2)
-    nn.set_rep_flat(other, flat)
-    np.testing.assert_array_equal(nn.rep_flat(other), flat)
-    for k in model.rep_layer_ids:
-        np.testing.assert_array_equal(other.weights[k], model.weights[k])
-
-
-def test_add_rep_flat_grad_scatters_in_order():
-    model = nn.init_model(small_specs(), seed=2, head_start=2)
-    grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(model.weights, model.biases)]
-    flat = np.arange(model.rep_param_count, dtype=np.float64)
-    nn.add_rep_flat_grad(model, grads, flat)
-    rebuilt = np.concatenate(
-        [np.concatenate([grads[k][0].ravel(), grads[k][1]]) for k in model.rep_layer_ids]
-    )
-    np.testing.assert_array_equal(rebuilt, flat)

@@ -229,7 +229,7 @@ def test_private_extraction_concatenates_layer_segments():
     spec = watermark.make_private_spec(bits, list(model.head_layer_ids), sizes, key_seed=13)
     manual = np.concatenate(
         [
-            watermark.extract_bits(nn.layer_flat(model, layer_id), spec.matrix(pos))
+            watermark.extract_bits(model.layer_flat(layer_id), spec.matrix(pos))
             for pos, layer_id in enumerate(spec.target_layers)
         ]
     )
@@ -248,11 +248,9 @@ def test_private_embedding_gradients_match_finite_differences():
 
         def loss_at(flat, layer_id=layer_id):
             probe = model.copy()
-            w, b = nn.unflatten_layer(flat, probe.specs[layer_id])
-            probe.weights[layer_id] = w
-            probe.biases[layer_id] = b
+            probe.layer_flat(layer_id)[...] = flat
             total, _ = watermark.private_embedding_loss_and_grads(probe, spec)
             return total
 
-        numeric = finite_difference_grads(loss_at, nn.layer_flat(model, layer_id))
+        numeric = finite_difference_grads(loss_at, model.layer_flat(layer_id))
         assert_grads_close(grad, numeric)
