@@ -20,7 +20,7 @@ from . import nn
 from .attacks import attack_report
 from .config import ConfigError, RunConfig, apply_overrides, config_text, load_config, resolve_output_dir
 from .detection import export_ledger_csv
-from .engine import TrainingResult, build_layer_specs, run_training
+from .engine import TrainingResult, run_training
 from .slicing import extract_slice, write_manifest
 from .watermark import (
     PrivateWatermarkSpec,
@@ -36,19 +36,16 @@ def _write_rounds_csv(result: TrainingResult, path: str) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "client", "embedding_count", "slice_acc", "accepted", "main_acc"])
-        counts = {c.client_id: 0 for c in result.clients}
         for report in result.reports:
-            for cid in sorted(report.accepted):
-                counts[cid] += 1
-                slice_acc = report.slice_acc.get(cid)
+            for up in report.uploads:
                 writer.writerow(
                     [
-                        report.round_index,
-                        cid,
-                        counts[cid],
-                        "" if slice_acc is None else f"{slice_acc:.6f}",
-                        int(report.accepted[cid]),
-                        f"{report.main_acc[cid]:.6f}",
+                        up.round_index,
+                        up.client_id,
+                        up.embedding_count,
+                        "" if up.slice_acc is None else f"{up.slice_acc:.6f}",
+                        int(up.accepted),
+                        f"{up.main_acc:.6f}",
                     ]
                 )
 
@@ -124,14 +121,15 @@ def _load_run_models(run_dir: str):
     """Rebuild final models and private watermark specs from run artifacts."""
     with open(os.path.join(run_dir, "keys.json")) as f:
         keys = json.load(f)
-    specs = build_layer_specs(keys["input_dim"], tuple(keys["hidden_dims"]), keys["num_classes"])
+    specs = nn.build_layer_specs(keys["input_dim"], tuple(keys["hidden_dims"]), keys["num_classes"])
     head_start = len(specs) - keys["head_layers"]
+    heads = [f"head_{entry['client_id']}" for entry in keys["clients"]]
     with np.load(os.path.join(run_dir, "models.npz")) as arrays:
+        missing = sorted({"rep_flat", *heads} - set(arrays.files))
+        if missing:
+            raise ValueError(f"models.npz lacks the arrays {', '.join(missing)}")
         rep = arrays["rep_flat"]
-        models = [
-            nn.Model(list(specs), np.concatenate([rep, arrays[f"head_{entry['client_id']}"]]), head_start)
-            for entry in keys["clients"]
-        ]
+        models = [nn.Model(list(specs), np.concatenate([rep, arrays[head]]), head_start) for head in heads]
     wm_specs = []
     for entry in keys["clients"]:
         private = entry.get("private")
@@ -184,12 +182,11 @@ def cmd_fidelity_sweep(config: RunConfig, bit_list) -> int:
     bit_list = sorted(set(bit_list))
     if 0 not in bit_list:
         bit_list = [0, *bit_list]
+    baseline = ["private_bits=0", "slice_total_bits=0"]
+    # apply_overrides validates every variant before the first run starts
+    variants = [apply_overrides(config, [f"private_bits={bits}"] if bits else baseline) for bits in bit_list]
     rows = []
-    for bits in bit_list:
-        if bits == 0:
-            variant = dataclasses.replace(config, private_bits=0, slice_total_bits=0)
-        else:
-            variant = dataclasses.replace(config, private_bits=bits)
+    for bits, variant in zip(bit_list, variants):
         result = run_training(variant)
         accs = [
             nn.evaluate_accuracy(model, result.dataset.subset(client.indices))

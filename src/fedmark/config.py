@@ -4,7 +4,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from .nn import LayerSpec
+from .nn import build_layer_specs
 
 OUTPUT_ROOT_ENV = "FEDMARK_OUTPUT_ROOT"
 
@@ -156,6 +156,8 @@ def validate_config(config: RunConfig) -> None:
         problems.append("hidden_dims must be positive")
     if config.blob_dim < 1:
         problems.append("blob_dim must be positive")
+    if config.blob_classes < 2:
+        problems.append("blob_classes must be at least 2")
     if not 1 <= config.head_layers <= len(config.hidden_dims):
         problems.append("head_layers must leave at least one representation layer")
     if config.private_bits < 0 or config.slice_total_bits < 0:
@@ -180,6 +182,11 @@ def validate_config(config: RunConfig) -> None:
         problems.append("dirichlet_beta must be positive")
     if config.k_labels < 1:
         problems.append("k_labels must be at least 1")
+    blobs = config.dataset == "blobs"
+    if blobs and config.partition == "klabels" and config.k_labels > config.blob_classes:
+        problems.append(f"k_labels ({config.k_labels}) exceeds blob_classes ({config.blob_classes})")
+    if blobs and config.blob_classes * config.blob_samples_per_class < config.n_clients:
+        problems.append("blob_samples_per_class * blob_classes must be at least n_clients")
     for name in ("malicious_fraction", "tamper_rate"):
         if not 0.0 <= getattr(config, name) <= 1.0:
             problems.append(f"{name} must lie in [0, 1]")
@@ -194,13 +201,12 @@ def validate_config(config: RunConfig) -> None:
         problems.append("seed must be non-negative")
     if config.region_size < 0:
         problems.append("region_size must be non-negative (0 means auto)")
-    if not problems and config.dataset == "blobs" and config.slice_total_bits > 0:
+    if not problems and blobs and config.slice_total_bits > 0:
         # a blobs run's representation size follows from the config alone
         n, total = config.n_clients, config.slice_total_bits
-        dims = (config.blob_dim, *config.hidden_dims)
-        rep_layers = range(len(dims) - config.head_layers)
-        rep_size = sum(LayerSpec(dims[i], dims[i + 1]).flat_size for i in rep_layers)
-        region = config.region_size or rep_size // n
+        specs = build_layer_specs(config.blob_dim, config.hidden_dims, config.blob_classes)
+        rep_size = sum(spec.flat_size for spec in specs[: len(specs) - config.head_layers])
+        region = region_params(config, rep_size)
         largest = total // n + total % n  # the last slice takes the remainder
         if n * config.region_size > rep_size:
             problems.append(
@@ -214,6 +220,11 @@ def validate_config(config: RunConfig) -> None:
             )
     if problems:
         raise ConfigError("; ".join(problems))
+
+
+def region_params(config: RunConfig, rep_size: int) -> int:
+    """Params per slice region: region_size, or if 0 an equal share of rep_size."""
+    return config.region_size or rep_size // config.n_clients
 
 
 def config_text(config: RunConfig) -> str:

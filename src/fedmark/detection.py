@@ -14,6 +14,8 @@ import math
 import statistics
 from dataclasses import dataclass, field
 
+from .config import RunConfig
+
 _NORMAL = statistics.NormalDist()
 
 
@@ -32,24 +34,6 @@ def lower_band(mean: float, std: float, num: int, confidence: float) -> float:
 def upper_band(mean: float, std: float, num: int, confidence: float) -> float:
     """mean + z(confidence) * std / sqrt(num)."""
     return mean + inverse_normal_cdf(confidence) * std / math.sqrt(num)
-
-
-@dataclass
-class DetectorConfig:
-    honest_confidence: float = 0.975
-    malicious_confidence: float = 0.5
-    pool_threshold: int = 5  # rejected records needed before the test flips
-    min_cohort: int = 3  # below this, accept for lack of evidence
-
-    def __post_init__(self):
-        for name in ("honest_confidence", "malicious_confidence"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if self.pool_threshold < 1:
-            raise ValueError("pool_threshold must be at least 1")
-        if self.min_cohort < 1:
-            raise ValueError("min_cohort must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -95,23 +79,19 @@ class DetectionLedger:
             self._pool_memo = (num, (statistics.fmean(accs), statistics.stdev(accs)))
         return self._pool_memo[1]
 
-    def begin_round(self, records) -> None:
-        if self.pending:
-            raise RuntimeError("previous round was never committed")
+    def screen_round(self, records, config: RunConfig) -> list[bool]:
+        """Decide one round's records, each against the ledger and its
+        round peers, then bank them; returns the verdicts in record order."""
         self.pending = list(records)
-
-    def commit_round(self, decisions) -> None:
-        """decisions: iterable of (record, accepted) covering every pending record."""
-        decisions = list(decisions)
-        if {id(r) for r, _ in decisions} != {id(r) for r in self.pending}:
-            raise ValueError("decisions must cover exactly the pending records")
-        for record, accepted in decisions:
+        verdicts = [decide(record, self, config) for record in self.pending]
+        for record, accepted in zip(self.pending, verdicts):
             if accepted:
                 self.honest.setdefault(record.embedding_count, []).append(record)
             else:
                 self.malicious.append(record)
             self.history.append((record, accepted))
         self.pending = []
+        return verdicts
 
 
 def cohort_stats(ledger: DetectionLedger, embedding_count: int, exclude=None):
@@ -132,7 +112,7 @@ def cohort_stats(ledger: DetectionLedger, embedding_count: int, exclude=None):
     return mean, std, num
 
 
-def decide(record: DetectionRecord, ledger: DetectionLedger, config: DetectorConfig) -> bool:
+def decide(record: DetectionRecord, ledger: DetectionLedger, config: RunConfig) -> bool:
     """Accept or reject one upload record against the current ledger."""
     if ledger.num_malicious < config.pool_threshold:
         mean, std, num = cohort_stats(ledger, record.embedding_count, exclude=record)

@@ -7,7 +7,8 @@ whose loss adds the penalty for its server-issued watermark slice, and
 uploads the representation. The server verifies every upload against the
 client's true slice, optionally screens it with the tamper detector, and
 averages the accepted uploads into the next shared representation. Heads
-never leave their clients.
+never leave their clients. Each upload is scored once, on the local model
+that produced it, and reported as one `Upload` row.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .attacks import apply_adaptive_tampering, tamper_bits
-from .config import RunConfig
+from .config import RunConfig, region_params, validate_config
 from .data import (
     Dataset,
     Partition,
@@ -25,7 +26,7 @@ from .data import (
     partition_dirichlet,
     partition_k_labels,
 )
-from .detection import DetectionLedger, DetectionRecord, DetectorConfig, decide
+from .detection import DetectionLedger, DetectionRecord
 from .seeding import (
     STREAM_COMMON_WATERMARK,
     STREAM_DATA,
@@ -52,7 +53,6 @@ from .watermark import (
     PrivateWatermarkSpec,
     detection_rate,
     make_private_spec,
-    private_detection_rate,
     private_embedding_loss_and_grads,
     random_bits,
 )
@@ -75,24 +75,32 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    """What the server holds: the shared representation, the round counter,
-    the detection ledger, and the slice assignments. No head parameters."""
+    """What the server holds: the shared representation, the detection
+    ledger, the slice assignments and the banned clients. No head parameters."""
 
     rep_flat: np.ndarray
-    round_index: int
     ledger: DetectionLedger
     assignments: tuple
     banned: set = field(default_factory=set)
+
+
+@dataclass(frozen=True)
+class Upload:
+    """One client's upload in one round, as the server scored it."""
+
+    round_index: int
+    client_id: int
+    embedding_count: int
+    slice_acc: float | None  # accuracy against the true slice; None without slices
+    accepted: bool
+    main_acc: float  # the local model's accuracy on the client's own shard
 
 
 @dataclass
 class RoundReport:
     round_index: int
     sampled: list
-    slice_acc: dict  # client_id -> accuracy of the upload against the true slice
-    accepted: dict  # client_id -> bool
-    main_acc: dict  # client_id -> personalized model accuracy on own shard
-    private_rate: dict  # client_id -> own head-watermark detection rate
+    uploads: list  # one Upload per sampled client not banned, in client order
 
 
 @dataclass
@@ -110,15 +118,6 @@ class TrainingResult:
     @property
     def malicious_ids(self) -> set:
         return {c.client_id for c in self.clients if c.malicious}
-
-
-def build_layer_specs(input_dim: int, hidden_dims, num_classes: int) -> list[nn.LayerSpec]:
-    dims = [input_dim, *hidden_dims, num_classes]
-    specs = []
-    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-        last = i == len(dims) - 2
-        specs.append(nn.LayerSpec(d_in, d_out, "softmax" if last else "relu"))
-    return specs
 
 
 def build_dataset(config: RunConfig) -> Dataset:
@@ -177,11 +176,11 @@ def client_local_update(
     specs,
     head_start: int,
     round_index: int,
-) -> np.ndarray:
+) -> nn.Model:
     """One client's round: head epochs, then a single representation epoch.
 
-    Returns the updated flattened representation; the updated head stays
-    with the client.
+    Returns the trained local model, whose representation prefix is the
+    upload; a copy of its head stays with the client.
     """
     model = _assemble(specs, head_start, rep_flat, client)
     shard_x = dataset.inputs[client.indices]
@@ -224,7 +223,7 @@ def client_local_update(
         nn.apply_sgd(model.params[:rep_size], grads[:rep_size], config.lr)
 
     client.head = model.params[rep_size:].copy()  # a view would pin the whole vector
-    return model.params[:rep_size]
+    return model
 
 
 def _setup_clients(config, partition, base_model):
@@ -251,15 +250,18 @@ def _setup_clients(config, partition, base_model):
 
 def run_training(config: RunConfig) -> TrainingResult:
     """Run the full federation per the configuration. Deterministic: equal
-    configs produce bit-identical results."""
+    configs produce bit-identical results. Raises ConfigError, naming the
+    key, for a config that validate_config rejects."""
+    validate_config(config)
     dataset = build_dataset(config)
     partition = build_partition(config, dataset)
-    specs = build_layer_specs(
+    specs = nn.build_layer_specs(
         dataset.inputs.shape[1], config.hidden_dims, dataset.num_classes
     )
     head_start = len(specs) - config.head_layers
     base = nn.init_model(specs, derive_seed(config.seed, STREAM_INIT), head_start)
-    rep = base.params[: base.rep_param_count].copy()
+    rep_size = base.rep_param_count
+    rep = base.params[:rep_size].copy()
     clients = _setup_clients(config, partition, base)
 
     common = None
@@ -268,9 +270,9 @@ def run_training(config: RunConfig) -> TrainingResult:
         common = generate_common_watermark(
             config.slice_total_bits, config.n_clients, derive_seed(config.seed, STREAM_COMMON_WATERMARK)
         )
-        region = config.region_size or base.rep_param_count // config.n_clients
+        region = region_params(config, rep_size)
         assignments = tuple(
-            assign_slices(common, base.rep_param_count, region, derive_seed(config.seed, STREAM_SLICE_ASSIGN))
+            assign_slices(common, rep_size, region, derive_seed(config.seed, STREAM_SLICE_ASSIGN))
         )
         for client, assignment in zip(clients, assignments):
             client.assignment = assignment
@@ -283,80 +285,56 @@ def run_training(config: RunConfig) -> TrainingResult:
             derive_seed(config.seed, STREAM_MALICIOUS_SELECT),
         )
 
-    detector_config = DetectorConfig(
-        honest_confidence=config.honest_confidence,
-        malicious_confidence=config.malicious_confidence,
-        pool_threshold=config.pool_threshold,
-        min_cohort=config.min_cohort,
-    )
-    server = ServerState(
-        rep_flat=rep, round_index=0, ledger=DetectionLedger(), assignments=assignments
-    )
+    server = ServerState(rep_flat=rep, ledger=DetectionLedger(), assignments=assignments)
     reports = []
 
     for round_index in range(1, config.rounds + 1):
         sampled = sample_clients(
             config.n_clients, config.sample_rate, derive_seed(config.seed, STREAM_SAMPLING, round_index)
         )
-        active = [cid for cid in sampled if cid not in server.banned]
-
-        uploads = {}
-        for cid in active:
+        trained = []  # (client, local model, slice accuracy or None) per client not banned
+        for cid in sampled:
+            if cid in server.banned:
+                continue
             client = clients[cid]
-            uploads[cid] = client_local_update(
+            local = client_local_update(
                 client, server.rep_flat, dataset, config, specs, head_start, round_index
             )
             client.embedding_count += 1
-
-        slice_acc = {}
-        records = {}
-        for cid in active:
-            client = clients[cid]
+            acc = None
             if client.assignment is not None:
-                acc = detection_rate(
-                    client.assignment.bits, extract_slice(uploads[cid], client.assignment)
-                )
-                slice_acc[cid] = acc
-                records[cid] = DetectionRecord(
-                    round_index=round_index,
-                    client_id=cid,
-                    embedding_count=client.embedding_count,
-                    acc=acc,
-                )
+                upload = local.params[:rep_size]
+                acc = detection_rate(client.assignment.bits, extract_slice(upload, client.assignment))
+            trained.append((client, local, acc))
 
-        accepted = {cid: True for cid in active}
-        if config.detector and records:
-            server.ledger.begin_round(records.values())
-            decisions = [(rec, decide(rec, server.ledger, detector_config)) for rec in records.values()]
-            server.ledger.commit_round(decisions)
-            for record, ok in decisions:
-                accepted[record.client_id] = ok
-                if not ok and config.ban_rejected:
-                    server.banned.add(record.client_id)
+        records = [
+            DetectionRecord(round_index, client.client_id, client.embedding_count, acc)
+            for client, _, acc in trained
+            if acc is not None
+        ]
+        rejected = set()
+        if config.detector:
+            verdicts = server.ledger.screen_round(records, config)
+            rejected = {record.client_id for record, ok in zip(records, verdicts) if not ok}
+        if config.ban_rejected:
+            server.banned |= rejected
 
-        kept = [uploads[cid] for cid in active if accepted[cid]]
+        kept = [local.params[:rep_size] for c, local, _ in trained if c.client_id not in rejected]
         if kept:
             server.rep_flat = aggregate(kept)
-        server.round_index = round_index
 
-        main_acc = {}
-        private_rate = {}
-        for cid in active:
-            client = clients[cid]
-            local = _assemble(specs, head_start, uploads[cid], client)
-            main_acc[cid] = nn.evaluate_accuracy(local, dataset.subset(client.indices))
-            if client.private is not None:
-                private_rate[cid] = private_detection_rate(local, client.private)
-        reports.append(
-            RoundReport(
+        uploads = [
+            Upload(
                 round_index=round_index,
-                sampled=sampled,
-                slice_acc=slice_acc,
-                accepted={cid: accepted[cid] for cid in active},
-                main_acc=main_acc,
-                private_rate=private_rate,
+                client_id=client.client_id,
+                embedding_count=client.embedding_count,
+                slice_acc=acc,
+                accepted=client.client_id not in rejected,
+                main_acc=nn.evaluate_accuracy(local, dataset.subset(client.indices)),
             )
-        )
+            for client, local, acc in trained
+        ]
+        reports.append(RoundReport(round_index=round_index, sampled=sampled, uploads=uploads))
 
     models = [
         _assemble(specs, head_start, server.rep_flat, client) for client in clients

@@ -125,6 +125,15 @@ class Model:
         return Model(list(self.specs), self.params.copy(), self.head_start)
 
 
+def build_layer_specs(input_dim: int, hidden_dims, num_classes: int) -> list[LayerSpec]:
+    """Layers input -> hidden_dims -> classes: relu layers, then a softmax classifier."""
+    dims = [input_dim, *hidden_dims, num_classes]
+    return [
+        LayerSpec(d_in, d_out, "softmax" if i == len(dims) - 2 else "relu")
+        for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))
+    ]
+
+
 def init_model(specs: list[LayerSpec], seed: int, head_start: int | None = None) -> Model:
     """Create a model with seeded normal weights scaled by 1/sqrt(input_dim).
 

@@ -291,8 +291,8 @@ def test_07_tampering_dilutes_slices_when_detector_off():
     for report in result.reports:
         if report.round_index <= 5:
             continue
-        mal = float(np.mean([a for c, a in report.slice_acc.items() if c in malicious]))
-        hon = float(np.mean([a for c, a in report.slice_acc.items() if c not in malicious]))
+        mal = float(np.mean([u.slice_acc for u in report.uploads if u.client_id in malicious]))
+        hon = float(np.mean([u.slice_acc for u in report.uploads if u.client_id not in malicious]))
         assert mal <= hon + 0.02, (
             f"round {report.round_index}: malicious slice accuracy {mal:.4f} "
             f"exceeds honest {hon:.4f} + 0.02"

@@ -158,6 +158,19 @@ def test_heatmap_rejects_truncated_model_arrays(tiny_cfg_file, tmp_path, capsys,
     assert f"length {expected}" in capsys.readouterr().err
 
 
+def test_heatmap_rejects_missing_model_arrays(tiny_cfg_file, tmp_path, capsys):
+    cli.main(["train", str(tiny_cfg_file)])
+    path = tmp_path / "out" / "models.npz"
+    with np.load(path) as stored:
+        arrays = dict(stored)
+    del arrays["head_2"]
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "head_2" in err
+
+
 # --- fidelity sweep -------------------------------------------------------------
 
 
@@ -174,6 +187,16 @@ def test_fidelity_sweep_includes_zero_baseline(tiny_cfg_file, tmp_path):
     assert rows[0] == ["bits", "mean_acc", "gap_percent"]
     assert [row[0] for row in rows[1:]] == ["0", "8"]
     assert float(rows[1][2]) == 0.0  # the baseline's gap to itself
+
+
+def test_fidelity_sweep_rejects_an_infeasible_variant_before_training(tiny_cfg_file, monkeypatch, capsys):
+    """One private bit cannot mark a two-layer head: the sweep fails with a
+    ConfigError that names private_bits before it trains the baseline."""
+    runs = []
+    monkeypatch.setattr(cli, "run_training", runs.append)
+    assert cli.main(["fidelity-sweep", str(tiny_cfg_file), "--head_layers", "2", "--bits", "1"]) == 1
+    assert "private_bits" in capsys.readouterr().err
+    assert runs == []
 
 
 # --- attack sweep ---------------------------------------------------------------

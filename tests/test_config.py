@@ -140,6 +140,28 @@ def test_validate_region_carries_the_largest_slice():
     )
 
 
+def test_validate_k_labels_fit_the_blob_classes():
+    with pytest.raises(ConfigError, match="k_labels"):
+        validate_config(dataclasses.replace(RunConfig(), partition="klabels", k_labels=5, blob_classes=3))
+    validate_config(dataclasses.replace(RunConfig(), partition="klabels", k_labels=3, blob_classes=3))
+
+
+def test_validate_every_client_can_get_a_sample():
+    few = dataclasses.replace(
+        RunConfig(), n_clients=200, blob_samples_per_class=10, blob_classes=3, partition="klabels"
+    )
+    with pytest.raises(ConfigError, match="blob_samples_per_class"):
+        validate_config(few)
+    validate_config(dataclasses.replace(few, blob_samples_per_class=67, slice_total_bits=0))
+
+
+def test_validate_detector_keys():
+    with pytest.raises(ConfigError, match="honest_confidence"):
+        validate_config(dataclasses.replace(RunConfig(), honest_confidence=1.0))
+    with pytest.raises(ConfigError, match="pool_threshold"):
+        validate_config(dataclasses.replace(RunConfig(), pool_threshold=0))
+
+
 def test_config_text_round_trips_custom_values(tmp_path):
     custom = dataclasses.replace(
         RunConfig(), hidden_dims=(8,), slice_total_bits=0, detector=True, lr=0.125

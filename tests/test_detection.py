@@ -8,6 +8,7 @@ import pytest
 
 from conftest import quantile_by_bisection
 from fedmark import detection
+from fedmark.config import RunConfig
 
 
 def record(acc, client_id=0, round_index=1, embedding_count=1):
@@ -107,7 +108,7 @@ def test_phase1_worked_example():
     mean, std, num = detection.cohort_stats(ledger, embedding_count=1)
     assert (mean, num) == (pytest.approx(0.98, abs=1e-12), 16)
     assert std == pytest.approx(0.02, rel=1e-12)
-    config = detection.DetectorConfig()
+    config = RunConfig()
     assert not detection.decide(record(0.95), ledger, config)
     assert detection.decide(record(0.975), ledger, config)
 
@@ -115,13 +116,13 @@ def test_phase1_worked_example():
 def test_phase1_is_monotone_in_acc():
     accs = [0.9, 0.92, 0.94, 0.96, 0.98]
     ledger = ledger_with(honest=honest_cohort(accs))
-    config = detection.DetectorConfig()
+    config = RunConfig()
     decisions = [detection.decide(record(a), ledger, config) for a in (0.5, 0.8, 0.9, 0.95, 1.0)]
     assert decisions == sorted(decisions)  # once accepted, higher accs stay accepted
 
 
 def test_small_cohort_accepts_for_lack_of_evidence():
-    config = detection.DetectorConfig()
+    config = RunConfig()
     assert detection.decide(record(0.0), detection.DetectionLedger(), config)
     ledger = ledger_with(honest=honest_cohort([1.0, 1.0]))
     assert detection.decide(record(0.0), ledger, config)
@@ -129,7 +130,7 @@ def test_small_cohort_accepts_for_lack_of_evidence():
 
 def test_degenerate_cohort_accepts_only_matching_scores():
     ledger = ledger_with(honest=honest_cohort([1.0, 1.0, 1.0, 1.0]))
-    config = detection.DetectorConfig()
+    config = RunConfig()
     assert detection.decide(record(1.0), ledger, config)
     assert not detection.decide(record(0.99), ledger, config)
 
@@ -147,14 +148,14 @@ def test_phase2_worked_example():
     pool = malicious_pool([0.80 + d for d in (0.04, -0.04, 0.02, -0.02, 0.0) * 5])
     ledger = ledger_with(malicious=pool)
     assert ledger.num_malicious == 25
-    config = detection.DetectorConfig()
+    config = RunConfig()
     assert detection.decide(record(0.85), ledger, config)
     assert not detection.decide(record(0.78), ledger, config)
 
 
 def test_phase_switch_at_pool_threshold():
     """With enough rejections banked, the honest cohort no longer matters."""
-    config = detection.DetectorConfig()
+    config = RunConfig()
     honest = honest_cohort([1.0, 1.0, 1.0, 1.0])
     below_threshold = ledger_with(honest=honest, malicious=malicious_pool([0.5, 0.52, 0.48, 0.5]))
     assert not detection.decide(record(0.55), below_threshold, config)  # phase 1: far below cohort
@@ -165,7 +166,7 @@ def test_phase_switch_at_pool_threshold():
 def test_phase2_verdicts_follow_a_growing_pool():
     """The ledger memoizes the rejected pool's stats; as the pool grows,
     every verdict must equal one decided against a fresh ledger."""
-    config = detection.DetectorConfig()
+    config = RunConfig()
     ledger = ledger_with(malicious=malicious_pool([0.5, 0.52, 0.48, 0.5, 0.5]))
     probes = [0.45, 0.49, 0.5, 0.505, 0.55, 0.6]
     seen = set()
@@ -184,31 +185,20 @@ def test_phase2_verdicts_follow_a_growing_pool():
 
 
 def test_round_lifecycle_and_routing():
-    ledger = detection.DetectionLedger()
+    """One call decides a round against the ledger and the round's peers,
+    then banks each record as accepted or rejected."""
+    cohort = honest_cohort([1.0, 1.0, 1.0, 1.0])
+    ledger = ledger_with(honest=cohort)
     good, bad = record(1.0, client_id=1), record(0.2, client_id=2)
-    ledger.begin_round([good, bad])
-    with pytest.raises(RuntimeError):
-        ledger.begin_round([record(0.5)])
-    ledger.commit_round([(good, True), (bad, False)])
-    assert ledger.honest[1] == [good]
+    assert ledger.screen_round([good, bad], RunConfig()) == [True, False]
+    assert ledger.honest[1] == [*cohort, good]
     assert ledger.malicious == [bad]
     assert ledger.history == [(good, True), (bad, False)]
     assert ledger.pending == []
+    assert ledger.screen_round([], RunConfig()) == []
 
 
-def test_commit_must_cover_pending():
-    ledger = detection.DetectionLedger()
-    rec = record(0.9)
-    ledger.begin_round([rec])
-    with pytest.raises(ValueError):
-        ledger.commit_round([(record(0.9), True)])  # equal value, different record
-
-
-def test_config_and_record_validation():
-    with pytest.raises(ValueError):
-        detection.DetectorConfig(honest_confidence=1.0)
-    with pytest.raises(ValueError):
-        detection.DetectorConfig(pool_threshold=0)
+def test_record_validation():
     with pytest.raises(ValueError):
         record(1.5)
     with pytest.raises(ValueError):

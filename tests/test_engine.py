@@ -1,6 +1,8 @@
 """The federated training loop: sampling, local updates, aggregation, head
 privacy, and the degenerate no-watermark behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from fedmark.watermark import make_private_spec, private_embedding_loss_and_grad
 
 
 def test_build_layer_specs_chain():
-    specs = engine.build_layer_specs(8, (64, 32), 4)
+    specs = nn.build_layer_specs(8, (64, 32), 4)
     assert [(s.input_dim, s.output_dim, s.activation) for s in specs] == [
         (8, 64, "relu"),
         (64, 32, "relu"),
@@ -61,7 +63,7 @@ def test_aggregate_is_linear(rng):
 def update_setup(config):
     dataset = engine.build_dataset(config)
     partition = engine.build_partition(config, dataset)
-    specs = engine.build_layer_specs(dataset.inputs.shape[1], config.hidden_dims, dataset.num_classes)
+    specs = nn.build_layer_specs(dataset.inputs.shape[1], config.hidden_dims, dataset.num_classes)
     head_start = len(specs) - config.head_layers
     base = nn.init_model(specs, derive_seed(config.seed, STREAM_INIT), head_start)
     return dataset, partition, specs, head_start, base
@@ -94,6 +96,7 @@ def test_malicious_update_differs_only_inside_its_region():
     rep = base.params[: base.rep_param_count].copy()
     up_honest = engine.client_local_update(honest, rep, dataset, config, specs, head_start, 1)
     up_attack = engine.client_local_update(attacker, rep, dataset, config, specs, head_start, 1)
+    up_honest, up_attack = up_honest.params[: len(rep)], up_attack.params[: len(rep)]
 
     inside = np.zeros(base.rep_param_count, dtype=bool)
     inside[assignments[1].region_start : assignments[1].region_stop] = True
@@ -117,7 +120,8 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
 
     monkeypatch.setattr(nn, "main_task_loss_and_grads", zero_main)
     rep = base.params[: base.rep_param_count].copy()
-    upload = engine.client_local_update(client, rep, dataset, config, specs, head_start, 1)
+    local = engine.client_local_update(client, rep, dataset, config, specs, head_start, 1)
+    upload = local.params[: len(rep)]
 
     inside = np.zeros(base.rep_param_count, dtype=bool)
     inside[assignments[2].region_start : assignments[2].region_stop] = True
@@ -143,9 +147,10 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
     )
     assert all(len(segment) > 0 for segment in private.segments)
     client = make_client(1, base, partition, private=private)
-    upload = engine.client_local_update(
+    local = engine.client_local_update(
         client, base.params[:rep_size].copy(), dataset, config, specs, head_start, 2
     )
+    upload = local.params[:rep_size]
 
     model = base.copy()
     xs = dataset.inputs[client.indices]
@@ -188,7 +193,8 @@ def test_run_training_is_deterministic():
     np.testing.assert_array_equal(a.server.rep_flat, b.server.rep_flat)
     for ca, cb in zip(a.clients, b.clients):
         np.testing.assert_array_equal(ca.head, cb.head)
-    assert [r.main_acc for r in a.reports] == [r.main_acc for r in b.reports]
+    main_acc = [[u.main_acc for u in r.uploads] for r in a.reports]
+    assert main_acc == [[u.main_acc for u in r.uploads] for r in b.reports]
 
 
 def test_zero_rounds_returns_initialization():
@@ -240,8 +246,28 @@ def test_region_auto_sizing_covers_all_clients():
 def test_detector_accepts_everyone_on_an_honest_run():
     result = engine.run_training(tiny_config(detector=True))
     for report in result.reports:
-        assert all(report.accepted.values())
+        assert all(u.accepted for u in report.uploads)
     assert result.server.ledger.num_malicious == 0
+
+
+def test_ban_rejected_stops_a_rejected_client():
+    """With ban_rejected, a client the detector rejects uploads no more: it
+    has no Upload after that round, its embedding count stops, and the
+    server lists it as banned. Without the ban it keeps uploading."""
+    config = tiny_config(detector=True, ban_rejected=True, malicious_fraction=0.25, tamper_rate=0.3)
+    result = engine.run_training(config)
+    rejections = [u for r in result.reports for u in r.uploads if not u.accepted]
+    assert rejections, "expected the detector to reject at least one upload"
+    for rejection in rejections:
+        cid = rejection.client_id
+        later = result.reports[rejection.round_index :]
+        assert [u for r in later for u in r.uploads if u.client_id == cid] == []
+        assert result.clients[cid].embedding_count == rejection.embedding_count
+        assert cid in result.server.banned
+    unbanned = engine.run_training(dataclasses.replace(config, ban_rejected=False))
+    assert unbanned.server.banned == set()
+    cid, round_index = rejections[0].client_id, rejections[0].round_index
+    assert any(u.client_id == cid for r in unbanned.reports[round_index:] for u in r.uploads)
 
 
 def test_tampering_run_marks_clients_and_slices():
@@ -251,7 +277,7 @@ def test_tampering_run_marks_clients_and_slices():
     (bad,) = result.malicious_ids
     # the attacker's upload scores visibly below perfect on its true slice
     last = result.reports[-1]
-    assert last.slice_acc[bad] < 1.0
+    assert {u.client_id: u.slice_acc for u in last.uploads}[bad] < 1.0
 
 
 def test_disabling_watermarks_reproduces_plain_federated_training():
