@@ -32,11 +32,11 @@ def tamper_bits(bits: np.ndarray, tamper_rate: float, seed: int) -> np.ndarray:
     return out
 
 
-def apply_adaptive_tampering(clients, malicious_fraction: float, tamper_rate: float, seed: int):
+def apply_adaptive_tampering(clients, malicious_fraction: float, seed: int):
     """Flag floor(malicious_fraction * n) seeded clients as tamperers.
 
     Malicious clients keep training and head-watermarking honestly; only the
-    slice they embed is corrupted.
+    slice they embed is corrupted, at the run's tamper_rate.
     """
     if not 0.0 <= malicious_fraction <= 1.0:
         raise ValueError(f"malicious_fraction must lie in [0, 1], got {malicious_fraction}")
@@ -47,7 +47,6 @@ def apply_adaptive_tampering(clients, malicious_fraction: float, tamper_rate: fl
         chosen = set(rng.choice(len(clients), size=count, replace=False).tolist())
     for client in clients:
         client.malicious = client.client_id in chosen
-        client.tamper_rate = tamper_rate if client.client_id in chosen else 0.0
     return clients
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import nn
 from .attacks import attack_report
-from .config import ConfigError, RunConfig, apply_overrides, config_text, load_config, resolve_output_dir
+from .config import ConfigError, RunConfig, apply_overrides, config_text, load_config
+from .config import resolve_output_dir, validate_config
 from .detection import export_ledger_csv
 from .engine import TrainingResult, run_training
 from .slicing import extract_slice, write_manifest
@@ -54,9 +55,9 @@ def _write_final_metrics_csv(result: TrainingResult, path: str) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["client", "main_acc", "private_rate", "slice_acc"])
-        for client, model in zip(result.clients, result.models):
-            acc = nn.evaluate_accuracy(model, result.dataset.subset(client.indices))
-            rate = "" if client.private is None else f"{private_detection_rate(model, client.private):.6f}"
+        for client in result.clients:
+            acc = nn.evaluate_accuracy(client.model, result.dataset.subset(client.indices))
+            rate = "" if client.private is None else f"{private_detection_rate(client.model, client.private):.6f}"
             slice_acc = ""
             if client.assignment is not None:
                 extracted = extract_slice(result.server.rep_flat, client.assignment)
@@ -90,8 +91,8 @@ def _write_keys_json(result: TrainingResult, config: RunConfig, path: str) -> No
 
 def _write_models_npz(result: TrainingResult, path: str) -> None:
     heads = {
-        f"head_{client.client_id}": model.params[model.rep_param_count :]
-        for client, model in zip(result.clients, result.models)
+        f"head_{client.client_id}": client.model.params[client.model.rep_param_count :]
+        for client in result.clients
     }
     np.savez(path, rep_flat=result.server.rep_flat, **heads)
 
@@ -121,29 +122,32 @@ def _load_run_models(run_dir: str):
     """Rebuild final models and private watermark specs from run artifacts."""
     with open(os.path.join(run_dir, "keys.json")) as f:
         keys = json.load(f)
-    specs = nn.build_layer_specs(keys["input_dim"], tuple(keys["hidden_dims"]), keys["num_classes"])
-    head_start = len(specs) - keys["head_layers"]
-    heads = [f"head_{entry['client_id']}" for entry in keys["clients"]]
+    try:
+        specs = nn.build_layer_specs(keys["input_dim"], tuple(keys["hidden_dims"]), keys["num_classes"])
+        head_start = len(specs) - keys["head_layers"]
+        heads = [f"head_{entry['client_id']}" for entry in keys["clients"]]
+        wm_specs = []
+        for entry in keys["clients"]:
+            private = entry.get("private")
+            if private is None:
+                wm_specs.append(None)
+            else:
+                wm_specs.append(
+                    PrivateWatermarkSpec(
+                        bits=hex_to_bits(private["bits_hex"], private["bits_len"]),
+                        target_layers=tuple(private["target_layers"]),
+                        layer_sizes=tuple(private["layer_sizes"]),
+                        matrix_seeds=tuple(private["matrix_seeds"]),
+                    )
+                )
+    except KeyError as err:
+        raise ValueError(f"keys.json lacks the key {err}") from None
     with np.load(os.path.join(run_dir, "models.npz")) as arrays:
         missing = sorted({"rep_flat", *heads} - set(arrays.files))
         if missing:
             raise ValueError(f"models.npz lacks the arrays {', '.join(missing)}")
         rep = arrays["rep_flat"]
         models = [nn.Model(list(specs), np.concatenate([rep, arrays[head]]), head_start) for head in heads]
-    wm_specs = []
-    for entry in keys["clients"]:
-        private = entry.get("private")
-        if private is None:
-            wm_specs.append(None)
-        else:
-            wm_specs.append(
-                PrivateWatermarkSpec(
-                    bits=hex_to_bits(private["bits_hex"], private["bits_len"]),
-                    target_layers=tuple(private["target_layers"]),
-                    layer_sizes=tuple(private["layer_sizes"]),
-                    matrix_seeds=tuple(private["matrix_seeds"]),
-                )
-            )
     return models, wm_specs
 
 
@@ -189,8 +193,8 @@ def cmd_fidelity_sweep(config: RunConfig, bit_list) -> int:
     for bits, variant in zip(bit_list, variants):
         result = run_training(variant)
         accs = [
-            nn.evaluate_accuracy(model, result.dataset.subset(client.indices))
-            for client, model in zip(result.clients, result.models)
+            nn.evaluate_accuracy(client.model, result.dataset.subset(client.indices))
+            for client in result.clients
         ]
         rows.append((bits, float(np.mean(accs))))
     baseline = rows[0][1]
@@ -217,16 +221,19 @@ def _noniid_label(config: RunConfig) -> str:
 
 def cmd_attack_sweep(config: RunConfig, grid) -> int:
     """One detector-on run per (malicious_fraction, tamper_rate) cell."""
+    variants = [
+        dataclasses.replace(config, malicious_fraction=f_m, tamper_rate=f_t, detector=True)
+        for f_m, f_t in grid
+    ]
+    for variant in variants:  # every cell is checked before the first run starts
+        validate_config(variant)
     out_dir = resolve_output_dir(config)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "attack_sweep.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["noniid", "f_m", "f_t", "w_n", "w_m", "d_t", "d_f", "delta"])
-        for f_m, f_t in grid:
-            variant = dataclasses.replace(
-                config, malicious_fraction=f_m, tamper_rate=f_t, detector=True
-            )
+        for (f_m, f_t), variant in zip(grid, variants):
             result = run_training(variant)
             report = attack_report(
                 result.server.rep_flat,

@@ -103,7 +103,7 @@ def partition_dirichlet(labels: np.ndarray, n_clients: int, beta: float, seed: i
                 buckets[client].extend(chunk.tolist())
         if all(buckets):
             return Partition([np.sort(np.array(b)) for b in buckets])
-    raise RuntimeError("could not give every client a sample; dataset too small or beta too skewed")
+    raise ValueError("could not give every client a sample; dataset too small or beta too skewed")
 
 
 def partition_k_labels(labels: np.ndarray, n_clients: int, k: int, seed: int) -> Partition:
@@ -156,7 +156,7 @@ def partition_k_labels(labels: np.ndarray, n_clients: int, k: int, seed: int) ->
         spans = [len(np.unique(labels[np.array(b)])) if b else 0 for b in buckets]
         if all(span == k for span in spans):
             return Partition([np.sort(np.array(b)) for b in buckets])
-    raise RuntimeError(f"could not build a partition with exactly {k} labels per client")
+    raise ValueError(f"could not build a partition with exactly {k} labels per client")
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:

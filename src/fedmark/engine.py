@@ -6,9 +6,10 @@ private-watermark penalty on its head, then one representation-only epoch
 whose loss adds the penalty for its server-issued watermark slice, and
 uploads the representation. The server verifies every upload against the
 client's true slice, optionally screens it with the tamper detector, and
-averages the accepted uploads into the next shared representation. Heads
-never leave their clients. Each upload is scored once, on the local model
-that produced it, and reported as one `Upload` row.
+averages the accepted uploads into the next shared representation. Each
+client trains its own personalized model in place; heads never leave their
+clients. Each upload is scored once, on the model that produced it, and
+reported as one `Upload` row.
 """
 
 from dataclasses import dataclass, field
@@ -60,16 +61,16 @@ from .watermark import (
 
 @dataclass
 class ClientState:
-    """Everything a client keeps between rounds: its head, shard, watermark
+    """Everything a client keeps between rounds: its personalized model (the
+    last representation it received plus its private head), shard, watermark
     material, and attack role."""
 
     client_id: int
-    head: np.ndarray  # flat head parameters, the tail of the model's vector
+    model: nn.Model
     indices: np.ndarray
     private: PrivateWatermarkSpec | None = None
     assignment: SliceAssignment | None = None
     malicious: bool = False
-    tamper_rate: float = 0.0
     embedding_count: int = 0
 
 
@@ -107,13 +108,9 @@ class RoundReport:
 class TrainingResult:
     server: ServerState
     clients: list
-    models: list  # final personalized models, shared rep + private head
     reports: list
     dataset: Dataset
-    partition: Partition
     common: CommonWatermark | None
-    specs: list
-    head_start: int
 
     @property
     def malicious_ids(self) -> set:
@@ -157,10 +154,6 @@ def aggregate(reps: list) -> np.ndarray:
     return np.mean(np.stack(reps), axis=0)
 
 
-def _assemble(specs, head_start, rep_flat, client: ClientState) -> nn.Model:
-    return nn.Model(list(specs), np.concatenate([rep_flat, client.head]), head_start)
-
-
 def _minibatches(inputs, labels, batch_size, rng):
     order = rng.permutation(len(labels))
     for lo in range(0, len(order), batch_size):
@@ -173,28 +166,28 @@ def client_local_update(
     rep_flat: np.ndarray,
     dataset: Dataset,
     config: RunConfig,
-    specs,
-    head_start: int,
     round_index: int,
 ) -> nn.Model:
     """One client's round: head epochs, then a single representation epoch.
 
-    Returns the trained local model, whose representation prefix is the
-    upload; a copy of its head stays with the client.
+    Writes the broadcast `rep_flat` into the client's model and trains that
+    model in place. Returns `client.model`, whose representation prefix is
+    the upload.
     """
-    model = _assemble(specs, head_start, rep_flat, client)
+    model = client.model
+    rep_size = model.rep_param_count
+    model.params[:rep_size] = rep_flat
     shard_x = dataset.inputs[client.indices]
     shard_y = dataset.labels[client.indices]
     rng = np.random.default_rng(
         derive_seed(config.seed, STREAM_LOCAL_BATCHES, client.client_id, round_index)
     )
-    rep_size = model.rep_param_count
 
     # Head epochs leave the representation frozen, so its features over the
     # shard are computed once and the head trains on them directly; the head
     # view is a slice of the model's parameter vector, so its steps update `model`.
-    features, _ = nn.forward(model.view(0, head_start), shard_x)
-    head = model.view(head_start, model.num_layers)
+    features, _ = nn.forward(model.view(0, model.head_start), shard_x)
+    head = model.view(model.head_start, model.num_layers)
     for _ in range(config.head_epochs):
         for batch in _minibatches(features, shard_y, config.batch_size, rng):
             _, grads = nn.main_task_loss_and_grads(head, batch)
@@ -208,11 +201,11 @@ def client_local_update(
     slice_target = None
     if client.assignment is not None and config.slice_strength != 0.0:
         slice_target = client.assignment.bits
-        if client.malicious and client.tamper_rate > 0.0:
+        if client.malicious:
             key = (config.seed, STREAM_TAMPER, client.client_id)
             if config.fresh_tamper:
                 key = (*key, round_index)
-            slice_target = tamper_bits(slice_target, client.tamper_rate, derive_seed(*key))
+            slice_target = tamper_bits(slice_target, config.tamper_rate, derive_seed(*key))
 
     for batch in _minibatches(shard_x, shard_y, config.batch_size, rng):
         _, grads = nn.main_task_loss_and_grads(model, batch)
@@ -221,8 +214,6 @@ def client_local_update(
             start = client.assignment.region_start
             grads[start : start + len(seg_grad)] += config.slice_strength * seg_grad
         nn.apply_sgd(model.params[:rep_size], grads[:rep_size], config.lr)
-
-    client.head = model.params[rep_size:].copy()  # a view would pin the whole vector
     return model
 
 
@@ -240,7 +231,7 @@ def _setup_clients(config, partition, base_model):
         clients.append(
             ClientState(
                 client_id=cid,
-                head=base_model.params[base_model.rep_param_count :].copy(),
+                model=base_model.copy(),
                 indices=partition.client_indices[cid],
                 private=private,
             )
@@ -281,7 +272,6 @@ def run_training(config: RunConfig) -> TrainingResult:
         apply_adaptive_tampering(
             clients,
             config.malicious_fraction,
-            config.tamper_rate,
             derive_seed(config.seed, STREAM_MALICIOUS_SELECT),
         )
 
@@ -292,24 +282,22 @@ def run_training(config: RunConfig) -> TrainingResult:
         sampled = sample_clients(
             config.n_clients, config.sample_rate, derive_seed(config.seed, STREAM_SAMPLING, round_index)
         )
-        trained = []  # (client, local model, slice accuracy or None) per client not banned
+        trained = []  # (client, slice accuracy or None) per client not banned
         for cid in sampled:
             if cid in server.banned:
                 continue
             client = clients[cid]
-            local = client_local_update(
-                client, server.rep_flat, dataset, config, specs, head_start, round_index
-            )
+            client_local_update(client, server.rep_flat, dataset, config, round_index)
             client.embedding_count += 1
             acc = None
             if client.assignment is not None:
-                upload = local.params[:rep_size]
+                upload = client.model.params[:rep_size]
                 acc = detection_rate(client.assignment.bits, extract_slice(upload, client.assignment))
-            trained.append((client, local, acc))
+            trained.append((client, acc))
 
         records = [
             DetectionRecord(round_index, client.client_id, client.embedding_count, acc)
-            for client, _, acc in trained
+            for client, acc in trained
             if acc is not None
         ]
         rejected = set()
@@ -319,7 +307,7 @@ def run_training(config: RunConfig) -> TrainingResult:
         if config.ban_rejected:
             server.banned |= rejected
 
-        kept = [local.params[:rep_size] for c, local, _ in trained if c.client_id not in rejected]
+        kept = [c.model.params[:rep_size] for c, _ in trained if c.client_id not in rejected]
         if kept:
             server.rep_flat = aggregate(kept)
 
@@ -330,23 +318,14 @@ def run_training(config: RunConfig) -> TrainingResult:
                 embedding_count=client.embedding_count,
                 slice_acc=acc,
                 accepted=client.client_id not in rejected,
-                main_acc=nn.evaluate_accuracy(local, dataset.subset(client.indices)),
+                main_acc=nn.evaluate_accuracy(client.model, dataset.subset(client.indices)),
             )
-            for client, local, acc in trained
+            for client, acc in trained
         ]
         reports.append(RoundReport(round_index=round_index, sampled=sampled, uploads=uploads))
 
-    models = [
-        _assemble(specs, head_start, server.rep_flat, client) for client in clients
-    ]
+    for client in clients:  # banned clients keep the final representation too
+        client.model.params[:rep_size] = server.rep_flat
     return TrainingResult(
-        server=server,
-        clients=clients,
-        models=models,
-        reports=reports,
-        dataset=dataset,
-        partition=partition,
-        common=common,
-        specs=specs,
-        head_start=head_start,
+        server=server, clients=clients, reports=reports, dataset=dataset, common=common
     )

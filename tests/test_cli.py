@@ -102,6 +102,15 @@ def test_train_missing_config_fails_cleanly(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_reports_an_impossible_partition(tiny_cfg_file, capsys):
+    """Ten clients cannot all get a sample of three classes split at
+    Dirichlet(0.001): the run ends with an error line, not a traceback."""
+    args = ["--n_clients", "10", "--slice_total_bits", "0", "--partition", "dirichlet"]
+    assert cli.main(["train", str(tiny_cfg_file), *args, "--dirichlet_beta", "0.001"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "every client a sample" in err
+
+
 def test_train_reports_config_line_numbers(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("n_clients=4\nrounds=soon\n")
@@ -171,6 +180,18 @@ def test_heatmap_rejects_missing_model_arrays(tiny_cfg_file, tmp_path, capsys):
     assert err.startswith("error:") and "head_2" in err
 
 
+def test_heatmap_rejects_keys_missing_a_key(tiny_cfg_file, tmp_path, capsys):
+    cli.main(["train", str(tiny_cfg_file)])
+    path = tmp_path / "out" / "keys.json"
+    keys = json.loads(path.read_text())
+    del keys["input_dim"]
+    path.write_text(json.dumps(keys))
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "input_dim" in err
+
+
 # --- fidelity sweep -------------------------------------------------------------
 
 
@@ -227,6 +248,19 @@ def test_attack_sweep_single_cell(tiny_cfg_file, tmp_path):
     assert row["w_m"] != "" and row["delta"] != ""
     assert 0.0 <= float(row["d_t"]) <= 1.0
     assert 0.0 <= float(row["d_f"]) <= 1.0
+
+
+def test_attack_sweep_rejects_an_infeasible_cell_before_training(
+    tiny_cfg_file, tmp_path, monkeypatch, capsys
+):
+    """A malicious fraction above 1 in the second cell fails the sweep with
+    a ConfigError that names the key before the first cell trains."""
+    runs = []
+    monkeypatch.setattr(cli, "run_training", runs.append)
+    assert cli.main(["attack-sweep", str(tiny_cfg_file), "--cells", "0.25,0.3;1.5,0.1"]) == 1
+    assert "malicious_fraction" in capsys.readouterr().err
+    assert runs == []
+    assert not (tmp_path / "out" / "attack_sweep.csv").exists()
 
 
 def test_attack_sweep_rejects_malformed_cells(tiny_cfg_file, capsys):

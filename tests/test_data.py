@@ -142,6 +142,12 @@ def test_k_labels_rejects_k_beyond_classes():
         data.partition_k_labels(labels, n_clients=3, k=5, seed=0)
 
 
+def test_k_labels_raises_when_a_class_cannot_be_shared():
+    """One sample of class 1 cannot span two labels on four clients."""
+    with pytest.raises(ValueError, match="exactly 2 labels"):
+        data.partition_k_labels(np.array([0, 0, 0, 0, 1]), n_clients=4, k=2, seed=0)
+
+
 # --- containers -----------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 privacy, and the degenerate no-watermark behavior."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -72,17 +73,22 @@ def update_setup(config):
 def make_client(cid, base, partition, assignment=None, private=None):
     return engine.ClientState(
         client_id=cid,
-        head=base.params[base.rep_param_count :].copy(),
+        model=base.copy(),
         indices=partition.client_indices[cid],
         private=private,
         assignment=assignment,
     )
 
 
+def head_of(client):
+    return client.model.params[client.model.rep_param_count :]
+
+
 def test_malicious_update_differs_only_inside_its_region():
     """Honesty separation: tampering changes the slice bits and nothing else,
     so with one batch per epoch the uploads agree outside the region."""
-    config = tiny_config(private_bits=0, batch_size=10_000)  # whole shard per batch
+    # whole shard per batch; the config's tamper_rate applies to malicious clients
+    config = tiny_config(private_bits=0, batch_size=10_000, tamper_rate=0.5)
     dataset, partition, specs, head_start, base = update_setup(config)
     common = generate_common_watermark(config.slice_total_bits, config.n_clients, seed=5)
     region = base.rep_param_count // config.n_clients
@@ -91,18 +97,17 @@ def test_malicious_update_differs_only_inside_its_region():
     honest = make_client(1, base, partition, assignment=assignments[1])
     attacker = make_client(1, base, partition, assignment=assignments[1])
     attacker.malicious = True
-    attacker.tamper_rate = 0.5
 
     rep = base.params[: base.rep_param_count].copy()
-    up_honest = engine.client_local_update(honest, rep, dataset, config, specs, head_start, 1)
-    up_attack = engine.client_local_update(attacker, rep, dataset, config, specs, head_start, 1)
+    up_honest = engine.client_local_update(honest, rep, dataset, config, 1)
+    up_attack = engine.client_local_update(attacker, rep, dataset, config, 1)
     up_honest, up_attack = up_honest.params[: len(rep)], up_attack.params[: len(rep)]
 
     inside = np.zeros(base.rep_param_count, dtype=bool)
     inside[assignments[1].region_start : assignments[1].region_stop] = True
     np.testing.assert_array_equal(up_honest[~inside], up_attack[~inside])
     assert not np.array_equal(up_honest[inside], up_attack[inside])
-    np.testing.assert_array_equal(honest.head, attacker.head)
+    np.testing.assert_array_equal(head_of(honest), head_of(attacker))
 
 
 def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
@@ -120,7 +125,7 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
 
     monkeypatch.setattr(nn, "main_task_loss_and_grads", zero_main)
     rep = base.params[: base.rep_param_count].copy()
-    local = engine.client_local_update(client, rep, dataset, config, specs, head_start, 1)
+    local = engine.client_local_update(client, rep, dataset, config, 1)
     upload = local.params[: len(rep)]
 
     inside = np.zeros(base.rep_param_count, dtype=bool)
@@ -128,7 +133,7 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
     np.testing.assert_array_equal(upload[~inside], rep[~inside])
     assert not np.array_equal(upload[inside], rep[inside])
     # no private watermark and no main gradient: the head must not move
-    np.testing.assert_array_equal(client.head, base.params[base.rep_param_count :])
+    np.testing.assert_array_equal(head_of(client), base.params[base.rep_param_count :])
 
 
 def test_head_epochs_on_cached_features_match_full_model_steps():
@@ -148,7 +153,7 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
     assert all(len(segment) > 0 for segment in private.segments)
     client = make_client(1, base, partition, private=private)
     local = engine.client_local_update(
-        client, base.params[:rep_size].copy(), dataset, config, specs, head_start, 2
+        client, base.params[:rep_size].copy(), dataset, config, 2
     )
     upload = local.params[:rep_size]
 
@@ -177,10 +182,10 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
         nn.apply_sgd(model.params[:rep_size], grads[:rep_size], config.lr)
 
     assert np.array_equal(upload, model.params[:rep_size])
-    assert np.array_equal(client.head, model.params[rep_size:])
+    assert np.array_equal(head_of(client), model.params[rep_size:])
     for k in head_ids:
         lo, hi = base.offsets[k] - rep_size, base.offsets[k + 1] - rep_size
-        assert not np.array_equal(client.head[lo:hi], base.layer_flat(k))
+        assert not np.array_equal(head_of(client)[lo:hi], base.layer_flat(k))
 
 
 # --- full runs ------------------------------------------------------------------
@@ -192,7 +197,7 @@ def test_run_training_is_deterministic():
     b = engine.run_training(config)
     np.testing.assert_array_equal(a.server.rep_flat, b.server.rep_flat)
     for ca, cb in zip(a.clients, b.clients):
-        np.testing.assert_array_equal(ca.head, cb.head)
+        np.testing.assert_array_equal(head_of(ca), head_of(cb))
     main_acc = [[u.main_acc for u in r.uploads] for r in a.reports]
     assert main_acc == [[u.main_acc for u in r.uploads] for r in b.reports]
 
@@ -200,9 +205,10 @@ def test_run_training_is_deterministic():
 def test_zero_rounds_returns_initialization():
     config = tiny_config(rounds=0)
     result = engine.run_training(config)
-    base = nn.init_model(result.specs, derive_seed(config.seed, STREAM_INIT), result.head_start)
+    first = result.clients[0].model
+    base = nn.init_model(first.specs, derive_seed(config.seed, STREAM_INIT), first.head_start)
     np.testing.assert_array_equal(result.server.rep_flat, base.params[: base.rep_param_count])
-    for model in result.models:
+    for model in (client.model for client in result.clients):
         for k in model.head_layer_ids:
             np.testing.assert_array_equal(model.weights[k], base.weights[k])
     assert result.reports == []
@@ -216,7 +222,9 @@ def test_unsampled_heads_persist():
     unsampled = [cid for cid in range(4) if cid not in second.sampled]
     assert unsampled, "expected at least one unsampled client with sample_rate 0.5"
     for cid in unsampled:
-        np.testing.assert_array_equal(one_round.clients[cid].head, two_rounds.clients[cid].head)
+        np.testing.assert_array_equal(
+            head_of(one_round.clients[cid]), head_of(two_rounds.clients[cid])
+        )
 
 
 def test_embedding_count_tracks_sampling():
@@ -228,15 +236,15 @@ def test_embedding_count_tracks_sampling():
 
 def test_server_never_holds_head_parameters():
     result = engine.run_training(tiny_config())
-    assert result.server.rep_flat.shape == (result.models[0].rep_param_count,)
+    assert result.server.rep_flat.shape == (result.clients[0].model.rep_param_count,)
     for client in result.clients:
-        assert not np.shares_memory(result.server.rep_flat, client.head)
+        assert not np.shares_memory(result.server.rep_flat, head_of(client))
 
 
 def test_region_auto_sizing_covers_all_clients():
     config = tiny_config()
     result = engine.run_training(config)
-    expected = result.models[0].rep_param_count // config.n_clients
+    expected = result.clients[0].model.rep_param_count // config.n_clients
     for assignment in result.server.assignments:
         assert assignment.region_size == expected
     covered = np.concatenate([a.indices() for a in result.server.assignments])
@@ -253,7 +261,10 @@ def test_detector_accepts_everyone_on_an_honest_run():
 def test_ban_rejected_stops_a_rejected_client():
     """With ban_rejected, a client the detector rejects uploads no more: it
     has no Upload after that round, its embedding count stops, and the
-    server lists it as banned. Without the ban it keeps uploading."""
+    server lists it as banned. Without the ban it keeps uploading. Every
+    client, banned ones included, owns its model: each ends with the final
+    shared representation as its prefix, and no two models, nor a model and
+    the server, share memory."""
     config = tiny_config(detector=True, ban_rejected=True, malicious_fraction=0.25, tamper_rate=0.3)
     result = engine.run_training(config)
     rejections = [u for r in result.reports for u in r.uploads if not u.accepted]
@@ -264,6 +275,12 @@ def test_ban_rejected_stops_a_rejected_client():
         assert [u for r in later for u in r.uploads if u.client_id == cid] == []
         assert result.clients[cid].embedding_count == rejection.embedding_count
         assert cid in result.server.banned
+    rep = result.server.rep_flat
+    for client in result.clients:
+        np.testing.assert_array_equal(client.model.params[: len(rep)], rep)
+        assert not np.shares_memory(client.model.params, rep)
+    for a, b in itertools.combinations(result.clients, 2):
+        assert not np.shares_memory(a.model.params, b.model.params)
     unbanned = engine.run_training(dataclasses.replace(config, ban_rejected=False))
     assert unbanned.server.banned == set()
     cid, round_index = rejections[0].client_id, rejections[0].round_index
@@ -288,6 +305,6 @@ def test_disabling_watermarks_reproduces_plain_federated_training():
     oracle_rep, oracle_heads = plain_fedrep_oracle(config)
     np.testing.assert_array_equal(result.server.rep_flat, oracle_rep)
     for client, head in zip(result.clients, oracle_heads):
-        np.testing.assert_array_equal(client.head, head)
+        np.testing.assert_array_equal(head_of(client), head)
     assert result.common is None
     assert result.server.assignments == ()
