@@ -70,14 +70,14 @@ def finetune_attack(
     """Main-task-only SGD over the whole model, no watermark terms."""
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
+    width = model.specs[-1].output_dim
+    if len(dataset) and (dataset.labels.min() < 0 or dataset.labels.max() >= width):
+        raise ValueError(f"labels must lie in [0, {width}), the model's output width")
     tuned = model.copy()
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
-        order = rng.permutation(len(dataset))
-        for lo in range(0, len(order), batch_size):
-            take = order[lo : lo + batch_size]
-            batch = nn.Batch(dataset.inputs[take], dataset.labels[take])
-            _, grads = nn.main_task_loss_and_grads(tuned, batch)
+        for batch in nn.minibatches(dataset.inputs, dataset.labels, batch_size, rng):
+            _, grads = nn.main_task_loss_and_grads(tuned, batch, with_loss=False)
             nn.apply_sgd(tuned.params, grads, lr)
     return tuned
 

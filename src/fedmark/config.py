@@ -4,6 +4,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
+from .data import IDX_IMAGES_MAGIC, read_idx
 from .nn import build_layer_specs
 
 OUTPUT_ROOT_ENV = "FEDMARK_OUTPUT_ROOT"
@@ -201,10 +202,17 @@ def validate_config(config: RunConfig) -> None:
         problems.append("seed must be non-negative")
     if config.region_size < 0:
         problems.append("region_size must be non-negative (0 means auto)")
-    if not problems and blobs and config.slice_total_bits > 0:
-        # a blobs run's representation size follows from the config alone
+    if not problems and config.slice_total_bits > 0:
+        # the class count sizes only the head, so the input width fixes the representation
+        try:  # an idx run reads its input width from the 16-byte image header
+            width = config.blob_dim
+            if not blobs:
+                (_, rows, cols), _ = read_idx(config.idx_images, IDX_IMAGES_MAGIC, 3, payload=False)
+                width = rows * cols
+            specs = build_layer_specs(width, config.hidden_dims, 1)
+        except (OSError, ValueError) as err:  # only an idx header can fail here
+            raise ConfigError(f"idx_images: {err}") from None
         n, total = config.n_clients, config.slice_total_bits
-        specs = build_layer_specs(config.blob_dim, config.hidden_dims, config.blob_classes)
         rep_size = sum(spec.flat_size for spec in specs[: len(specs) - config.head_layers])
         region = region_params(config, rep_size)
         largest = total // n + total % n  # the last slice takes the remainder

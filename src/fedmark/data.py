@@ -159,32 +159,31 @@ def partition_k_labels(labels: np.ndarray, n_clients: int, k: int, seed: int) ->
     raise ValueError(f"could not build a partition with exactly {k} labels per client")
 
 
+def read_idx(path: str, magic: int, dims: int, payload: bool = True):
+    """An IDX file's `dims` sizes, read after its big-endian magic number,
+    and its payload bytes (b"" when `payload` is False: the header alone)."""
+    with open(path, "rb") as f:
+        header = f.read(4 * (dims + 1))
+        if len(header) < 4 * (dims + 1):
+            raise ValueError(f"{path}: truncated IDX header")
+        found, *shape = struct.unpack(f">{dims + 1}I", header)
+        if found != magic:
+            raise ValueError(f"{path}: bad magic {found}, expected {magic}")
+        return shape, f.read() if payload else b""
+
+
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Read an IDX image/label file pair (big-endian, uint8 payload).
 
     Pixels are flattened per image and scaled to [0, 1].
     """
-    with open(images_path, "rb") as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise ValueError(f"{images_path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(f"{images_path}: bad magic {magic}, expected {IDX_IMAGES_MAGIC}")
-        payload = f.read()
+    (count, rows, cols), payload = read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     expected = count * rows * cols
     if len(payload) != expected:
         raise ValueError(f"{images_path}: expected {expected} pixel bytes, got {len(payload)}")
     images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
 
-    with open(labels_path, "rb") as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise ValueError(f"{labels_path}: truncated IDX header")
-        magic, label_count = struct.unpack(">II", header)
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(f"{labels_path}: bad magic {magic}, expected {IDX_LABELS_MAGIC}")
-        payload = f.read()
+    (label_count,), payload = read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if len(payload) != label_count:
         raise ValueError(f"{labels_path}: expected {label_count} label bytes, got {len(payload)}")
     if label_count != count:

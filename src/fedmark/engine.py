@@ -154,13 +154,6 @@ def aggregate(reps: list) -> np.ndarray:
     return np.mean(np.stack(reps), axis=0)
 
 
-def _minibatches(inputs, labels, batch_size, rng):
-    order = rng.permutation(len(labels))
-    for lo in range(0, len(order), batch_size):
-        take = order[lo : lo + batch_size]
-        yield nn.Batch(inputs[take], labels[take])
-
-
 def client_local_update(
     client: ClientState,
     rep_flat: np.ndarray,
@@ -189,10 +182,10 @@ def client_local_update(
     features, _ = nn.forward(model.view(0, model.head_start), shard_x)
     head = model.view(model.head_start, model.num_layers)
     for _ in range(config.head_epochs):
-        for batch in _minibatches(features, shard_y, config.batch_size, rng):
-            _, grads = nn.main_task_loss_and_grads(head, batch)
+        for batch in nn.minibatches(features, shard_y, config.batch_size, rng):
+            _, grads = nn.main_task_loss_and_grads(head, batch, with_loss=False)
             if client.private is not None and config.embed_strength != 0.0:
-                _, flat_grads = private_embedding_loss_and_grads(model, client.private)
+                _, flat_grads = private_embedding_loss_and_grads(model, client.private, with_loss=False)
                 for layer_id, flat in flat_grads.items():
                     lo = model.offsets[layer_id] - rep_size
                     grads[lo : lo + len(flat)] += config.embed_strength * flat
@@ -207,10 +200,12 @@ def client_local_update(
                 key = (*key, round_index)
             slice_target = tamper_bits(slice_target, config.tamper_rate, derive_seed(*key))
 
-    for batch in _minibatches(shard_x, shard_y, config.batch_size, rng):
-        _, grads = nn.main_task_loss_and_grads(model, batch)
+    for batch in nn.minibatches(shard_x, shard_y, config.batch_size, rng):
+        _, grads = nn.main_task_loss_and_grads(model, batch, with_loss=False)
         if slice_target is not None:
-            _, seg_grad = slice_loss_and_grad(model.params[:rep_size], client.assignment, slice_target)
+            _, seg_grad = slice_loss_and_grad(
+                model.params[:rep_size], client.assignment, slice_target, with_loss=False
+            )
             start = client.assignment.region_start
             grads[start : start + len(seg_grad)] += config.slice_strength * seg_grad
         nn.apply_sgd(model.params[:rep_size], grads[:rep_size], config.lr)

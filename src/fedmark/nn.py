@@ -6,7 +6,9 @@ forward and backward passes work per layer while watermarking code addresses
 the flat vector directly. A configurable layer boundary splits the vector in
 two: the shared representation is its prefix and the private head the rest.
 Gradients share the layout, so training code updates either part with one
-slice operation.
+slice operation. Training steps compute gradients only: losses come only with
+`with_loss=True`, the default. Labels are checked once per `data.Dataset` and
+once per `attacks.finetune_attack` call, not on every step.
 """
 
 import itertools
@@ -186,25 +188,27 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def main_task_loss_and_grads(model: Model, batch: Batch):
+def main_task_loss_and_grads(model: Model, batch: Batch, *, with_loss: bool = True):
     """Mean softmax cross-entropy over the batch and its exact gradients.
 
     Returns (loss, grads) with grads one flat vector laid out like
-    `model.params`; callers decide which slice of it to apply.
+    `model.params`; callers decide which slice of it to apply. With
+    `with_loss=False` the loss is None and the labels go unchecked.
     """
-    if len(batch) == 0:
+    n = len(batch)
+    if n == 0:
         raise ValueError("empty batch")
     num_classes = model.specs[-1].output_dim
-    if batch.labels.min() < 0 or batch.labels.max() >= num_classes:
+    # Training steps skip this check: the engine's labels were bounded once by
+    # `Dataset`, which also sizes its model, and `finetune_attack` checks once per call.
+    if with_loss and (batch.labels.min() < 0 or batch.labels.max() >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes})")
 
     logits, cache = forward(model, batch.inputs)
-    probs = _softmax(logits)
-    n = len(batch)
-    loss = -np.log(probs[np.arange(n), batch.labels]).mean()
-
-    delta = probs.copy()
-    delta[np.arange(n), batch.labels] -= 1.0
+    delta = _softmax(logits)
+    rows = np.arange(n)
+    loss = -np.log(delta[rows, batch.labels]).mean() if with_loss else None
+    delta[rows, batch.labels] -= 1.0
     delta /= n
 
     pieces = []
@@ -216,6 +220,16 @@ def main_task_loss_and_grads(model: Model, batch: Batch):
         if k > 0:
             delta = delta @ model.weights[k].T
     return loss, np.concatenate(pieces)
+
+
+def minibatches(inputs: np.ndarray, labels: np.ndarray, batch_size: int, rng):
+    """Shuffled minibatches of already validated rows; they skip `Batch`'s checks."""
+    order = rng.permutation(len(labels))
+    for lo in range(0, len(order), batch_size):
+        take = order[lo : lo + batch_size]
+        batch = object.__new__(Batch)
+        batch.inputs, batch.labels = inputs[take], labels[take]
+        yield batch
 
 
 def apply_sgd(params: np.ndarray, grads: np.ndarray, lr: float) -> None:

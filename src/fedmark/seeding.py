@@ -20,7 +20,7 @@ STREAM_SAMPLING = 7
 STREAM_LOCAL_BATCHES = 8
 STREAM_TAMPER = 9
 STREAM_MALICIOUS_SELECT = 10
-STREAM_FINETUNE = 11
+# Id 11 stays reserved: benchmark/workloads.py derives its fine-tune seeds from it.
 
 
 def derive_seed(*parts: int) -> int:

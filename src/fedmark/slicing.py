@@ -125,8 +125,8 @@ def extract_slice(rep_flat: np.ndarray, assignment: SliceAssignment) -> np.ndarr
     return extract_bits(segment, assignment.matrix())
 
 
-def slice_loss_and_grad(rep_flat, assignment: SliceAssignment, bits=None):
-    """Embedding loss of a slice and its gradient over the region only.
+def slice_loss_and_grad(rep_flat, assignment: SliceAssignment, bits=None, *, with_loss: bool = True):
+    """Embedding loss of a slice (None unless `with_loss`) and its gradient over the region only.
 
     `bits` overrides the assignment's true slice (used by tampering clients);
     the returned gradient has region length and is zero-padded by callers.
@@ -136,7 +136,7 @@ def slice_loss_and_grad(rep_flat, assignment: SliceAssignment, bits=None):
     if len(target) != len(assignment.bits):
         raise ValueError("override bits must match the slice length")
     segment = rep_flat[assignment.region_start : assignment.region_stop]
-    return embedding_loss_and_grad(segment, assignment.matrix(), target)
+    return embedding_loss_and_grad(segment, assignment.matrix(), target, with_loss=with_loss)
 
 
 def write_manifest(assignments: list[SliceAssignment], path) -> None:

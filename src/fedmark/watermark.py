@@ -100,9 +100,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def embedding_loss_and_grad(params_flat, matrix, bits) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy between sigmoid(projections) and the bits,
-    with its exact gradient in parameter space.
+def embedding_loss_and_grad(params_flat, matrix, bits, *, with_loss: bool = True):
+    """Mean binary cross-entropy between sigmoid(projections) and the bits
+    (None unless `with_loss`), with its exact gradient in parameter space.
 
     The loss is overflow-safe for arbitrarily large projections. Gradient:
     matrix @ (sigmoid(proj) - bits) / len(bits).
@@ -116,12 +116,13 @@ def embedding_loss_and_grad(params_flat, matrix, bits) -> tuple[float, np.ndarra
             f"matrix shape {matrix.shape} does not match {len(params_flat)} params x {len(bits)} bits"
         )
     proj = matrix.T @ params_flat
+    grad = matrix @ (_sigmoid(proj) - bits) / len(bits)
+    if not with_loss:
+        return None, grad
     # log(sigmoid(p)) = -softplus(-p); log(1 - sigmoid(p)) = -softplus(p)
     softplus = np.logaddexp(0.0, proj)
     per_bit = bits * (softplus - proj) + (1.0 - bits) * softplus
-    loss = float(per_bit.mean())
-    grad = matrix @ (_sigmoid(proj) - bits) / len(bits)
-    return loss, grad
+    return float(per_bit.mean()), grad
 
 
 @dataclass(frozen=True)
@@ -157,18 +158,18 @@ def make_private_spec(bits, target_layers, layer_sizes, key_seed: int) -> Privat
     return PrivateWatermarkSpec(bits, target_layers, layer_sizes, seeds)
 
 
-def private_embedding_loss_and_grads(model, spec: PrivateWatermarkSpec):
-    """Total embedding loss over all target layers plus per-layer flat grads."""
-    total = 0.0
-    flat_grads = {}
+def private_embedding_loss_and_grads(model, spec: PrivateWatermarkSpec, *, with_loss: bool = True):
+    """Total embedding loss (None unless `with_loss`) plus per-layer flat grads."""
+    losses, flat_grads = [], {}
     for pos, layer_id in enumerate(spec.target_layers):
         segment = spec.segments[pos]
         if len(segment) == 0:
             continue
-        loss, grad = embedding_loss_and_grad(model.layer_flat(layer_id), spec.matrix(pos), segment)
-        total += loss
-        flat_grads[layer_id] = grad
-    return total, flat_grads
+        loss, flat_grads[layer_id] = embedding_loss_and_grad(
+            model.layer_flat(layer_id), spec.matrix(pos), segment, with_loss=with_loss
+        )
+        losses.append(loss)
+    return (sum(losses, 0.0) if with_loss else None), flat_grads
 
 
 def extract_private_bits(model, spec: PrivateWatermarkSpec) -> np.ndarray:

@@ -145,6 +145,23 @@ def test_finetune_rejects_zero_rounds():
         attacks.finetune_attack(model, ds, rounds=0, lr=0.01)
 
 
+def test_finetune_rejects_labels_beyond_the_output_before_any_step(monkeypatch):
+    ds, model = finetune_setup()  # three classes, three outputs
+    steps = []
+
+    def record(model, batch, *, with_loss=True):
+        steps.append(len(batch))
+        return None, np.zeros_like(model.params)
+
+    monkeypatch.setattr(nn, "main_task_loss_and_grads", record)
+    wide = data.gen_synthetic_blobs(4, 4, 30, 0.5, seed=2)
+    with pytest.raises(ValueError, match="labels"):
+        attacks.finetune_attack(model, wide, rounds=1, lr=0.05)
+    assert steps == []
+    attacks.finetune_attack(model, ds, rounds=1, lr=0.05)
+    assert sum(steps) == len(ds)
+
+
 # --- run scoring ----------------------------------------------------------------
 
 

@@ -1,10 +1,12 @@
 """Config file parsing, overrides, validation, and output-dir resolution."""
 
 import dataclasses
+import struct
 
 import pytest
 
 from fedmark import config as config_mod
+from fedmark import data
 from fedmark.config import (
     ConfigError,
     RunConfig,
@@ -138,6 +140,41 @@ def test_validate_region_carries_the_largest_slice():
     validate_config(
         dataclasses.replace(RunConfig(), n_clients=200, slice_total_bits=1280, hidden_dims=(128, 128))
     )
+
+
+def idx_config(tmp_path, rows, cols, magic=data.IDX_IMAGES_MAGIC, header_bytes=16, **values):
+    """An idx config whose image file holds only a (possibly damaged) header."""
+    images = tmp_path / "images.idx"
+    images.write_bytes(struct.pack(">IIII", magic, 3, rows, cols)[:header_bytes])
+    return dataclasses.replace(
+        RunConfig(), dataset="idx", idx_images=str(images), idx_labels=str(tmp_path / "labels.idx"), **values
+    )
+
+
+def test_validate_sizes_an_idx_representation_from_the_image_header(tmp_path):
+    # 2x2 images: 4*64+64 + 64*64+64 = 4480 params, so 22-param regions for 200 clients
+    crowd = {"n_clients": 200, "slice_total_bits": 4600}  # the last slice takes 23 bits
+    with pytest.raises(ConfigError, match="slice_total_bits .*23 bits.*22 params"):
+        validate_config(idx_config(tmp_path, 2, 2, **crowd))
+    with pytest.raises(ConfigError, match="region_size .*4480"):
+        validate_config(idx_config(tmp_path, 2, 2, n_clients=200, region_size=23))
+    validate_config(idx_config(tmp_path, 28, 28, **crowd))  # 54400 params, 272 per region
+
+
+@pytest.mark.parametrize(
+    "damage, message", [({"header_bytes": 10}, "truncated IDX header"), ({"magic": 1234}, "bad magic")]
+)
+def test_validate_rejects_a_bad_idx_header(tmp_path, damage, message):
+    cfg = idx_config(tmp_path, 28, 28, **damage)
+    with pytest.raises(ConfigError, match=f"idx_images: .*{message}"):
+        validate_config(cfg)
+    validate_config(dataclasses.replace(cfg, slice_total_bits=0))  # no slices, no header read
+
+
+def test_validate_rejects_a_missing_idx_file(tmp_path):
+    cfg = dataclasses.replace(idx_config(tmp_path, 28, 28), idx_images=str(tmp_path / "absent.idx"))
+    with pytest.raises(ConfigError, match="idx_images: .*absent.idx"):
+        validate_config(cfg)
 
 
 def test_validate_k_labels_fit_the_blob_classes():

@@ -120,7 +120,7 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
     assignments = assign_slices(common, base.rep_param_count, region, seed=6)
     client = make_client(2, base, partition, assignment=assignments[2])
 
-    def zero_main(model, batch):
+    def zero_main(model, batch, *, with_loss=True):
         return 0.0, np.zeros_like(model.params)
 
     monkeypatch.setattr(nn, "main_task_loss_and_grads", zero_main)

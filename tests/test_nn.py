@@ -166,6 +166,35 @@ def test_main_task_grads_match_finite_differences():
         assert_grads_close(analytic, numeric)
 
 
+def test_minibatches_follow_the_permutation_with_a_short_last_batch():
+    inputs = np.arange(46.0).reshape(23, 2)
+    labels = np.arange(23) % 3
+    batches = list(nn.minibatches(inputs, labels, 10, np.random.default_rng(4)))
+    assert [len(b) for b in batches] == [10, 10, 3]
+    rows = np.concatenate([b.inputs[:, 0] for b in batches]).astype(int) // 2
+    np.testing.assert_array_equal(rows, np.random.default_rng(4).permutation(23))
+    np.testing.assert_array_equal(np.concatenate([b.labels for b in batches]), labels[rows])
+
+
+@pytest.mark.parametrize("head_layers", [1, 2])
+def test_gradient_only_steps_match_the_loss_path(head_layers):
+    """with_loss=False returns no loss and the same gradient bits, on the
+    whole model and on a head view, through a short last batch."""
+    model = nn.init_model(small_specs(), seed=7, head_start=3 - head_layers)
+    rng = np.random.default_rng(3)
+    inputs, labels = rng.standard_normal((23, 5)), rng.integers(0, 3, 23)
+    features, _ = nn.forward(model.view(0, model.head_start), inputs)
+    head = model.view(model.head_start, model.num_layers)
+    for target, rows in ((model, inputs), (head, features)):
+        batches = list(nn.minibatches(rows, labels, 10, np.random.default_rng(5)))
+        assert len(batches[-1]) == 3
+        for batch in batches:
+            loss, grads = nn.main_task_loss_and_grads(target, batch)
+            none, fast = nn.main_task_loss_and_grads(target, batch, with_loss=False)
+            assert loss > 0.0 and none is None
+            assert np.array_equal(fast, grads)
+
+
 # --- SGD ----------------------------------------------------------------------
 
 

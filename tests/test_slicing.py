@@ -172,6 +172,17 @@ def test_slice_loss_override_bits():
         slicing.slice_loss_and_grad(rep, assignments[0], bits=np.array([1, 0]))
 
 
+def test_slice_gradient_only_matches_the_loss_path():
+    common = slicing.generate_common_watermark(16, n_clients=2, seed=9)
+    assignments = slicing.assign_slices(common, rep_param_count=64, region_size=32, seed=0)
+    rep = np.random.default_rng(1).standard_normal(64)
+    for bits in (None, 1 - assignments[1].bits):  # the true slice, then an override
+        loss, grad = slicing.slice_loss_and_grad(rep, assignments[1], bits)
+        none, fast = slicing.slice_loss_and_grad(rep, assignments[1], bits, with_loss=False)
+        assert loss > 0.0 and none is None
+        assert np.array_equal(fast, grad)
+
+
 # --- manifest -------------------------------------------------------------------
 
 

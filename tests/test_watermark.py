@@ -196,6 +196,15 @@ def test_embedding_descent_converges_to_perfect_detection(rng):
     assert watermark.detection_rate(bits, watermark.extract_bits(params, matrix)) == 1.0
 
 
+def test_embedding_gradient_only_matches_the_loss_path(rng):
+    params, matrix = rng.standard_normal(30), rng.standard_normal((30, 12))
+    bits = watermark.random_bits(12, seed=2)
+    loss, grad = watermark.embedding_loss_and_grad(params, matrix, bits)
+    none, fast = watermark.embedding_loss_and_grad(params, matrix, bits, with_loss=False)
+    assert loss > 0.0 and none is None
+    assert np.array_equal(fast, grad)
+
+
 # --- private (head) watermark specs ---------------------------------------------
 
 
@@ -254,3 +263,16 @@ def test_private_embedding_gradients_match_finite_differences():
 
         numeric = finite_difference_grads(loss_at, model.layer_flat(layer_id))
         assert_grads_close(grad, numeric)
+
+
+def test_private_embedding_gradient_only_matches_the_loss_path():
+    model = head_model()  # a two-layer head
+    sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
+    bits = watermark.random_bits(21, seed=5)
+    spec = watermark.make_private_spec(bits, list(model.head_layer_ids), sizes, key_seed=2)
+    total, grads = watermark.private_embedding_loss_and_grads(model, spec)
+    none, fast = watermark.private_embedding_loss_and_grads(model, spec, with_loss=False)
+    assert total > 0.0 and none is None
+    assert fast.keys() == grads.keys() == set(model.head_layer_ids)
+    for layer_id, grad in grads.items():
+        assert np.array_equal(fast[layer_id], grad)
