@@ -27,9 +27,10 @@ from .watermark import (
     PrivateWatermarkSpec,
     bits_to_hex,
     detection_rate,
-    extract_private_bits,
+    extract_stacked_private_bits,
     hex_to_bits,
     private_detection_rate,
+    stack_layers,
 )
 
 
@@ -118,6 +119,21 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
+def _check_private_spec(spec: PrivateWatermarkSpec, layer_specs, head_start: int, client_id) -> None:
+    """A private mark must sit on head layers of the sizes keys.json claims."""
+    for layer_id, size in zip(spec.target_layers, spec.layer_sizes):
+        if not isinstance(layer_id, int) or not head_start <= layer_id < len(layer_specs):
+            raise ValueError(
+                f"keys.json client {client_id}: private target_layers entry {layer_id} "
+                f"is not a head layer ({head_start}..{len(layer_specs) - 1})"
+            )
+        if size != layer_specs[layer_id].flat_size:
+            raise ValueError(
+                f"keys.json client {client_id}: private layer_sizes entry {size} does not match "
+                f"the {layer_specs[layer_id].flat_size} parameters of layer {layer_id}"
+            )
+
+
 def _load_run_models(run_dir: str):
     """Rebuild final models and private watermark specs from run artifacts."""
     with open(os.path.join(run_dir, "keys.json")) as f:
@@ -132,14 +148,14 @@ def _load_run_models(run_dir: str):
             if private is None:
                 wm_specs.append(None)
             else:
-                wm_specs.append(
-                    PrivateWatermarkSpec(
-                        bits=hex_to_bits(private["bits_hex"], private["bits_len"]),
-                        target_layers=tuple(private["target_layers"]),
-                        layer_sizes=tuple(private["layer_sizes"]),
-                        matrix_seeds=tuple(private["matrix_seeds"]),
-                    )
+                spec = PrivateWatermarkSpec(
+                    bits=hex_to_bits(private["bits_hex"], private["bits_len"]),
+                    target_layers=tuple(private["target_layers"]),
+                    layer_sizes=tuple(private["layer_sizes"]),
+                    matrix_seeds=tuple(private["matrix_seeds"]),
                 )
+                _check_private_spec(spec, specs, head_start, entry["client_id"])
+                wm_specs.append(spec)
     except KeyError as err:
         raise ValueError(f"keys.json lacks the key {err}") from None
     with np.load(os.path.join(run_dir, "models.npz")) as arrays:
@@ -153,22 +169,24 @@ def _load_run_models(run_dir: str):
 
 def cmd_heatmap(run_dir: str) -> int:
     """n x n matrix: entry (i, j) is the detection rate of client j's private
-    watermark read out of client i's model."""
+    watermark read out of client i's model. Each watermark is read out of
+    every model with one stacked product per target layer; each layer is
+    stacked once per heatmap."""
     models, wm_specs = _load_run_models(run_dir)
     if any(s is None for s in wm_specs):
         print("heatmap needs a run with private watermarks enabled", file=sys.stderr)
         return 1
     n = len(models)
+    layers = stack_layers(models, {layer_id for s in wm_specs for layer_id in s.target_layers})
+    rates = np.empty((n, n))
+    for j, spec in enumerate(wm_specs):
+        # integer match counts over len(bits): exact, as in detection_rate
+        rates[:, j] = (extract_stacked_private_bits(layers, spec) == spec.bits).mean(axis=1)
     path = os.path.join(run_dir, "heatmap.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["model_client"] + [f"wm_{j}" for j in range(n)])
-        for i, model in enumerate(models):
-            row = [str(i)]
-            for j in range(n):
-                extracted = extract_private_bits(model, wm_specs[j])
-                row.append(f"{detection_rate(wm_specs[j].bits, extracted):.6f}")
-            writer.writerow(row)
+        writer.writerows([str(i)] + [f"{rate:.6f}" for rate in row] for i, row in enumerate(rates.tolist()))
     print(f"heatmap written: {path}")
     return 0
 

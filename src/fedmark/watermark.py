@@ -76,13 +76,21 @@ def cached_embedding_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 
 
 def extract_bits(params_flat: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Read bits as the sign of each projection; ties at exactly zero give 0."""
+    """Read bits as the sign of each projection; ties at exactly zero give 0.
+
+    `params_flat` is one vector, giving one bit per matrix column, or an
+    (n, rows) stack of vectors, giving an (n, cols) array. Each vector is its
+    own matrix-vector product against the broadcast view of `matrix.T`, the
+    same BLAS call for a stack as for one vector, so row i of a stack reads
+    bit for bit as `params_flat[i]` alone; `params_flat @ matrix` or a
+    contiguous copy of `matrix.T` would round differently.
+    """
     params_flat = np.asarray(params_flat, dtype=np.float64)
-    if params_flat.shape != (matrix.shape[0],):
+    if params_flat.ndim not in (1, 2) or params_flat.shape[-1] != matrix.shape[0]:
         raise ValueError(
             f"parameter vector length {params_flat.shape} does not match matrix rows {matrix.shape[0]}"
         )
-    return (matrix.T @ params_flat > 0.0).astype(np.uint8)
+    return (np.matmul(matrix.T, params_flat[..., None])[..., 0] > 0.0).astype(np.uint8)
 
 
 def detection_rate(expected: np.ndarray, extracted: np.ndarray) -> float:
@@ -97,7 +105,8 @@ def detection_rate(expected: np.ndarray, extracted: np.ndarray) -> float:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; each side picks the form that stays exact.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 def embedding_loss_and_grad(params_flat, matrix, bits, *, with_loss: bool = True):
@@ -108,7 +117,8 @@ def embedding_loss_and_grad(params_flat, matrix, bits, *, with_loss: bool = True
     matrix @ (sigmoid(proj) - bits) / len(bits).
     """
     params_flat = np.asarray(params_flat, dtype=np.float64)
-    bits = np.asarray(bits, dtype=np.float64)
+    # float64 minus the uint8 bits promotes to the same values a float copy holds
+    bits = np.asarray(bits)
     if bits.ndim != 1 or len(bits) == 0:
         raise ValueError("bits must be a non-empty 1-d vector")
     if matrix.shape != (len(params_flat), len(bits)):
@@ -172,15 +182,28 @@ def private_embedding_loss_and_grads(model, spec: PrivateWatermarkSpec, *, with_
     return (sum(losses, 0.0) if with_loss else None), flat_grads
 
 
+def stack_layers(models, layer_ids) -> dict:
+    """Map each layer id to an (n_models, layer size) array: row i is that
+    layer's flat vector in `models[i]`."""
+    return {layer_id: np.stack([m.layer_flat(layer_id) for m in models]) for layer_id in layer_ids}
+
+
+def extract_stacked_private_bits(layers: dict, spec: PrivateWatermarkSpec) -> np.ndarray:
+    """Read a head watermark out of many models at once: `layers` maps each
+    target layer to its `stack_layers` array, and row i of the (n_models,
+    bits) result is what model i holds, bit for bit (see `extract_bits`)."""
+    pieces = [
+        extract_bits(layers[layer_id], spec.matrix(pos))
+        for pos, layer_id in enumerate(spec.target_layers)
+        if len(spec.segments[pos])
+    ]
+    return np.concatenate(pieces, axis=1)
+
+
 def extract_private_bits(model, spec: PrivateWatermarkSpec) -> np.ndarray:
-    """Extract and concatenate all segments of a head watermark."""
-    pieces = []
-    for pos, layer_id in enumerate(spec.target_layers):
-        segment = spec.segments[pos]
-        if len(segment) == 0:
-            continue
-        pieces.append(extract_bits(model.layer_flat(layer_id), spec.matrix(pos)))
-    return np.concatenate(pieces) if pieces else np.array([], dtype=np.uint8)
+    """Extract and concatenate all segments of a head watermark: the
+    one-model case of `extract_stacked_private_bits`."""
+    return extract_stacked_private_bits(stack_layers([model], spec.target_layers), spec)[0]
 
 
 def private_detection_rate(model, spec: PrivateWatermarkSpec) -> float:

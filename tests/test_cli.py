@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from fedmark import cli
+from fedmark import cli, watermark
 from fedmark.config import config_text
 
 
@@ -190,6 +190,68 @@ def test_heatmap_rejects_keys_missing_a_key(tiny_cfg_file, tmp_path, capsys):
     assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "input_dim" in err
+
+
+def _edit_private_key(out_dir, client, edit):
+    path = out_dir / "keys.json"
+    keys = json.loads(path.read_text())
+    edit(keys["clients"][client]["private"])
+    path.write_text(json.dumps(keys))
+
+
+@pytest.mark.parametrize("layer", [7, 0, "2"])
+def test_heatmap_rejects_a_private_mark_off_the_head(tiny_cfg_file, tmp_path, capsys, layer):
+    """Layer 7 lies outside the three-layer model, layer 0 in its
+    representation, and "2" is no layer index; each ends in an error line,
+    not a traceback."""
+    cli.main(["train", str(tiny_cfg_file)])
+    _edit_private_key(tmp_path / "out", 3, lambda private: private.update(target_layers=[layer]))
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "client 3" in err and "target_layers" in err
+
+
+def test_heatmap_rejects_private_layer_sizes_that_do_not_match_the_model(tiny_cfg_file, tmp_path, capsys):
+    cli.main(["train", str(tiny_cfg_file)])
+    _edit_private_key(tmp_path / "out", 1, lambda private: private["layer_sizes"].__setitem__(0, 50))
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "client 1" in err and "layer_sizes" in err
+
+
+def test_heatmap_matches_a_per_pair_reference(tmp_path):
+    """A two-layer head splits each mark into two segments, and the short
+    run leaves the marks imperfect, so the cells differ from one another."""
+    cfg_path = tmp_path / "head2.cfg"
+    cfg_path.write_text(config_text(tiny_config(head_layers=2, output_dir=str(tmp_path / "out"))))
+    assert cli.main(["train", str(cfg_path)]) == 0
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 0
+    rows = read_rows(tmp_path / "out" / "heatmap.csv")
+    models, specs = cli._load_run_models(str(tmp_path / "out"))
+    assert all(len(spec.target_layers) == 2 for spec in specs)
+    reference = []
+    for i, model in enumerate(models):
+        row = [str(i)]
+        for spec in specs:
+            extracted = np.concatenate(
+                [
+                    watermark.extract_bits(model.layer_flat(layer_id), spec.matrix(pos))
+                    for pos, layer_id in enumerate(spec.target_layers)
+                ]
+            )
+            row.append(f"{watermark.detection_rate(spec.bits, extracted):.6f}")
+        reference.append(row)
+    assert rows[1:] == reference
+    cells = [[float(v) for v in row[1:]] for row in reference]
+    assert any(cells[i][i] < 1.0 for i in range(len(cells)))
+    assert len({cells[i][j] for i in range(len(cells)) for j in range(len(cells)) if i != j}) > 1
+    for spec in specs:
+        stacked = watermark.extract_stacked_private_bits(watermark.stack_layers(models, spec.target_layers), spec)
+        assert stacked.shape == (len(models), len(spec.bits))
+        for model, bits in zip(models, stacked):
+            np.testing.assert_array_equal(bits, watermark.extract_private_bits(model, spec))
 
 
 # --- fidelity sweep -------------------------------------------------------------

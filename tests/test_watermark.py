@@ -113,6 +113,22 @@ def test_extract_is_sign_antisymmetric_and_scale_invariant(rng):
     np.testing.assert_array_equal(watermark.extract_bits(-params, matrix), 1 - bits)
 
 
+def test_extract_reads_a_stack_row_for_row(rng):
+    """Row i of a stacked read equals the plain matrix-vector read of
+    vector i, bit for bit; ties at zero read 0 in both."""
+    matrix = watermark.gen_embedding_matrix(260, 100, seed=2)
+    stack = rng.standard_normal((7, 260))
+    stack[3] = 0.0
+    bits = watermark.extract_bits(stack, matrix)
+    assert bits.shape == (7, 100) and bits.dtype == np.uint8
+    for row, params in zip(bits, stack):
+        np.testing.assert_array_equal(row, (matrix.T @ params > 0.0).astype(np.uint8))
+        np.testing.assert_array_equal(row, watermark.extract_bits(params, matrix))
+    for bad in (np.zeros((2, 259)), np.zeros((1, 2, 260))):
+        with pytest.raises(ValueError):
+            watermark.extract_bits(bad, matrix)
+
+
 def test_extract_rejects_length_mismatch():
     with pytest.raises(ValueError):
         watermark.extract_bits(np.zeros(3), watermark.gen_embedding_matrix(4, 2, seed=0))
@@ -141,6 +157,21 @@ def test_detection_rate_rejects_mismatch():
 
 
 # --- embedding loss -------------------------------------------------------------
+
+
+def test_sigmoid_matches_the_two_branch_form_at_the_extremes():
+    """exp(-|x|) keeps both branches finite: 1 / (1 + exp(-x)) for x >= 0,
+    exp(x) / (1 + exp(x)) below; NaN stays NaN."""
+    xs = [0.0, -0.0, math.inf, -math.inf, math.nan, 800.0, -800.0]
+
+    def reference(x):
+        if x >= 0:
+            return 1.0 / (1.0 + math.exp(-x))
+        return math.exp(x) / (1.0 + math.exp(x))
+
+    got = watermark._sigmoid(np.array(xs))
+    np.testing.assert_array_equal(got, [reference(x) for x in xs])
+    assert list(got[:4]) == [0.5, 0.5, 1.0, 0.0] and list(got[5:]) == [1.0, 0.0]
 
 
 def test_embedding_loss_analytic_point():
