@@ -57,7 +57,7 @@ def _write_final_metrics_csv(result: TrainingResult, path: str) -> None:
         writer = csv.writer(f)
         writer.writerow(["client", "main_acc", "private_rate", "slice_acc"])
         for client in result.clients:
-            acc = nn.evaluate_accuracy(client.model, result.dataset.subset(client.indices))
+            acc = nn.evaluate_accuracy(client.model, client.data)
             rate = "" if client.private is None else f"{private_detection_rate(client.model, client.private):.6f}"
             slice_acc = ""
             if client.assignment is not None:
@@ -67,9 +67,10 @@ def _write_final_metrics_csv(result: TrainingResult, path: str) -> None:
 
 
 def _write_keys_json(result: TrainingResult, config: RunConfig, path: str) -> None:
+    specs = result.clients[0].model.specs
     payload = {
-        "input_dim": int(result.dataset.inputs.shape[1]),
-        "num_classes": int(result.dataset.num_classes),
+        "input_dim": specs[0].input_dim,
+        "num_classes": specs[-1].output_dim,
         "hidden_dims": list(config.hidden_dims),
         "head_layers": config.head_layers,
         "clients": [],
@@ -134,12 +135,26 @@ def _check_private_spec(spec: PrivateWatermarkSpec, layer_specs, head_start: int
             )
 
 
+def _check_model_keys(keys) -> None:
+    """keys.json must describe a model with at least one representation layer."""
+    for key in ("input_dim", "num_classes"):
+        if not isinstance(keys[key], int) or keys[key] < 1:
+            raise ValueError(f"keys.json {key} must be a positive integer, got {keys[key]!r}")
+    hidden = keys["hidden_dims"]
+    if not isinstance(hidden, list) or not all(isinstance(d, int) and d >= 1 for d in hidden):
+        raise ValueError(f"keys.json hidden_dims must be a list of positive integers, got {hidden!r}")
+    head = keys["head_layers"]
+    if not isinstance(head, int) or not 1 <= head <= len(hidden):
+        raise ValueError(f"keys.json head_layers must be an integer in 1..{len(hidden)}, got {head!r}")
+
+
 def _load_run_models(run_dir: str):
     """Rebuild final models and private watermark specs from run artifacts."""
     with open(os.path.join(run_dir, "keys.json")) as f:
         keys = json.load(f)
     try:
-        specs = nn.build_layer_specs(keys["input_dim"], tuple(keys["hidden_dims"]), keys["num_classes"])
+        _check_model_keys(keys)
+        specs = nn.build_layer_specs(keys["input_dim"], keys["hidden_dims"], keys["num_classes"])
         head_start = len(specs) - keys["head_layers"]
         heads = [f"head_{entry['client_id']}" for entry in keys["clients"]]
         wm_specs = []
@@ -164,6 +179,13 @@ def _load_run_models(run_dir: str):
             raise ValueError(f"models.npz lacks the arrays {', '.join(missing)}")
         rep = arrays["rep_flat"]
         models = [nn.Model(list(specs), np.concatenate([rep, arrays[head]]), head_start) for head in heads]
+    # after the models, which name the total length when an array is cut short
+    rep_size = sum(spec.flat_size for spec in specs[:head_start])
+    if len(rep) != rep_size:
+        raise ValueError(
+            f"models.npz rep_flat holds {len(rep)} parameters, but keys.json hidden_dims and "
+            f"head_layers describe a {rep_size}-parameter representation"
+        )
     return models, wm_specs
 
 
@@ -210,10 +232,7 @@ def cmd_fidelity_sweep(config: RunConfig, bit_list) -> int:
     rows = []
     for bits, variant in zip(bit_list, variants):
         result = run_training(variant)
-        accs = [
-            nn.evaluate_accuracy(client.model, result.dataset.subset(client.indices))
-            for client in result.clients
-        ]
+        accs = [nn.evaluate_accuracy(client.model, client.data) for client in result.clients]
         rows.append((bits, float(np.mean(accs))))
     baseline = rows[0][1]
     out_dir = resolve_output_dir(config)

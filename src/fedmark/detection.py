@@ -55,20 +55,15 @@ class DetectionRecord:
 
 @dataclass
 class DetectionLedger:
-    """Accepted records grouped by embedding count, the rejected pool, and
-    the current round's still-undecided records."""
+    """Every decided record: the accepted ones grouped by embedding count,
+    the rejected pool, and all of them in arrival order."""
 
     honest: dict = field(default_factory=dict)  # embedding_count -> [records]
     malicious: list = field(default_factory=list)
-    pending: list = field(default_factory=list)
     history: list = field(default_factory=list)  # (record, accepted) in arrival order
     # (pool length, (mean, std)) of the rejected pool; the pool only grows,
     # so its length identifies the records the stats were computed over.
     _pool_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def num_malicious(self) -> int:
-        return len(self.malicious)
 
     def pool_stats(self) -> tuple[float, float]:
         """(mean, sample std) of the rejected pool's accuracies; needs at
@@ -82,26 +77,24 @@ class DetectionLedger:
     def screen_round(self, records, config: RunConfig) -> list[bool]:
         """Decide one round's records, each against the ledger and its
         round peers, then bank them; returns the verdicts in record order."""
-        self.pending = list(records)
-        verdicts = [decide(record, self, config) for record in self.pending]
-        for record, accepted in zip(self.pending, verdicts):
+        records = list(records)
+        verdicts = [decide(record, self, config, records) for record in records]
+        for record, accepted in zip(records, verdicts):
             if accepted:
                 self.honest.setdefault(record.embedding_count, []).append(record)
             else:
                 self.malicious.append(record)
             self.history.append((record, accepted))
-        self.pending = []
         return verdicts
 
 
-def cohort_stats(ledger: DetectionLedger, embedding_count: int, exclude=None):
-    """(mean, sample std, size) of accepted plus pending records that share
-    an embedding count. `exclude` removes the record under test itself.
-    std is None when fewer than two records remain; mean is NaN when none do."""
-    records = [
-        r
-        for r in ledger.honest.get(embedding_count, []) + ledger.pending
-        if r.embedding_count == embedding_count and r is not exclude
+def cohort_stats(ledger: DetectionLedger, embedding_count: int, peers=(), exclude=None):
+    """(mean, sample std, size) of the accepted records with an embedding
+    count, then of the round `peers` that share it. `exclude` removes the
+    record under test from the peers. std is None when fewer than two records
+    remain; mean is NaN when none do."""
+    records = ledger.honest.get(embedding_count, []) + [
+        r for r in peers if r.embedding_count == embedding_count and r is not exclude
     ]
     num = len(records)
     if num == 0:
@@ -112,10 +105,12 @@ def cohort_stats(ledger: DetectionLedger, embedding_count: int, exclude=None):
     return mean, std, num
 
 
-def decide(record: DetectionRecord, ledger: DetectionLedger, config: RunConfig) -> bool:
-    """Accept or reject one upload record against the current ledger."""
-    if ledger.num_malicious < config.pool_threshold:
-        mean, std, num = cohort_stats(ledger, record.embedding_count, exclude=record)
+def decide(record: DetectionRecord, ledger: DetectionLedger, config: RunConfig, peers=()) -> bool:
+    """Accept or reject one upload record against the current ledger and
+    its round `peers`, which may include the record itself."""
+    pool = len(ledger.malicious)
+    if pool < config.pool_threshold:
+        mean, std, num = cohort_stats(ledger, record.embedding_count, peers, exclude=record)
         if num < config.min_cohort or std is None:
             return True
         if std == 0.0:
@@ -124,11 +119,10 @@ def decide(record: DetectionRecord, ledger: DetectionLedger, config: RunConfig) 
             return record.acc >= mean
         return record.acc > lower_band(mean, std, num, config.honest_confidence)
 
-    num = ledger.num_malicious
-    if num < config.min_cohort or num < 2:
+    if pool < config.min_cohort or pool < 2:
         return True
     mean, std = ledger.pool_stats()
-    return record.acc > upper_band(mean, std, num, config.malicious_confidence)
+    return record.acc > upper_band(mean, std, pool, config.malicious_confidence)
 
 
 def detection_metrics(ledger: DetectionLedger, malicious_ids, n_clients: int):

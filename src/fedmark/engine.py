@@ -4,12 +4,13 @@ Each round the server broadcasts the shared representation to a sampled set
 of clients. A client first runs several head-only epochs whose loss adds a
 private-watermark penalty on its head, then one representation-only epoch
 whose loss adds the penalty for its server-issued watermark slice, and
-uploads the representation. The server verifies every upload against the
-client's true slice, optionally screens it with the tamper detector, and
-averages the accepted uploads into the next shared representation. Each
-client trains its own personalized model in place; heads never leave their
-clients. Each upload is scored once, on the model that produced it, and
-reported as one `Upload` row.
+uploads the representation. The server rejects a non-finite upload unscored,
+verifies every other upload against the client's true slice, optionally
+screens it with the tamper detector, and averages the accepted uploads into
+the next shared representation. Each client trains its own personalized
+model in place, on the data shard it owns; heads never leave their clients.
+Each upload is scored once, on the model that produced it, and reported as
+one `Upload` row.
 """
 
 from dataclasses import dataclass, field
@@ -62,12 +63,12 @@ from .watermark import (
 @dataclass
 class ClientState:
     """Everything a client keeps between rounds: its personalized model (the
-    last representation it received plus its private head), shard, watermark
-    material, and attack role."""
+    last representation it received plus its private head), its private data
+    shard, watermark material, and attack role."""
 
     client_id: int
     model: nn.Model
-    indices: np.ndarray
+    data: Dataset
     private: PrivateWatermarkSpec | None = None
     assignment: SliceAssignment | None = None
     malicious: bool = False
@@ -92,7 +93,7 @@ class Upload:
     round_index: int
     client_id: int
     embedding_count: int
-    slice_acc: float | None  # accuracy against the true slice; None without slices
+    slice_acc: float | None  # against the true slice; None without slices or for a non-finite upload
     accepted: bool
     main_acc: float  # the local model's accuracy on the client's own shard
 
@@ -109,7 +110,6 @@ class TrainingResult:
     server: ServerState
     clients: list
     reports: list
-    dataset: Dataset
     common: CommonWatermark | None
 
     @property
@@ -157,7 +157,6 @@ def aggregate(reps: list) -> np.ndarray:
 def client_local_update(
     client: ClientState,
     rep_flat: np.ndarray,
-    dataset: Dataset,
     config: RunConfig,
     round_index: int,
 ) -> nn.Model:
@@ -170,8 +169,6 @@ def client_local_update(
     model = client.model
     rep_size = model.rep_param_count
     model.params[:rep_size] = rep_flat
-    shard_x = dataset.inputs[client.indices]
-    shard_y = dataset.labels[client.indices]
     rng = np.random.default_rng(
         derive_seed(config.seed, STREAM_LOCAL_BATCHES, client.client_id, round_index)
     )
@@ -179,10 +176,10 @@ def client_local_update(
     # Head epochs leave the representation frozen, so its features over the
     # shard are computed once and the head trains on them directly; the head
     # view is a slice of the model's parameter vector, so its steps update `model`.
-    features, _ = nn.forward(model.view(0, model.head_start), shard_x)
+    features, _ = nn.forward(model.view(0, model.head_start), client.data.inputs)
     head = model.view(model.head_start, model.num_layers)
     for _ in range(config.head_epochs):
-        for batch in nn.minibatches(features, shard_y, config.batch_size, rng):
+        for batch in nn.minibatches(features, client.data.labels, config.batch_size, rng):
             _, grads = nn.main_task_loss_and_grads(head, batch, with_loss=False)
             if client.private is not None and config.embed_strength != 0.0:
                 _, flat_grads = private_embedding_loss_and_grads(model, client.private, with_loss=False)
@@ -200,7 +197,7 @@ def client_local_update(
                 key = (*key, round_index)
             slice_target = tamper_bits(slice_target, config.tamper_rate, derive_seed(*key))
 
-    for batch in nn.minibatches(shard_x, shard_y, config.batch_size, rng):
+    for batch in nn.minibatches(client.data.inputs, client.data.labels, config.batch_size, rng):
         _, grads = nn.main_task_loss_and_grads(model, batch, with_loss=False)
         if slice_target is not None:
             _, seg_grad = slice_loss_and_grad(
@@ -212,7 +209,7 @@ def client_local_update(
     return model
 
 
-def _setup_clients(config, partition, base_model):
+def _setup_clients(config, dataset, partition, base_model):
     head_ids = list(base_model.head_layer_ids)
     head_sizes = [base_model.specs[k].flat_size for k in head_ids]
     clients = []
@@ -227,7 +224,7 @@ def _setup_clients(config, partition, base_model):
             ClientState(
                 client_id=cid,
                 model=base_model.copy(),
-                indices=partition.client_indices[cid],
+                data=dataset.subset(partition.client_indices[cid]),
                 private=private,
             )
         )
@@ -248,7 +245,7 @@ def run_training(config: RunConfig) -> TrainingResult:
     base = nn.init_model(specs, derive_seed(config.seed, STREAM_INIT), head_start)
     rep_size = base.rep_param_count
     rep = base.params[:rep_size].copy()
-    clients = _setup_clients(config, partition, base)
+    clients = _setup_clients(config, dataset, partition, base)
 
     common = None
     assignments = ()
@@ -278,15 +275,18 @@ def run_training(config: RunConfig) -> TrainingResult:
             config.n_clients, config.sample_rate, derive_seed(config.seed, STREAM_SAMPLING, round_index)
         )
         trained = []  # (client, slice accuracy or None) per client not banned
+        rejected = set()
         for cid in sampled:
             if cid in server.banned:
                 continue
             client = clients[cid]
-            client_local_update(client, server.rep_flat, dataset, config, round_index)
+            upload = client_local_update(client, server.rep_flat, config, round_index).params[:rep_size]
             client.embedding_count += 1
             acc = None
-            if client.assignment is not None:
-                upload = client.model.params[:rep_size]
+            if not np.isfinite(upload).all():
+                # never scored: a non-finite projection extracts as plausible bits
+                rejected.add(cid)
+            elif client.assignment is not None:
                 acc = detection_rate(client.assignment.bits, extract_slice(upload, client.assignment))
             trained.append((client, acc))
 
@@ -295,10 +295,9 @@ def run_training(config: RunConfig) -> TrainingResult:
             for client, acc in trained
             if acc is not None
         ]
-        rejected = set()
         if config.detector:
             verdicts = server.ledger.screen_round(records, config)
-            rejected = {record.client_id for record, ok in zip(records, verdicts) if not ok}
+            rejected |= {record.client_id for record, ok in zip(records, verdicts) if not ok}
         if config.ban_rejected:
             server.banned |= rejected
 
@@ -313,7 +312,7 @@ def run_training(config: RunConfig) -> TrainingResult:
                 embedding_count=client.embedding_count,
                 slice_acc=acc,
                 accepted=client.client_id not in rejected,
-                main_acc=nn.evaluate_accuracy(client.model, dataset.subset(client.indices)),
+                main_acc=nn.evaluate_accuracy(client.model, client.data),
             )
             for client, acc in trained
         ]
@@ -321,6 +320,4 @@ def run_training(config: RunConfig) -> TrainingResult:
 
     for client in clients:  # banned clients keep the final representation too
         client.model.params[:rep_size] = server.rep_flat
-    return TrainingResult(
-        server=server, clients=clients, reports=reports, dataset=dataset, common=common
-    )
+    return TrainingResult(server=server, clients=clients, reports=reports, common=common)

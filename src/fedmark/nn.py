@@ -103,10 +103,6 @@ class Model:
         return len(self.specs)
 
     @property
-    def rep_layer_ids(self) -> range:
-        return range(self.head_start)
-
-    @property
     def head_layer_ids(self) -> range:
         return range(self.head_start, self.num_layers)
 

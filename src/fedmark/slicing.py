@@ -66,9 +66,6 @@ class SliceAssignment:
     def region_size(self) -> int:
         return self.region_stop - self.region_start
 
-    def indices(self) -> np.ndarray:
-        return np.arange(self.region_start, self.region_stop)
-
     def matrix(self) -> np.ndarray:
         return cached_embedding_matrix(self.region_size, len(self.bits), self.matrix_seed)
 

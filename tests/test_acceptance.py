@@ -72,14 +72,7 @@ def honest_result():
 
 
 def mean_personal_accuracy(result) -> float:
-    return float(
-        np.mean(
-            [
-                nn.evaluate_accuracy(client.model, result.dataset.subset(client.indices))
-                for client in result.clients
-            ]
-        )
-    )
+    return float(np.mean([nn.evaluate_accuracy(client.model, client.data) for client in result.clients]))
 
 
 def test_01_formula_units_match_hand_values():
@@ -323,8 +316,7 @@ def test_09_private_watermarks_survive_finetuning(honest_result):
     """25 rounds of main-task-only fine-tuning on each client's own shard
     leaves every head watermark detectable at >= 0.75."""
     for client in honest_result.clients:
-        shard = honest_result.dataset.subset(client.indices)
-        tuned = finetune_attack(client.model, shard, rounds=25, lr=0.01, seed=client.client_id)
+        tuned = finetune_attack(client.model, client.data, rounds=25, lr=0.01, seed=client.client_id)
         rate = private_detection_rate(tuned, client.private)
         assert rate >= 0.75, f"client {client.client_id}: rate {rate:.3f} after fine-tuning"
 

@@ -192,6 +192,37 @@ def test_heatmap_rejects_keys_missing_a_key(tiny_cfg_file, tmp_path, capsys):
     assert err.startswith("error:") and "input_dim" in err
 
 
+BAD_MODEL_KEYS = [
+    ("head_layers", 9),  # more head layers than the three-layer model has
+    ("head_layers", 3),  # no representation layer left
+    ("head_layers", 0),
+    ("head_layers", 2),  # fits the model, not the run's one-layer head
+    ("head_layers", "1"),
+    ("hidden_dims", 64),
+    ("hidden_dims", [16, 16.5]),
+    ("input_dim", "5"),
+    ("num_classes", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value", BAD_MODEL_KEYS, ids=[f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in BAD_MODEL_KEYS]
+)
+def test_heatmap_rejects_keys_that_do_not_describe_the_run(tiny_cfg_file, tmp_path, capsys, key, value):
+    """Each bad model key ends in an error line that names it, not in a
+    traceback or in a heatmap read off a wrong layer split."""
+    cli.main(["train", str(tiny_cfg_file)])
+    path = tmp_path / "out" / "keys.json"
+    keys = json.loads(path.read_text())
+    keys[key] = value
+    path.write_text(json.dumps(keys))
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "out" / "heatmap.csv").exists()
+
+
 def _edit_private_key(out_dir, client, edit):
     path = out_dir / "keys.json"
     keys = json.loads(path.read_text())

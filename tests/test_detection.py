@@ -17,12 +17,11 @@ def record(acc, client_id=0, round_index=1, embedding_count=1):
     )
 
 
-def ledger_with(honest=(), malicious=(), pending=()):
+def ledger_with(honest=(), malicious=()):
     ledger = detection.DetectionLedger()
     for rec in honest:
         ledger.honest.setdefault(rec.embedding_count, []).append(rec)
     ledger.malicious.extend(malicious)
-    ledger.pending.extend(pending)
     return ledger
 
 
@@ -78,11 +77,12 @@ def test_cohort_stats_empty_and_singleton():
     assert mean == 0.9 and std is None and num == 1
 
 
-def test_cohort_stats_counts_pending_peers_and_excludes_self():
+def test_cohort_stats_counts_round_peers_and_excludes_self():
     tested = record(0.5, client_id=1)
     peer = record(0.5, client_id=2)  # equal values: exclusion must be by identity
-    ledger = ledger_with(honest=[record(1.0)], pending=[tested, peer])
-    mean, std, num = detection.cohort_stats(ledger, embedding_count=1, exclude=tested)
+    other = record(0.0, client_id=3, embedding_count=2)  # a peer of another count
+    ledger = ledger_with(honest=[record(1.0)])
+    mean, std, num = detection.cohort_stats(ledger, 1, [tested, peer, other], exclude=tested)
     assert num == 2
     assert mean == pytest.approx(0.75, abs=1e-12)
 
@@ -147,7 +147,7 @@ def test_phase2_worked_example():
     mean, reject below."""
     pool = malicious_pool([0.80 + d for d in (0.04, -0.04, 0.02, -0.02, 0.0) * 5])
     ledger = ledger_with(malicious=pool)
-    assert ledger.num_malicious == 25
+    assert len(ledger.malicious) == 25
     config = RunConfig()
     assert detection.decide(record(0.85), ledger, config)
     assert not detection.decide(record(0.78), ledger, config)
@@ -194,7 +194,6 @@ def test_round_lifecycle_and_routing():
     assert ledger.honest[1] == [*cohort, good]
     assert ledger.malicious == [bad]
     assert ledger.history == [(good, True), (bad, False)]
-    assert ledger.pending == []
     assert ledger.screen_round([], RunConfig()) == []
 
 

