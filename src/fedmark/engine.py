@@ -9,10 +9,14 @@ verifies every other upload against the client's true slice, optionally
 screens it with the tamper detector, and averages the accepted uploads into
 the next shared representation. Each client trains its own personalized
 model in place, on the data shard it owns; heads never leave their clients.
-Each upload is scored once, on the model that produced it, and reported as
-one `Upload` row.
+A round's clients never read each other's state, so they train together as
+stacked cohorts (`nn.Model`s over a stack of parameter vectors), with the
+same bits as clients trained one by one. Each upload is scored once, on the
+model that produced it, and reported as one `Upload` row.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,59 +158,158 @@ def aggregate(reps: list) -> np.ndarray:
     return np.mean(np.stack(reps), axis=0)
 
 
+# Rows per training cohort. A cohort's working set grows with its rows (the
+# stacked models, a gradient of the same size, the layer activations), while
+# the per-call overhead it saves is already small at a few dozen rows.
+COHORT_ROWS = 32
+
+
+def _cohort_steps(sizes, batch_size) -> list[tuple]:
+    """The steps of one epoch over shards of `sizes`, sorted from largest,
+    as (lo, length, a, b): stack rows a:b all have a batch of `length` rows
+    at [lo, lo + length) of their epoch order. The rows with a batch at `lo`
+    are a prefix, and a run of equal lengths within it is contiguous."""
+    steps = []
+    for lo in range(0, sizes[0], batch_size):
+        a = 0
+        lengths = [min(n - lo, batch_size) for n in sizes if n > lo]
+        for length, run in itertools.groupby(lengths):
+            b = a + len(list(run))
+            steps.append((lo, length, a, b))
+            a = b
+    return steps
+
+
+def _slice_target(client: ClientState, config: RunConfig, round_index: int):
+    """The slice bits a client embeds this round (tampered for a malicious
+    client), or None without slice embedding."""
+    if client.assignment is None or config.slice_strength == 0.0:
+        return None
+    if not client.malicious:
+        return client.assignment.bits
+    key = (config.seed, STREAM_TAMPER, client.client_id)
+    if config.fresh_tamper:
+        key = (*key, round_index)
+    return tamper_bits(client.assignment.bits, config.tamper_rate, derive_seed(*key))
+
+
 def client_local_update(
-    client: ClientState,
+    clients: list,
     rep_flat: np.ndarray,
     config: RunConfig,
     round_index: int,
-) -> nn.Model:
-    """One client's round: head epochs, then a single representation epoch.
+) -> None:
+    """One round for the given clients: head epochs, then a single
+    representation epoch, every client trained on its own shard.
 
-    Writes the broadcast `rep_flat` into the client's model and trains that
-    model in place. Returns `client.model`, whose representation prefix is
-    the upload.
+    The clients never read each other's state, so they train together as
+    stacked cohorts of at most `COHORT_ROWS`, largest shards first (see
+    `_train_cohort`). Each client's model comes out bit for bit as if it had
+    trained alone; its representation prefix is the upload.
     """
-    model = client.model
-    rep_size = model.rep_param_count
-    model.params[:rep_size] = rep_flat
-    rng = np.random.default_rng(
-        derive_seed(config.seed, STREAM_LOCAL_BATCHES, client.client_id, round_index)
-    )
+    clients = sorted(clients, key=lambda c: -len(c.data))  # stable: ties keep their order
+    for lo in range(0, len(clients), COHORT_ROWS):
+        _train_cohort(clients[lo : lo + COHORT_ROWS], rep_flat, config, round_index)
 
-    # Head epochs leave the representation frozen, so its features over the
-    # shard are computed once and the head trains on them directly; the head
-    # view is a slice of the model's parameter vector, so its steps update `model`.
-    features, _ = nn.forward(model.view(0, model.head_start), client.data.inputs)
-    head = model.view(model.head_start, model.num_layers)
+
+def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_index: int) -> None:
+    """Train clients, sorted by shard size from largest, as one cohort.
+
+    The broadcast `rep_flat` is written into every client's model. The head
+    epochs stack the clients' heads into a (C, head size) `nn.Model`, the
+    representation epoch their whole models into a (C, P) one, and each
+    main-task step runs on the stack rows that still have a batch at that
+    step, grouped by batch length. Each client draws its batch orders from
+    its own generator and gets its watermark gradients from its own
+    parameters, as when it trains alone. The trained rows are written back
+    into each `client.model`.
+    """
+    specs, head_start = clients[0].model.specs, clients[0].model.head_start
+    rep_size = clients[0].model.rep_param_count
+    sizes = [len(c.data) for c in clients]
+    rngs = [
+        np.random.default_rng(derive_seed(config.seed, STREAM_LOCAL_BATCHES, c.client_id, round_index))
+        for c in clients
+    ]
+    for client in clients:
+        client.model.params[:rep_size] = rep_flat
+
+    def buffer(*shape, dtype=np.float64):
+        """One row per client; rows of shorter shards leave their tail unread."""
+        return np.zeros((len(clients), sizes[0], *shape), dtype=dtype)
+
+    def draw_orders():
+        orders = buffer(dtype=np.int64)
+        for row, rng, n in zip(orders, rngs, sizes):
+            row[:n] = rng.permutation(n)
+        return orders
+
+    labels, row_ids = buffer(dtype=np.int64), np.arange(len(clients))[:, None]
+    steps = _cohort_steps(sizes, config.batch_size)
+
+    def batch(source, orders, lo, length, a, b):
+        take = (row_ids[a:b], orders[a:b, lo : lo + length])
+        return nn.Batch.unchecked(source[take], labels[take])
+
+    def rows(stack):
+        """Stack rows a:b as a cohort model, built once per step group."""
+        return functools.cache(lambda a, b: nn.Model(stack.specs, stack.params[a:b], stack.head_start))
+
+    def step(cohort, minibatch, a, add_watermark, part):
+        """One SGD step of the stack rows from `a` on: the cohort's main-task
+        gradient plus each row's watermark gradient, applied to `part` of
+        their parameters. The (C, P) gradient dies with the call."""
+        _, grads = nn.main_task_loss_and_grads(cohort, minibatch, with_loss=False)
+        for i, row_grads in enumerate(grads, start=a):
+            add_watermark(i, row_grads)
+        nn.apply_sgd(cohort.params[:, part], grads[:, part], config.lr)
+
+    def add_private(i, row_grads):
+        client = clients[i]
+        if client.private is None or config.embed_strength == 0.0:
+            return
+        client.model.params[rep_size:] = heads.params[i]  # the mark reads its client's own model
+        _, flat_grads = private_embedding_loss_and_grads(client.model, client.private, with_loss=False)
+        for layer_id, flat in flat_grads.items():
+            start = client.model.offsets[layer_id] - rep_size
+            row_grads[start : start + len(flat)] += config.embed_strength * flat
+
+    def add_slice(i, row_grads):
+        if targets[i] is None:
+            return
+        assignment = clients[i].assignment
+        _, seg_grad = slice_loss_and_grad(stack.params[i, :rep_size], assignment, targets[i], with_loss=False)
+        start = assignment.region_start
+        row_grads[start : start + len(seg_grad)] += config.slice_strength * seg_grad
+
+    # Head epochs leave the representation frozen, so each shard's features
+    # are computed once and only the heads are stacked.
+    rep_model = clients[0].model.view(0, head_start)
+    features = buffer(specs[head_start].input_dim)
+    for i, client in enumerate(clients):
+        features[i, : sizes[i]] = nn.infer(rep_model, client.data.inputs)
+        labels[i, : sizes[i]] = client.data.labels
+    heads = nn.Model(specs[head_start:], np.stack([c.model.params[rep_size:] for c in clients]), 0)
+    head_rows = rows(heads)
     for _ in range(config.head_epochs):
-        for batch in nn.minibatches(features, client.data.labels, config.batch_size, rng):
-            _, grads = nn.main_task_loss_and_grads(head, batch, with_loss=False)
-            if client.private is not None and config.embed_strength != 0.0:
-                _, flat_grads = private_embedding_loss_and_grads(model, client.private, with_loss=False)
-                for layer_id, flat in flat_grads.items():
-                    lo = model.offsets[layer_id] - rep_size
-                    grads[lo : lo + len(flat)] += config.embed_strength * flat
-            nn.apply_sgd(head.params, grads, config.lr)
+        orders = draw_orders()
+        for lo, length, a, b in steps:
+            step(head_rows(a, b), batch(features, orders, lo, length, a, b), a, add_private, slice(None))
+    for client, row in zip(clients, heads.params):
+        client.model.params[rep_size:] = row
+    del features, heads, head_rows
 
-    slice_target = None
-    if client.assignment is not None and config.slice_strength != 0.0:
-        slice_target = client.assignment.bits
-        if client.malicious:
-            key = (config.seed, STREAM_TAMPER, client.client_id)
-            if config.fresh_tamper:
-                key = (*key, round_index)
-            slice_target = tamper_bits(slice_target, config.tamper_rate, derive_seed(*key))
-
-    for batch in nn.minibatches(client.data.inputs, client.data.labels, config.batch_size, rng):
-        _, grads = nn.main_task_loss_and_grads(model, batch, with_loss=False)
-        if slice_target is not None:
-            _, seg_grad = slice_loss_and_grad(
-                model.params[:rep_size], client.assignment, slice_target, with_loss=False
-            )
-            start = client.assignment.region_start
-            grads[start : start + len(seg_grad)] += config.slice_strength * seg_grad
-        nn.apply_sgd(model.params[:rep_size], grads[:rep_size], config.lr)
-    return model
+    inputs = buffer(specs[0].input_dim)
+    for i, client in enumerate(clients):
+        inputs[i, : sizes[i]] = client.data.inputs
+    stack = nn.Model(specs, np.stack([c.model.params for c in clients]), head_start)
+    whole_rows = rows(stack)
+    orders = draw_orders()
+    targets = [_slice_target(c, config, round_index) for c in clients]
+    for lo, length, a, b in steps:
+        step(whole_rows(a, b), batch(inputs, orders, lo, length, a, b), a, add_slice, slice(0, rep_size))
+    for client, row in zip(clients, stack.params):
+        client.model.params[:] = row
 
 
 def _setup_clients(config, dataset, partition, base_model):
@@ -246,6 +349,7 @@ def run_training(config: RunConfig) -> TrainingResult:
     rep_size = base.rep_param_count
     rep = base.params[:rep_size].copy()
     clients = _setup_clients(config, dataset, partition, base)
+    del dataset, partition  # each client owns its shard; free the rest before training
 
     common = None
     assignments = ()
@@ -274,18 +378,17 @@ def run_training(config: RunConfig) -> TrainingResult:
         sampled = sample_clients(
             config.n_clients, config.sample_rate, derive_seed(config.seed, STREAM_SAMPLING, round_index)
         )
-        trained = []  # (client, slice accuracy or None) per client not banned
+        active = [clients[cid] for cid in sampled if cid not in server.banned]
+        client_local_update(active, server.rep_flat, config, round_index)
+        trained = []  # (client, slice accuracy or None) per active client
         rejected = set()
-        for cid in sampled:
-            if cid in server.banned:
-                continue
-            client = clients[cid]
-            upload = client_local_update(client, server.rep_flat, config, round_index).params[:rep_size]
+        for client in active:
+            upload = client.model.params[:rep_size]
             client.embedding_count += 1
             acc = None
             if not np.isfinite(upload).all():
                 # never scored: a non-finite projection extracts as plausible bits
-                rejected.add(cid)
+                rejected.add(client.client_id)
             elif client.assignment is not None:
                 acc = detection_rate(client.assignment.bits, extract_slice(upload, client.assignment))
             trained.append((client, acc))

@@ -9,6 +9,14 @@ Gradients share the layout, so training code updates either part with one
 slice operation. Training steps compute gradients only: losses come only with
 `with_loss=True`, the default. Labels are checked once per `data.Dataset` and
 once per `attacks.finetune_attack` call, not on every step.
+
+A cohort is a `Model` whose parameters are a (C, P) stack, one model per row,
+with (C, d_in, d_out) weight and (C, d_out) bias views. Every kernel works on
+the trailing axes, so the same code serves one model and a cohort: a cohort
+batch stacks one batch per row, (C, B, d) inputs and (C, B) labels. Each row's
+products are their own BLAS calls with the operand layout of the one-model
+case (`np.matmul` over stacked views, never `np.einsum`), so row i of a cohort
+computes bit for bit what `Model(specs, params[i], head_start)` computes.
 """
 
 import itertools
@@ -63,6 +71,26 @@ class Batch:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
+    @classmethod
+    def unchecked(cls, inputs: np.ndarray, labels: np.ndarray) -> "Batch":
+        """A batch of already validated rows, or a cohort batch of (C, B, d)
+        inputs and (C, B) labels; neither goes through the checks above."""
+        batch = object.__new__(cls)
+        batch.inputs, batch.labels = inputs, labels
+        return batch
+
+
+def _layer_views(params: np.ndarray, specs, offsets) -> tuple[tuple, tuple]:
+    """Per-layer (..., d_in, d_out) weight and (..., d_out) bias views of a
+    parameter vector or of a stack of them."""
+    lead = params.shape[:-1]
+    weights, biases = [], []
+    for s, lo, hi in zip(specs, offsets, offsets[1:]):
+        mid = hi - s.output_dim
+        weights.append(params[..., lo:mid].reshape(*lead, s.input_dim, s.output_dim))
+        biases.append(params[..., mid:hi])
+    return tuple(weights), tuple(biases)
+
 
 @dataclass(eq=False)
 class Model:
@@ -71,8 +99,9 @@ class Model:
     `params` holds every layer in order, each as row-major weights followed
     by its bias; `weights[k]` and `biases[k]` are reshaped views into it, so
     writes through either reach the other. Layers [0, head_start) form the
-    shared representation, the prefix `params[:rep_param_count]`; layers
-    [head_start, L) form the private head, the rest of the vector.
+    shared representation, the prefix `params[..., :rep_param_count]`;
+    layers [head_start, L) form the private head, the rest of the vector.
+    A (C, P) `params` makes the model a cohort of C models, one per row.
     """
 
     specs: list[LayerSpec]
@@ -85,18 +114,12 @@ class Model:
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=np.float64)
         self.offsets = (0, *itertools.accumulate(spec.flat_size for spec in self.specs))
-        if self.params.shape != (self.offsets[-1],):
+        if self.params.ndim not in (1, 2) or self.params.shape[-1] != self.offsets[-1]:
             raise ValueError(
-                f"expected a parameter vector of length {self.offsets[-1]}, "
-                f"got shape {self.params.shape}"
+                f"expected a parameter vector of length {self.offsets[-1]} or a stack "
+                f"of them, got shape {self.params.shape}"
             )
-        self.weights = tuple(
-            self.params[lo : hi - s.output_dim].reshape(s.input_dim, s.output_dim)
-            for s, lo, hi in zip(self.specs, self.offsets, self.offsets[1:])
-        )
-        self.biases = tuple(
-            self.params[hi - s.output_dim : hi] for s, hi in zip(self.specs, self.offsets[1:])
-        )
+        self.weights, self.biases = _layer_views(self.params, self.specs, self.offsets)
 
     @property
     def num_layers(self) -> int:
@@ -111,12 +134,12 @@ class Model:
         return self.offsets[self.head_start]
 
     def layer_flat(self, layer_id: int) -> np.ndarray:
-        return self.params[self.offsets[layer_id] : self.offsets[layer_id + 1]]
+        return self.params[..., self.offsets[layer_id] : self.offsets[layer_id + 1]]
 
     def view(self, start: int, stop: int) -> "Model":
         """Layers [start, stop) as a model over a slice of this model's
         parameter vector, so in-place updates through either reach both."""
-        params = self.params[self.offsets[start] : self.offsets[stop]]
+        params = self.params[..., self.offsets[start] : self.offsets[stop]]
         return Model(self.specs[start:stop], params, min(max(self.head_start - start, 0), stop - start))
 
     def copy(self) -> "Model":
@@ -162,60 +185,88 @@ def init_model(specs: list[LayerSpec], seed: int, head_start: int | None = None)
     return Model(specs=list(specs), params=np.concatenate(pieces), head_start=head_start)
 
 
+def _checked_inputs(model: Model, inputs: np.ndarray) -> np.ndarray:
+    x = np.asarray(inputs, dtype=np.float64)
+    lead = model.params.shape[:-1]
+    if x.ndim != len(lead) + 2 or x.shape[-1] != model.specs[0].input_dim:
+        raise ValueError(
+            f"inputs must have shape {(*lead, 'batch', model.specs[0].input_dim)}, got {x.shape}"
+        )
+    return x
+
+
 def forward(model: Model, inputs: np.ndarray) -> tuple[np.ndarray, list]:
     """Run the network, returning (logits, cache) where cache holds each
-    layer's input and pre-activation for the backward pass."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.specs[0].input_dim:
-        raise ValueError(
-            f"inputs must have shape (batch, {model.specs[0].input_dim}), got {x.shape}"
-        )
+    layer's input and pre-activation for the backward pass. A cohort takes
+    (C, batch, d) inputs, one batch per model."""
+    x = _checked_inputs(model, inputs)
     cache = []
     for spec, w, b in zip(model.specs, model.weights, model.biases):
-        z = x @ w + b
+        z = np.matmul(x, w)
+        z += b[..., None, :]
         cache.append((x, z))
         x = np.maximum(z, 0.0) if spec.activation == "relu" else z
     return x, cache
 
 
+def infer(model: Model, inputs: np.ndarray) -> np.ndarray:
+    """The network's output for `inputs`, bit for bit the first value
+    `forward` returns, without the backward cache: each ReLU runs in place,
+    so at most two activations are alive at a time."""
+    x = _checked_inputs(model, inputs)
+    for spec, w, b in zip(model.specs, model.weights, model.biases):
+        x = np.matmul(x, w)
+        x += b[..., None, :]
+        if spec.activation == "relu":
+            np.maximum(x, 0.0, out=x)
+    return x
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def main_task_loss_and_grads(model: Model, batch: Batch, *, with_loss: bool = True):
     """Mean softmax cross-entropy over the batch and its exact gradients.
 
-    Returns (loss, grads) with grads one flat vector laid out like
-    `model.params`; callers decide which slice of it to apply. With
-    `with_loss=False` the loss is None and the labels go unchecked.
+    Returns (loss, grads) with grads laid out like `model.params`; callers
+    decide which slice of it to apply. A cohort gets one loss per model and
+    a (C, P) stack of gradients. With `with_loss=False` the loss is None and
+    the labels go unchecked.
     """
-    n = len(batch)
+    labels = batch.labels
+    n = labels.shape[-1]
     if n == 0:
         raise ValueError("empty batch")
     num_classes = model.specs[-1].output_dim
     # Training steps skip this check: the engine's labels were bounded once by
     # `Dataset`, which also sizes its model, and `finetune_attack` checks once per call.
-    if with_loss and (batch.labels.min() < 0 or batch.labels.max() >= num_classes):
+    if with_loss and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes})")
 
     logits, cache = forward(model, batch.inputs)
     delta = _softmax(logits)
-    rows = np.arange(n)
-    loss = -np.log(delta[rows, batch.labels]).mean() if with_loss else None
-    delta[rows, batch.labels] -= 1.0
+    loss = None
+    if with_loss:
+        loss = -np.log(np.take_along_axis(delta, labels[..., None], axis=-1)[..., 0]).mean(axis=-1)
+    # subtracting the one-hot labels leaves every other entry as it was (x - 0.0 == x)
+    delta -= labels[..., None] == np.arange(num_classes)
     delta /= n
 
-    pieces = []
+    # each layer's gradient is written straight into its place in the layout
+    grads = np.empty(model.params.shape)
+    grad_weights, grad_biases = _layer_views(grads, model.specs, model.offsets)
     for k in range(model.num_layers - 1, -1, -1):
         x_in, z = cache[k]
         if model.specs[k].activation == "relu":
-            delta = delta * (z > 0.0)
-        pieces = [(x_in.T @ delta).ravel(), delta.sum(axis=0), *pieces]
+            delta *= z > 0.0
+        np.matmul(x_in.swapaxes(-1, -2), delta, out=grad_weights[k])
+        np.add.reduce(delta, axis=-2, out=grad_biases[k])
         if k > 0:
-            delta = delta @ model.weights[k].T
-    return loss, np.concatenate(pieces)
+            delta = np.matmul(delta, model.weights[k].swapaxes(-1, -2))
+    return loss, grads
 
 
 def minibatches(inputs: np.ndarray, labels: np.ndarray, batch_size: int, rng):
@@ -223,20 +274,24 @@ def minibatches(inputs: np.ndarray, labels: np.ndarray, batch_size: int, rng):
     order = rng.permutation(len(labels))
     for lo in range(0, len(order), batch_size):
         take = order[lo : lo + batch_size]
-        batch = object.__new__(Batch)
-        batch.inputs, batch.labels = inputs[take], labels[take]
-        yield batch
+        yield Batch.unchecked(inputs[take], labels[take])
 
 
 def apply_sgd(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
-    """In-place SGD step p <- p - lr * g on a parameter vector or a slice of
-    one; pass matching slices of params and grads to update part of a model."""
-    params -= lr * grads
+    """In-place SGD step p <- p - lr * g on a parameter vector, a stack of
+    them, or a slice of either; pass matching slices of params and grads to
+    update part of a model. `grads` is scratch space: it holds lr * g after
+    the step, which spares a temporary of its size."""
+    np.multiply(grads, lr, out=grads)
+    params -= grads
 
 
 def evaluate_accuracy(model: Model, dataset) -> float:
-    """Fraction of samples whose argmax logit matches the label."""
+    """Fraction of samples whose argmax logit matches the label. A sample
+    with any non-finite logit is a miss: argmax would read an all-NaN row
+    as class 0."""
     if len(dataset.labels) == 0:
         raise ValueError("empty dataset")
-    logits, _ = forward(model, dataset.inputs)
-    return float((logits.argmax(axis=1) == dataset.labels).mean())
+    logits = infer(model, dataset.inputs)
+    hits = (logits.argmax(axis=-1) == dataset.labels) & np.isfinite(logits).all(axis=-1)
+    return float(hits.mean())

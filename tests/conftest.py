@@ -136,6 +136,17 @@ def plain_fedrep_oracle(config):
     return rep, heads
 
 
+def pytest_collection_modifyitems(config, items):
+    """Tests marked `slow` run only when a `-m` expression names them
+    (`pytest -m slow`); a plain run skips them."""
+    if "slow" in config.getoption("markexpr"):
+        return
+    skip = pytest.mark.skip(reason="slow: select with pytest -m slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)

@@ -235,11 +235,16 @@ def test_06_detector_grid_catches_tampering():
     positives, honest slices always beat malicious slices on the final
     representation, and the honest/malicious margin widens with more
     attackers."""
+    check_detector_grid(seed=ATTACK_BASE["seed"])
+
+
+def check_detector_grid(seed: int) -> None:
+    """Criterion 6 on the attack runs of one seed."""
     deltas = {}
     for malicious_fraction in (0.2, 0.4):
         for tamper_rate in (0.1, 0.3):
             config = RunConfig(
-                **ATTACK_BASE,
+                **dict(ATTACK_BASE, seed=seed),
                 detector=True,
                 malicious_fraction=malicious_fraction,
                 tamper_rate=tamper_rate,
@@ -252,7 +257,7 @@ def test_06_detector_grid_catches_tampering():
                 result.server.ledger,
                 config.n_clients,
             )
-            cell = f"(f_m={malicious_fraction}, f_t={tamper_rate})"
+            cell = f"(seed={seed}, f_m={malicious_fraction}, f_t={tamper_rate})"
             assert report.true_detection >= 0.9, (
                 f"{cell}: true detection {report.true_detection:.2f}"
             )
@@ -344,3 +349,26 @@ def test_10_deterministic_artifacts_and_clean_decoupling(tmp_path):
         np.testing.assert_array_equal(client.model.params[client.model.rep_param_count :], head)
     assert result.common is None
     assert result.server.assignments == ()
+
+
+# --- seed robustness (opt-in: pytest -m slow) ----------------------------------
+
+OTHER_SEEDS = (1, 2, 3, 4)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", OTHER_SEEDS)
+def test_honest_run_criteria_hold_on_other_seeds(seed):
+    """Criteria 3, 4 and 8 on the honest run of seeds 1-4, thresholds as
+    above: they must not hold for seed 0 alone."""
+    result = run_training(RunConfig(**dict(HONEST, seed=seed)))
+    test_03_private_watermarks_reliable_and_unique(result)
+    test_04_slice_recovery_and_disjoint_regions(result)
+    test_08_private_watermarks_survive_pruning(result)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", OTHER_SEEDS)
+def test_detector_grid_holds_on_other_seeds(seed):
+    """Criterion 6 on the attack runs of seeds 1-4."""
+    check_detector_grid(seed)

@@ -1,6 +1,7 @@
 """The federated training loop: sampling, local updates, aggregation, head
 privacy, and the degenerate no-watermark behavior."""
 
+import csv
 import dataclasses
 import itertools
 
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import plain_fedrep_oracle, tiny_config
 from fedmark import engine, nn
+from fedmark.cli import write_run_artifacts
 from fedmark.config import RunConfig
 from fedmark.seeding import STREAM_INIT, STREAM_LOCAL_BATCHES, derive_seed
 from fedmark.slicing import assign_slices, generate_common_watermark
@@ -100,9 +102,9 @@ def test_malicious_update_differs_only_inside_its_region():
     attacker.malicious = True
 
     rep = base.params[: base.rep_param_count].copy()
-    up_honest = engine.client_local_update(honest, rep, config, 1)
-    up_attack = engine.client_local_update(attacker, rep, config, 1)
-    up_honest, up_attack = up_honest.params[: len(rep)], up_attack.params[: len(rep)]
+    engine.client_local_update([honest], rep, config, 1)
+    engine.client_local_update([attacker], rep, config, 1)
+    up_honest, up_attack = honest.model.params[: len(rep)], attacker.model.params[: len(rep)]
 
     inside = np.zeros(base.rep_param_count, dtype=bool)
     inside[assignments[1].region_start : assignments[1].region_stop] = True
@@ -126,8 +128,8 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
 
     monkeypatch.setattr(nn, "main_task_loss_and_grads", zero_main)
     rep = base.params[: base.rep_param_count].copy()
-    local = engine.client_local_update(client, rep, config, 1)
-    upload = local.params[: len(rep)]
+    engine.client_local_update([client], rep, config, 1)
+    upload = client.model.params[: len(rep)]
 
     inside = np.zeros(base.rep_param_count, dtype=bool)
     inside[assignments[2].region_start : assignments[2].region_stop] = True
@@ -153,8 +155,8 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
     )
     assert all(len(segment) > 0 for segment in private.segments)
     client = make_client(1, base, dataset, partition, private=private)
-    local = engine.client_local_update(client, base.params[:rep_size].copy(), config, 2)
-    upload = local.params[:rep_size]
+    engine.client_local_update([client], base.params[:rep_size].copy(), config, 2)
+    upload = client.model.params[:rep_size]
 
     model = base.copy()
     xs = dataset.inputs[partition.client_indices[1]]
@@ -185,6 +187,56 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
     for k in head_ids:
         lo, hi = base.offsets[k] - rep_size, base.offsets[k + 1] - rep_size
         assert not np.array_equal(head_of(client)[lo:hi], base.layer_flat(k))
+
+
+# --- cohort training ------------------------------------------------------------
+
+# name -> (config, rows per cohort on the stacked side)
+COHORT_CASES = {
+    "dirichlet-ragged": (tiny_config(partition="dirichlet", n_clients=6, batch_size=7), engine.COHORT_ROWS),
+    "two-layer-head": (tiny_config(head_layers=2, embed_strength=3.0, batch_size=7), engine.COHORT_ROWS),
+    "tampering-detector": (
+        tiny_config(
+            n_clients=8, malicious_fraction=0.25, tamper_rate=0.3, fresh_tamper=True, detector=True, min_cohort=2
+        ),
+        3,  # 8 clients: cohorts of 3, 3 and 2
+    ),
+    "diverging": (RunConfig(n_clients=4, lr=50.0, detector=True, min_cohort=2, rounds=5), engine.COHORT_ROWS),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging case overflows on purpose
+@pytest.mark.parametrize("name", sorted(COHORT_CASES))
+def test_cohort_training_equals_training_each_client_alone(name, monkeypatch):
+    """A round's clients trained as stacked cohorts end bit for bit where
+    cohorts of one leave them: every model, every upload row and the final
+    representation, over whole runs."""
+    config, rows = COHORT_CASES[name]
+    monkeypatch.setattr(engine, "COHORT_ROWS", rows)
+    stacked = engine.run_training(config)
+    update = engine.client_local_update
+
+    def alone(clients, rep_flat, config, round_index):
+        for client in clients:
+            update([client], rep_flat, config, round_index)
+
+    monkeypatch.setattr(engine, "client_local_update", alone)
+    single = engine.run_training(config)
+
+    assert stacked.server.rep_flat.tobytes() == single.server.rep_flat.tobytes()
+    for a, b in zip(stacked.clients, single.clients, strict=True):
+        assert a.model.params.tobytes() == b.model.params.tobytes(), f"client {a.client_id}"
+    assert [r.uploads for r in stacked.reports] == [r.uploads for r in single.reports]
+
+    sizes = [len(c.data) for c in stacked.clients]
+    if name == "dirichlet-ragged":
+        assert len(set(sizes)) > 1 and any(n % config.batch_size for n in sizes)
+    if name == "tampering-detector":
+        assert stacked.malicious_ids and stacked.server.ledger.history
+        assert len(stacked.reports[0].uploads) > rows
+    if name == "diverging":
+        # a non-finite client shared its cohort with finite ones
+        assert any(len({u.slice_acc is None for u in r.uploads}) == 2 for r in stacked.reports)
 
 
 # --- full runs ------------------------------------------------------------------
@@ -306,6 +358,23 @@ def test_non_finite_uploads_never_reach_the_aggregate():
     later = banned.reports[first.round_index :]
     assert all(u.client_id != first.client_id for r in later for u in r.uploads)
     assert np.isfinite(banned.server.rep_flat).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence overflows on purpose
+def test_non_finite_models_score_zero_main_accuracy(tmp_path):
+    """argmax reads an all-NaN row as class 0, so a diverged model must not be
+    scored by it: its round rows and its final_metrics.csv row read 0.0."""
+    config = RunConfig(n_clients=4, lr=50.0, min_cohort=2, rounds=5)
+    result = engine.run_training(config)
+    unscored = [u for r in result.reports for u in r.uploads if u.slice_acc is None]
+    assert unscored and all(u.main_acc == 0.0 for u in unscored)
+    diverged = {c.client_id for c in result.clients if not np.isfinite(c.model.params).all()}
+    assert diverged
+    write_run_artifacts(result, config, str(tmp_path))
+    with open(tmp_path / "final_metrics.csv", newline="") as f:
+        rows = {int(row["client"]): row for row in csv.DictReader(f)}
+    for cid in diverged:
+        assert float(rows[cid]["main_acc"]) == 0.0
 
 
 def test_tampering_run_marks_clients_and_slices():

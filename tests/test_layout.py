@@ -85,3 +85,53 @@ def test_rep_sgd_leaves_the_head_bit_identical(drawn, lr):
     head_before = model.params[rep:].tobytes()
     nn.apply_sgd(model.params[:rep], grads[:rep], lr)
     assert model.params[rep:].tobytes() == head_before
+
+
+@st.composite
+def cohorts(draw):
+    """A (C, P) cohort over a random layer chain, plus one batch per model:
+    (C, B, d) inputs and (C, B) labels, with B = 1 allowed."""
+    n_layers = draw(st.integers(2, 4))
+    dims = draw(st.lists(st.integers(1, 7), min_size=n_layers + 1, max_size=n_layers + 1))
+    hidden = draw(st.lists(st.sampled_from(["relu", "identity"]), min_size=n_layers - 1, max_size=n_layers - 1))
+    specs = [nn.LayerSpec(dims[i], dims[i + 1], act) for i, act in enumerate(hidden)]
+    specs.append(nn.LayerSpec(dims[-2], dims[-1], "softmax"))
+    head_start = draw(st.integers(1, n_layers - 1))
+    count, rows = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = sum(spec.flat_size for spec in specs)
+    cohort = nn.Model(specs, rng.standard_normal((count, size)), head_start)
+    inputs = rng.standard_normal((count, rows, dims[0]))
+    labels = rng.integers(0, dims[-1], (count, rows))
+    return cohort, inputs, labels
+
+
+@PROPERTY
+@given(cohorts())
+def test_cohort_rows_have_the_layers_of_their_models(drawn):
+    cohort, _, _ = drawn
+    assert cohort.rep_param_count == nn.Model(cohort.specs, cohort.params[0], cohort.head_start).rep_param_count
+    for i, row in enumerate(cohort.params):
+        model = nn.Model(cohort.specs, row, cohort.head_start)
+        for k in range(cohort.num_layers):
+            np.testing.assert_array_equal(cohort.weights[k][i], model.weights[k])
+            np.testing.assert_array_equal(cohort.biases[k][i], model.biases[k])
+            np.testing.assert_array_equal(cohort.layer_flat(k)[i], model.layer_flat(k))
+            assert np.shares_memory(cohort.weights[k], cohort.params)
+            assert np.shares_memory(cohort.biases[k], cohort.params)
+        head = cohort.view(cohort.head_start, cohort.num_layers)
+        np.testing.assert_array_equal(head.params[i], row[cohort.rep_param_count :])
+
+
+@PROPERTY
+@given(cohorts())
+def test_cohort_step_equals_per_model_steps_bit_for_bit(drawn):
+    cohort, inputs, labels = drawn
+    losses, grads = nn.main_task_loss_and_grads(cohort, nn.Batch.unchecked(inputs, labels))
+    _, fast = nn.main_task_loss_and_grads(cohort, nn.Batch.unchecked(inputs, labels), with_loss=False)
+    assert grads.shape == cohort.params.shape and fast.tobytes() == grads.tobytes()
+    for i, row in enumerate(cohort.params):
+        model = nn.Model(cohort.specs, row.copy(), cohort.head_start)
+        loss, alone = nn.main_task_loss_and_grads(model, nn.Batch(inputs[i], labels[i]))
+        assert alone.tobytes() == grads[i].tobytes()
+        assert np.float64(loss).tobytes() == np.float64(losses[i]).tobytes()

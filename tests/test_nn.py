@@ -66,7 +66,8 @@ def test_head_boundary_is_configurable():
 def test_model_rejects_params_of_wrong_length():
     size = sum(spec.flat_size for spec in small_specs())
     nn.Model(small_specs(), np.zeros(size), head_start=2)
-    for bad in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size))):
+    nn.Model(small_specs(), np.zeros((1, size)), head_start=2)  # a cohort of one
+    for bad in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((2, size - 1)), np.zeros((1, 1, size))):
         with pytest.raises(ValueError, match=f"length {size}"):
             nn.Model(small_specs(), bad, head_start=2)
 
@@ -261,6 +262,23 @@ def test_accuracy_perfect_and_permuted():
     x = np.eye(3)[[0, 1, 2, 0]]
     assert nn.evaluate_accuracy(model, _Data(x, np.array([0, 1, 2, 0]))) == 1.0
     assert nn.evaluate_accuracy(model, _Data(x, np.array([1, 2, 0, 1]))) == 0.0
+
+
+def test_accuracy_counts_non_finite_logits_as_misses():
+    """argmax reads an all-NaN row as class 0; such a row, or any row with a
+    non-finite logit, must count as a miss."""
+    model = nn.init_model([nn.LayerSpec(3, 3, "identity"), nn.LayerSpec(3, 3, "softmax")], seed=0)
+    model.weights[0][...] = np.eye(3)
+    model.biases[0][:] = 0.0
+    model.weights[1][...] = np.eye(3) * 10
+    model.biases[1][:] = 0.0
+    x = np.eye(3)[[0, 1, 2, 0]]
+    labels = np.array([0, 1, 2, 0])
+    x[1, 1] = np.inf  # row 1's logits become [nan, inf, nan]
+    with np.errstate(invalid="ignore"):
+        assert nn.evaluate_accuracy(model, _Data(x, labels)) == 0.75
+        model.params[:] = np.nan
+        assert nn.evaluate_accuracy(model, _Data(np.eye(3)[[0, 1, 2, 0]], labels)) == 0.0
 
 
 def test_accuracy_random_model_near_chance():
