@@ -30,6 +30,7 @@ from .watermark import (
     extract_stacked_private_bits,
     hex_to_bits,
     private_detection_rate,
+    private_rates,
     stack_layers,
 )
 
@@ -202,8 +203,7 @@ def cmd_heatmap(run_dir: str) -> int:
     layers = stack_layers(models, {layer_id for s in wm_specs for layer_id in s.target_layers})
     rates = np.empty((n, n))
     for j, spec in enumerate(wm_specs):
-        # integer match counts over len(bits): exact, as in detection_rate
-        rates[:, j] = (extract_stacked_private_bits(layers, spec) == spec.bits).mean(axis=1)
+        rates[:, j] = private_rates(extract_stacked_private_bits(layers, spec), layers, spec)
     path = os.path.join(run_dir, "heatmap.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

@@ -110,7 +110,9 @@ def partition_k_labels(labels: np.ndarray, n_clients: int, k: int, seed: int) ->
     """Exact label-diversity split: every client receives samples spanning
     exactly k distinct labels. Class assignments come from a balanced seeded
     deck; each class's samples are shuffled and dealt round-robin to the
-    clients holding that class."""
+    clients holding that class. When n_clients * k covers the classes, a
+    deal that leaves a class without a holder is drawn again, so every
+    sample is placed; otherwise the classes no client holds are dropped."""
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
     num_classes = len(classes)
@@ -120,13 +122,12 @@ def partition_k_labels(labels: np.ndarray, n_clients: int, k: int, seed: int) ->
         raise ValueError("need at least 2 clients")
 
     rng = np.random.default_rng(seed)
+    copies = -(-n_clients * k // num_classes)  # ceil division
     for _ in range(_MAX_PARTITION_ATTEMPTS):
-        copies = -(-n_clients * k // num_classes)  # ceil division
         deck = np.repeat(classes, copies)
         rng.shuffle(deck)
         deck = deck.tolist()
         assigned = []
-        ok = True
         for _client in range(n_clients):
             picked = []
             rest = []
@@ -136,14 +137,12 @@ def partition_k_labels(labels: np.ndarray, n_clients: int, k: int, seed: int) ->
                 else:
                     rest.append(c)
             if len(picked) < k:
-                ok = False
                 break
             deck = rest
             assigned.append(picked)
-        if not ok:
-            continue
-
         holders = {c: [i for i, labs in enumerate(assigned) if c in labs] for c in classes}
+        if len(assigned) < n_clients or (n_clients * k >= num_classes and not all(holders.values())):
+            continue
         buckets = [[] for _ in range(n_clients)]
         for c in classes:
             who = holders[c]

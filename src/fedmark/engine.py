@@ -9,9 +9,10 @@ verifies every other upload against the client's true slice, optionally
 screens it with the tamper detector, and averages the accepted uploads into
 the next shared representation. Each client trains its own personalized
 model in place, on the data shard it owns; heads never leave their clients.
-A round's clients never read each other's state, so they train together as
-stacked cohorts (`nn.Model`s over a stack of parameter vectors), with the
-same bits as clients trained one by one. Each upload is scored once, on the
+A round's clients never read each other's state, so they train together in
+cohorts: each cohort is one `nn.Model` over a stack of the clients' parameter
+vectors, whose head epochs train its head-column view, with the same bits as
+clients trained one by one. Each upload is scored once, on the
 model that produced it, and reported as one `Upload` row.
 """
 
@@ -215,45 +216,45 @@ def client_local_update(
 def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_index: int) -> None:
     """Train clients, sorted by shard size from largest, as one cohort.
 
-    The broadcast `rep_flat` is written into every client's model. The head
-    epochs stack the clients' heads into a (C, head size) `nn.Model`, the
-    representation epoch their whole models into a (C, P) one, and each
-    main-task step runs on the stack rows that still have a batch at that
-    step, grouped by batch length. Each client draws its batch orders from
-    its own generator and gets its watermark gradients from its own
-    parameters, as when it trains alone. The trained rows are written back
-    into each `client.model`.
+    The clients' models are stacked once into a (C, P) `nn.Model`, and the
+    broadcast `rep_flat` is written into its representation columns. The
+    head epochs train the view of its head columns over features computed
+    once per shard, the representation epoch the whole stack. Each main-task
+    step runs on the stack rows that still have a batch at that step,
+    grouped by batch length. Each client draws its batch orders from its own
+    generator and gets its watermark gradients from its own stack row, as
+    when it trains alone. The trained rows are written back into each
+    `client.model`.
     """
-    specs, head_start = clients[0].model.specs, clients[0].model.head_start
-    rep_size = clients[0].model.rep_param_count
+    first = clients[0].model
+    stack = nn.Model(first.specs, np.stack([c.model.params for c in clients]), first.head_start)
+    specs, head_start, rep_size = stack.specs, stack.head_start, stack.rep_param_count
+    stack.params[:, :rep_size] = rep_flat
+    models = [nn.Model(specs, row, head_start) for row in stack.params]  # row views, for the marks
     sizes = [len(c.data) for c in clients]
     rngs = [
         np.random.default_rng(derive_seed(config.seed, STREAM_LOCAL_BATCHES, c.client_id, round_index))
         for c in clients
     ]
-    for client in clients:
-        client.model.params[:rep_size] = rep_flat
+    steps = _cohort_steps(sizes, config.batch_size)
+    row_ids = np.arange(len(clients))[:, None]
 
     def buffer(*shape, dtype=np.float64):
         """One row per client; rows of shorter shards leave their tail unread."""
         return np.zeros((len(clients), sizes[0], *shape), dtype=dtype)
 
-    def draw_orders():
+    def rows(model):
+        """Rows a:b of a cohort model, each built once per phase."""
+        return functools.cache(lambda a, b: nn.Model(model.specs, model.params[a:b], model.head_start))
+
+    def epoch(cohort_rows, source, add_watermark, part):
+        """One epoch of every row over its shard, in a fresh batch order."""
         orders = buffer(dtype=np.int64)
         for row, rng, n in zip(orders, rngs, sizes):
             row[:n] = rng.permutation(n)
-        return orders
-
-    labels, row_ids = buffer(dtype=np.int64), np.arange(len(clients))[:, None]
-    steps = _cohort_steps(sizes, config.batch_size)
-
-    def batch(source, orders, lo, length, a, b):
-        take = (row_ids[a:b], orders[a:b, lo : lo + length])
-        return nn.Batch.unchecked(source[take], labels[take])
-
-    def rows(stack):
-        """Stack rows a:b as a cohort model, built once per step group."""
-        return functools.cache(lambda a, b: nn.Model(stack.specs, stack.params[a:b], stack.head_start))
+        for lo, length, a, b in steps:
+            take = (row_ids[a:b], orders[a:b, lo : lo + length])
+            step(cohort_rows(a, b), nn.Batch(source[take], labels[take]), a, add_watermark, part)
 
     def step(cohort, minibatch, a, add_watermark, part):
         """One SGD step of the stack rows from `a` on: the cohort's main-task
@@ -268,10 +269,9 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
         client = clients[i]
         if client.private is None or config.embed_strength == 0.0:
             return
-        client.model.params[rep_size:] = heads.params[i]  # the mark reads its client's own model
-        _, flat_grads = private_embedding_loss_and_grads(client.model, client.private, with_loss=False)
+        _, flat_grads = private_embedding_loss_and_grads(models[i], client.private, with_loss=False)
         for layer_id, flat in flat_grads.items():
-            start = client.model.offsets[layer_id] - rep_size
+            start = stack.offsets[layer_id] - rep_size
             row_grads[start : start + len(flat)] += config.embed_strength * flat
 
     def add_slice(i, row_grads):
@@ -283,31 +283,21 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
         row_grads[start : start + len(seg_grad)] += config.slice_strength * seg_grad
 
     # Head epochs leave the representation frozen, so each shard's features
-    # are computed once and only the heads are stacked.
-    rep_model = clients[0].model.view(0, head_start)
+    # are computed once, through the representation every row shares.
+    rep_model = models[0].view(0, head_start)
+    inputs, labels = buffer(specs[0].input_dim), buffer(dtype=np.int64)
     features = buffer(specs[head_start].input_dim)
     for i, client in enumerate(clients):
-        features[i, : sizes[i]] = nn.infer(rep_model, client.data.inputs)
-        labels[i, : sizes[i]] = client.data.labels
-    heads = nn.Model(specs[head_start:], np.stack([c.model.params[rep_size:] for c in clients]), 0)
-    head_rows = rows(heads)
-    for _ in range(config.head_epochs):
-        orders = draw_orders()
-        for lo, length, a, b in steps:
-            step(head_rows(a, b), batch(features, orders, lo, length, a, b), a, add_private, slice(None))
-    for client, row in zip(clients, heads.params):
-        client.model.params[rep_size:] = row
-    del features, heads, head_rows
-
-    inputs = buffer(specs[0].input_dim)
-    for i, client in enumerate(clients):
         inputs[i, : sizes[i]] = client.data.inputs
-    stack = nn.Model(specs, np.stack([c.model.params for c in clients]), head_start)
-    whole_rows = rows(stack)
-    orders = draw_orders()
+        labels[i, : sizes[i]] = client.data.labels
+        features[i, : sizes[i]] = nn.forward(rep_model, client.data.inputs)[0]
+    head_rows = rows(stack.view(head_start, stack.num_layers))
+    for _ in range(config.head_epochs):
+        epoch(head_rows, features, add_private, slice(None))
+    del features
+
     targets = [_slice_target(c, config, round_index) for c in clients]
-    for lo, length, a, b in steps:
-        step(whole_rows(a, b), batch(inputs, orders, lo, length, a, b), a, add_slice, slice(0, rep_size))
+    epoch(rows(stack), inputs, add_slice, slice(0, rep_size))
     for client, row in zip(clients, stack.params):
         client.model.params[:] = row
 

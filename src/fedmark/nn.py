@@ -7,8 +7,10 @@ the flat vector directly. A configurable layer boundary splits the vector in
 two: the shared representation is its prefix and the private head the rest.
 Gradients share the layout, so training code updates either part with one
 slice operation. Training steps compute gradients only: losses come only with
-`with_loss=True`, the default. Labels are checked once per `data.Dataset` and
-once per `attacks.finetune_attack` call, not on every step.
+`with_loss=True`, the default. A `Batch` is a plain pair of arrays: labels are
+checked once per `data.Dataset` and once per `attacks.finetune_attack` call,
+not on every step. One `forward` serves training steps, feature passes and
+evaluation.
 
 A cohort is a `Model` whose parameters are a (C, P) stack, one model per row,
 with (C, d_in, d_out) weight and (C, d_out) bias views. Every kernel works on
@@ -55,29 +57,12 @@ class LayerSpec:
 
 @dataclass
 class Batch:
-    """A minibatch of inputs and integer class labels."""
+    """A minibatch of (B, d) inputs and (B,) integer labels, or a cohort
+    batch of (C, B, d) inputs and (C, B) labels, one batch per model. Its
+    rows come from an already validated `data.Dataset`, so it checks nothing."""
 
     inputs: np.ndarray
     labels: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2:
-            raise ValueError(f"inputs must be 2-d, got shape {self.inputs.shape}")
-        if self.labels.shape != (self.inputs.shape[0],):
-            raise ValueError("labels must be one integer per input row")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-    @classmethod
-    def unchecked(cls, inputs: np.ndarray, labels: np.ndarray) -> "Batch":
-        """A batch of already validated rows, or a cohort batch of (C, B, d)
-        inputs and (C, B) labels; neither goes through the checks above."""
-        batch = object.__new__(cls)
-        batch.inputs, batch.labels = inputs, labels
-        return batch
 
 
 def _layer_views(params: np.ndarray, specs, offsets) -> tuple[tuple, tuple]:
@@ -185,21 +170,16 @@ def init_model(specs: list[LayerSpec], seed: int, head_start: int | None = None)
     return Model(specs=list(specs), params=np.concatenate(pieces), head_start=head_start)
 
 
-def _checked_inputs(model: Model, inputs: np.ndarray) -> np.ndarray:
+def forward(model: Model, inputs: np.ndarray) -> tuple[np.ndarray, list]:
+    """Run the network, returning (logits, cache) where cache holds each
+    layer's input and pre-activation for the backward pass. A cohort takes
+    (C, batch, d) inputs, one batch per model."""
     x = np.asarray(inputs, dtype=np.float64)
     lead = model.params.shape[:-1]
     if x.ndim != len(lead) + 2 or x.shape[-1] != model.specs[0].input_dim:
         raise ValueError(
             f"inputs must have shape {(*lead, 'batch', model.specs[0].input_dim)}, got {x.shape}"
         )
-    return x
-
-
-def forward(model: Model, inputs: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run the network, returning (logits, cache) where cache holds each
-    layer's input and pre-activation for the backward pass. A cohort takes
-    (C, batch, d) inputs, one batch per model."""
-    x = _checked_inputs(model, inputs)
     cache = []
     for spec, w, b in zip(model.specs, model.weights, model.biases):
         z = np.matmul(x, w)
@@ -207,19 +187,6 @@ def forward(model: Model, inputs: np.ndarray) -> tuple[np.ndarray, list]:
         cache.append((x, z))
         x = np.maximum(z, 0.0) if spec.activation == "relu" else z
     return x, cache
-
-
-def infer(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """The network's output for `inputs`, bit for bit the first value
-    `forward` returns, without the backward cache: each ReLU runs in place,
-    so at most two activations are alive at a time."""
-    x = _checked_inputs(model, inputs)
-    for spec, w, b in zip(model.specs, model.weights, model.biases):
-        x = np.matmul(x, w)
-        x += b[..., None, :]
-        if spec.activation == "relu":
-            np.maximum(x, 0.0, out=x)
-    return x
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -270,11 +237,11 @@ def main_task_loss_and_grads(model: Model, batch: Batch, *, with_loss: bool = Tr
 
 
 def minibatches(inputs: np.ndarray, labels: np.ndarray, batch_size: int, rng):
-    """Shuffled minibatches of already validated rows; they skip `Batch`'s checks."""
+    """Shuffled minibatches of already validated rows."""
     order = rng.permutation(len(labels))
     for lo in range(0, len(order), batch_size):
         take = order[lo : lo + batch_size]
-        yield Batch.unchecked(inputs[take], labels[take])
+        yield Batch(inputs[take], labels[take])
 
 
 def apply_sgd(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
@@ -292,6 +259,6 @@ def evaluate_accuracy(model: Model, dataset) -> float:
     as class 0."""
     if len(dataset.labels) == 0:
         raise ValueError("empty dataset")
-    logits = infer(model, dataset.inputs)
+    logits, _ = forward(model, dataset.inputs)
     hits = (logits.argmax(axis=-1) == dataset.labels) & np.isfinite(logits).all(axis=-1)
     return float(hits.mean())

@@ -206,5 +206,19 @@ def extract_private_bits(model, spec: PrivateWatermarkSpec) -> np.ndarray:
     return extract_stacked_private_bits(stack_layers([model], spec.target_layers), spec)[0]
 
 
+def private_rates(extracted: np.ndarray, layers: dict, spec: PrivateWatermarkSpec) -> np.ndarray:
+    """Detection rates of a head watermark: row i of `extracted`, the
+    `extract_stacked_private_bits` reads of the `stack_layers` arrays
+    `layers`, scored against the mark. A bit read out of a layer with a
+    non-finite entry is a miss: all of that layer's projections are then
+    non-finite, and `extract_bits` would turn them into plausible bits."""
+    finite = np.stack([np.isfinite(layers[layer_id]).all(axis=-1) for layer_id in spec.target_layers], axis=-1)
+    hits = (extracted == spec.bits) & np.repeat(finite, [len(s) for s in spec.segments], axis=-1)
+    # integer hit counts over len(bits): exact, as in detection_rate
+    return hits.mean(axis=-1)
+
+
 def private_detection_rate(model, spec: PrivateWatermarkSpec) -> float:
-    return detection_rate(spec.bits, extract_private_bits(model, spec))
+    """The one-model case of `private_rates`."""
+    layers = stack_layers([model], spec.target_layers)
+    return float(private_rates(extract_private_bits(model, spec), layers, spec)[0])

@@ -150,7 +150,7 @@ def test_finetune_rejects_labels_beyond_the_output_before_any_step(monkeypatch):
     steps = []
 
     def record(model, batch, *, with_loss=True):
-        steps.append(len(batch))
+        steps.append(len(batch.labels))
         return None, np.zeros_like(model.params)
 
     monkeypatch.setattr(nn, "main_task_loss_and_grads", record)

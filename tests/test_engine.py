@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import plain_fedrep_oracle, tiny_config
-from fedmark import engine, nn
+from fedmark import cli, engine, nn
+from fedmark.attacks import tamper_bits
 from fedmark.cli import write_run_artifacts
 from fedmark.config import RunConfig
-from fedmark.seeding import STREAM_INIT, STREAM_LOCAL_BATCHES, derive_seed
-from fedmark.slicing import assign_slices, generate_common_watermark
+from fedmark.seeding import STREAM_INIT, STREAM_LOCAL_BATCHES, STREAM_TAMPER, derive_seed
+from fedmark.slicing import assign_slices, generate_common_watermark, slice_loss_and_grad
 from fedmark.watermark import make_private_spec, private_embedding_loss_and_grads, random_bits
 
 
@@ -141,9 +142,10 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
 
 def test_head_epochs_on_cached_features_match_full_model_steps():
     """Head epochs train on representation features computed once per round.
-    With a two-layer head and a private mark, the upload and the head must
-    equal a reference loop that runs the whole model on every batch."""
-    config = tiny_config(head_layers=2, embed_strength=3.0, batch_size=7)
+    With a two-layer head, a private mark, and a malicious client embedding
+    a freshly tampered slice, the upload and the head must equal a reference
+    loop that runs the whole model on every batch."""
+    config = tiny_config(head_layers=2, embed_strength=3.0, batch_size=7, tamper_rate=0.3, fresh_tamper=True)
     dataset, partition, specs, head_start, base = update_setup(config)
     head_ids = list(base.head_layer_ids)
     rep_size = base.rep_param_count
@@ -154,7 +156,10 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
         key_seed=4,
     )
     assert all(len(segment) > 0 for segment in private.segments)
-    client = make_client(1, base, dataset, partition, private=private)
+    common = generate_common_watermark(config.slice_total_bits, config.n_clients, seed=5)
+    assignment = assign_slices(common, rep_size, rep_size // config.n_clients, seed=6)[1]
+    client = make_client(1, base, dataset, partition, assignment=assignment, private=private)
+    client.malicious = True
     engine.client_local_update([client], base.params[:rep_size].copy(), config, 2)
     upload = client.model.params[:rep_size]
 
@@ -163,6 +168,8 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
     ys = dataset.labels[partition.client_indices[1]]
     assert len(ys) % config.batch_size != 0  # a short last batch is covered
     batch_rng = np.random.default_rng(derive_seed(config.seed, STREAM_LOCAL_BATCHES, 1, 2))
+    target = tamper_bits(assignment.bits, config.tamper_rate, derive_seed(config.seed, STREAM_TAMPER, 1, 2))
+    assert not np.array_equal(target, assignment.bits)
 
     def batches():
         order = batch_rng.permutation(len(ys))
@@ -180,6 +187,9 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
             nn.apply_sgd(model.params[rep_size:], grads[rep_size:], config.lr)
     for batch in batches():
         _, grads = nn.main_task_loss_and_grads(model, batch)
+        _, seg_grad = slice_loss_and_grad(model.params[:rep_size], assignment, target)
+        lo, hi = assignment.region_start, assignment.region_stop
+        grads[lo:hi] = grads[lo:hi] + config.slice_strength * seg_grad
         nn.apply_sgd(model.params[:rep_size], grads[:rep_size], config.lr)
 
     assert np.array_equal(upload, model.params[:rep_size])
@@ -362,8 +372,10 @@ def test_non_finite_uploads_never_reach_the_aggregate():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence overflows on purpose
 def test_non_finite_models_score_zero_main_accuracy(tmp_path):
-    """argmax reads an all-NaN row as class 0, so a diverged model must not be
-    scored by it: its round rows and its final_metrics.csv row read 0.0."""
+    """argmax reads an all-NaN row as class 0, and a NaN projection extracts
+    as bit 0, so a diverged model must be scored by neither: its round rows
+    and its final_metrics.csv main_acc and private_rate read 0.0, and so
+    does its own mark on the heatmap diagonal."""
     config = RunConfig(n_clients=4, lr=50.0, min_cohort=2, rounds=5)
     result = engine.run_training(config)
     unscored = [u for r in result.reports for u in r.uploads if u.slice_acc is None]
@@ -375,6 +387,12 @@ def test_non_finite_models_score_zero_main_accuracy(tmp_path):
         rows = {int(row["client"]): row for row in csv.DictReader(f)}
     for cid in diverged:
         assert float(rows[cid]["main_acc"]) == 0.0
+        assert float(rows[cid]["private_rate"]) == 0.0
+    assert cli.main(["heatmap", str(tmp_path)]) == 0
+    with open(tmp_path / "heatmap.csv", newline="") as f:
+        heatmap = list(csv.DictReader(f))
+    for cid, row in rows.items():
+        assert heatmap[cid][f"wm_{cid}"] == row["private_rate"]
 
 
 def test_tampering_run_marks_clients_and_slices():

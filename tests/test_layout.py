@@ -127,8 +127,8 @@ def test_cohort_rows_have_the_layers_of_their_models(drawn):
 @given(cohorts())
 def test_cohort_step_equals_per_model_steps_bit_for_bit(drawn):
     cohort, inputs, labels = drawn
-    losses, grads = nn.main_task_loss_and_grads(cohort, nn.Batch.unchecked(inputs, labels))
-    _, fast = nn.main_task_loss_and_grads(cohort, nn.Batch.unchecked(inputs, labels), with_loss=False)
+    losses, grads = nn.main_task_loss_and_grads(cohort, nn.Batch(inputs, labels))
+    _, fast = nn.main_task_loss_and_grads(cohort, nn.Batch(inputs, labels), with_loss=False)
     assert grads.shape == cohort.params.shape and fast.tobytes() == grads.tobytes()
     for i, row in enumerate(cohort.params):
         model = nn.Model(cohort.specs, row.copy(), cohort.head_start)

@@ -171,7 +171,7 @@ def test_minibatches_follow_the_permutation_with_a_short_last_batch():
     inputs = np.arange(46.0).reshape(23, 2)
     labels = np.arange(23) % 3
     batches = list(nn.minibatches(inputs, labels, 10, np.random.default_rng(4)))
-    assert [len(b) for b in batches] == [10, 10, 3]
+    assert [len(b.labels) for b in batches] == [10, 10, 3]
     rows = np.concatenate([b.inputs[:, 0] for b in batches]).astype(int) // 2
     np.testing.assert_array_equal(rows, np.random.default_rng(4).permutation(23))
     np.testing.assert_array_equal(np.concatenate([b.labels for b in batches]), labels[rows])
@@ -188,7 +188,7 @@ def test_gradient_only_steps_match_the_loss_path(head_layers):
     head = model.view(model.head_start, model.num_layers)
     for target, rows in ((model, inputs), (head, features)):
         batches = list(nn.minibatches(rows, labels, 10, np.random.default_rng(5)))
-        assert len(batches[-1]) == 3
+        assert len(batches[-1].labels) == 3
         for batch in batches:
             loss, grads = nn.main_task_loss_and_grads(target, batch)
             none, fast = nn.main_task_loss_and_grads(target, batch, with_loss=False)
