@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .detection import DetectionLedger, detection_metrics
+from .detection import DetectionLedger, detection_metrics, upload_shares
 from .slicing import extract_slice
 from .watermark import detection_rate
 
@@ -85,12 +85,17 @@ def finetune_attack(
 @dataclass(frozen=True)
 class AttackReport:
     """Slice health and detector quality after a run. Malicious-side fields
-    are None when the run had no malicious clients."""
+    are None when the run had no malicious clients; the per-upload shares
+    (see `detection.upload_shares`) are None when the ledger holds no upload
+    of their kind."""
 
     honest_rate: float  # mean final slice detection over honest clients, percent
     malicious_rate: float | None
-    true_detection: float
+    true_detection: float  # per client: share of malicious clients ever rejected
     false_positive: float
+    malicious_rejected: float | None  # per upload, from here on
+    honest_rejected: float | None
+    tampered_aggregated: float | None
 
     @property
     def delta(self) -> float | None:
@@ -114,9 +119,13 @@ def attack_report(
         rate = detection_rate(a.bits, extract_slice(rep_flat, a))
         (malicious if a.client_id in malicious_ids else honest).append(rate)
     d_t, d_f = detection_metrics(ledger, malicious_ids, n_clients)
+    malicious_rejected, honest_rejected, tampered_aggregated = upload_shares(ledger, malicious_ids)
     return AttackReport(
         honest_rate=100.0 * float(np.mean(honest)),
         malicious_rate=100.0 * float(np.mean(malicious)) if malicious else None,
         true_detection=d_t,
         false_positive=d_f,
+        malicious_rejected=malicious_rejected,
+        honest_rejected=honest_rejected,
+        tampered_aggregated=tampered_aggregated,
     )

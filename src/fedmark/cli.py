@@ -256,6 +256,10 @@ def _noniid_label(config: RunConfig) -> str:
     return f"k({config.k_labels})"
 
 
+def _optional(value) -> str:
+    return "" if value is None else f"{value:.4f}"
+
+
 def cmd_attack_sweep(config: RunConfig, grid) -> int:
     """One detector-on run per (malicious_fraction, tamper_rate) cell."""
     variants = [
@@ -269,7 +273,10 @@ def cmd_attack_sweep(config: RunConfig, grid) -> int:
     path = os.path.join(out_dir, "attack_sweep.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["noniid", "f_m", "f_t", "w_n", "w_m", "d_t", "d_f", "delta"])
+        writer.writerow(
+            ["noniid", "f_m", "f_t", "w_n", "w_m", "d_t", "d_f", "delta"]
+            + ["malicious_rejected", "honest_rejected", "tampered_aggregated"]
+        )
         for (f_m, f_t), variant in zip(grid, variants):
             result = run_training(variant)
             report = attack_report(
@@ -285,10 +292,13 @@ def cmd_attack_sweep(config: RunConfig, grid) -> int:
                     f"{f_m:g}",
                     f"{f_t:g}",
                     f"{report.honest_rate:.4f}",
-                    "" if report.malicious_rate is None else f"{report.malicious_rate:.4f}",
+                    _optional(report.malicious_rate),
                     f"{report.true_detection:.4f}",
                     f"{report.false_positive:.4f}",
-                    "" if report.delta is None else f"{report.delta:.4f}",
+                    _optional(report.delta),
+                    _optional(report.malicious_rejected),
+                    _optional(report.honest_rejected),
+                    _optional(report.tampered_aggregated),
                 ]
             )
     print(f"attack sweep written: {path}")

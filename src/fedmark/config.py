@@ -202,6 +202,11 @@ def validate_config(config: RunConfig) -> None:
         problems.append("seed must be non-negative")
     if config.region_size < 0:
         problems.append("region_size must be non-negative (0 means auto)")
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(config, f.name)
+        # config.txt holds one key=value per line and its reader strips each value
+        if isinstance(f.default, str) and (value != value.strip() or len(value.splitlines()) > 1):
+            problems.append(f"{f.name} must not start or end with whitespace or hold a line break, got {value!r}")
     if not problems and config.slice_total_bits > 0:
         # the class count sizes only the head, so the input width fixes the representation
         try:  # an idx run reads its input width from the 16-byte image header

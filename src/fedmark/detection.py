@@ -138,6 +138,23 @@ def detection_metrics(ledger: DetectionLedger, malicious_ids, n_clients: int):
     return d_t, d_f
 
 
+def upload_shares(ledger: DetectionLedger, malicious_ids):
+    """(malicious uploads rejected, honest uploads rejected, tampered uploads
+    aggregated), each a share of the ledger's records of that kind, or None
+    when it holds none. Every malicious client embeds a tampered slice, so
+    its accepted records are the tampered uploads the aggregate took in.
+    Unlike `detection_metrics`, a client rejected once and accepted later
+    counts every upload."""
+    malicious_ids = set(malicious_ids)
+    tampered = [accepted for record, accepted in ledger.history if record.client_id in malicious_ids]
+    honest = [accepted for record, accepted in ledger.history if record.client_id not in malicious_ids]
+
+    def share(flags, value):
+        return flags.count(value) / len(flags) if flags else None
+
+    return share(tampered, False), share(honest, False), share(tampered, True)
+
+
 def export_ledger_csv(ledger: DetectionLedger, path) -> None:
     """All records with their decisions, in arrival order."""
     with open(path, "w", newline="") as f:

@@ -12,8 +12,8 @@ model in place, on the data shard it owns; heads never leave their clients.
 A round's clients never read each other's state, so they train together in
 cohorts: each cohort is one `nn.Model` over a stack of the clients' parameter
 vectors, whose head epochs train its head-column view, with the same bits as
-clients trained one by one. Each upload is scored once, on the
-model that produced it, and reported as one `Upload` row.
+clients trained one by one. Each upload is scored once, on the cohort that
+produced it, and reported as one `Upload` row.
 """
 
 import functools
@@ -199,45 +199,53 @@ def client_local_update(
     rep_flat: np.ndarray,
     config: RunConfig,
     round_index: int,
-) -> None:
+) -> dict:
     """One round for the given clients: head epochs, then a single
-    representation epoch, every client trained on its own shard.
+    representation epoch, every client trained on its own shard. Returns
+    each client's main-task accuracy on its shard after the update, by
+    client id.
 
     The clients never read each other's state, so they train together as
     stacked cohorts of at most `COHORT_ROWS`, largest shards first (see
-    `_train_cohort`). Each client's model comes out bit for bit as if it had
-    trained alone; its representation prefix is the upload.
+    `_train_cohort`). Each client's model and score come out bit for bit as
+    if it had trained alone; its representation prefix is the upload.
     """
     clients = sorted(clients, key=lambda c: -len(c.data))  # stable: ties keep their order
+    scores = {}
     for lo in range(0, len(clients), COHORT_ROWS):
-        _train_cohort(clients[lo : lo + COHORT_ROWS], rep_flat, config, round_index)
+        scores.update(_train_cohort(clients[lo : lo + COHORT_ROWS], rep_flat, config, round_index))
+    return scores
 
 
-def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_index: int) -> None:
-    """Train clients, sorted by shard size from largest, as one cohort.
+def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_index: int) -> dict:
+    """Train clients, sorted by shard size from largest, as one cohort, and
+    score them; returns each client's accuracy by client id.
 
     The clients' models are stacked once into a (C, P) `nn.Model`, and the
     broadcast `rep_flat` is written into its representation columns. The
     head epochs train the view of its head columns over features computed
     once per shard, the representation epoch the whole stack. Each main-task
     step runs on the stack rows that still have a batch at that step,
-    grouped by batch length. Each client draws its batch orders from its own
-    generator and gets its watermark gradients from its own stack row, as
-    when it trains alone. The trained rows are written back into each
-    `client.model`.
+    grouped by batch length, with one private-mark call for those rows. The
+    feature pass and the scoring run once per group of equal shard lengths,
+    not padded: a one-row product takes another BLAS path. Each client draws
+    its batch orders from its own generator and gets its watermark gradients
+    from its own stack row, as when it trains alone. The trained rows are
+    scored, then written back into each `client.model`.
     """
     first = clients[0].model
     stack = nn.Model(first.specs, np.stack([c.model.params for c in clients]), first.head_start)
     specs, head_start, rep_size = stack.specs, stack.head_start, stack.rep_param_count
     stack.params[:, :rep_size] = rep_flat
-    models = [nn.Model(specs, row, head_start) for row in stack.params]  # row views, for the marks
     sizes = [len(c.data) for c in clients]
     rngs = [
         np.random.default_rng(derive_seed(config.seed, STREAM_LOCAL_BATCHES, c.client_id, round_index))
         for c in clients
     ]
     steps = _cohort_steps(sizes, config.batch_size)
+    shards = _cohort_steps(sizes, sizes[0])  # one (0, length, a, b) per shard length
     row_ids = np.arange(len(clients))[:, None]
+    privates = [c.private for c in clients]
 
     def buffer(*shape, dtype=np.float64):
         """One row per client; rows of shorter shards leave their tail unread."""
@@ -254,52 +262,57 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
             row[:n] = rng.permutation(n)
         for lo, length, a, b in steps:
             take = (row_ids[a:b], orders[a:b, lo : lo + length])
-            step(cohort_rows(a, b), nn.Batch(source[take], labels[take]), a, add_watermark, part)
+            step(cohort_rows(a, b), nn.Batch(source[take], labels[take]), a, b, add_watermark, part)
 
-    def step(cohort, minibatch, a, add_watermark, part):
-        """One SGD step of the stack rows from `a` on: the cohort's main-task
-        gradient plus each row's watermark gradient, applied to `part` of
-        their parameters. The (C, P) gradient dies with the call."""
+    def step(cohort, minibatch, a, b, add_watermark, part):
+        """One SGD step of stack rows a:b: the cohort's main-task gradient
+        plus their watermark gradients, applied to `part` of their
+        parameters. The (C, P) gradient dies with the call."""
         _, grads = nn.main_task_loss_and_grads(cohort, minibatch, with_loss=False)
-        for i, row_grads in enumerate(grads, start=a):
-            add_watermark(i, row_grads)
+        add_watermark(a, b, grads)
         nn.apply_sgd(cohort.params[:, part], grads[:, part], config.lr)
 
-    def add_private(i, row_grads):
-        client = clients[i]
-        if client.private is None or config.embed_strength == 0.0:
+    def add_private(a, b, grads):
+        if config.embed_strength == 0.0 or all(p is None for p in privates[a:b]):
             return
-        _, flat_grads = private_embedding_loss_and_grads(models[i], client.private, with_loss=False)
+        _, flat_grads = private_embedding_loss_and_grads(stack_rows(a, b), privates[a:b], with_loss=False)
         for layer_id, flat in flat_grads.items():
             start = stack.offsets[layer_id] - rep_size
-            row_grads[start : start + len(flat)] += config.embed_strength * flat
+            grads[:, start : start + flat.shape[-1]] += config.embed_strength * flat
 
-    def add_slice(i, row_grads):
-        if targets[i] is None:
-            return
-        assignment = clients[i].assignment
-        _, seg_grad = slice_loss_and_grad(stack.params[i, :rep_size], assignment, targets[i], with_loss=False)
-        start = assignment.region_start
-        row_grads[start : start + len(seg_grad)] += config.slice_strength * seg_grad
+    def add_slice(a, b, grads):
+        for i, row_grads in enumerate(grads, start=a):
+            if targets[i] is None:
+                continue
+            assignment = clients[i].assignment
+            _, seg_grad = slice_loss_and_grad(stack.params[i, :rep_size], assignment, targets[i], with_loss=False)
+            start = assignment.region_start
+            row_grads[start : start + len(seg_grad)] += config.slice_strength * seg_grad
 
-    # Head epochs leave the representation frozen, so each shard's features
-    # are computed once, through the representation every row shares.
-    rep_model = models[0].view(0, head_start)
+    stack_rows = rows(stack)
     inputs, labels = buffer(specs[0].input_dim), buffer(dtype=np.int64)
-    features = buffer(specs[head_start].input_dim)
     for i, client in enumerate(clients):
         inputs[i, : sizes[i]] = client.data.inputs
         labels[i, : sizes[i]] = client.data.labels
-        features[i, : sizes[i]] = nn.forward(rep_model, client.data.inputs)[0]
+    # Head epochs leave the representation frozen, so each shard's features
+    # are computed once, through the representation every row shares.
+    rep_rows = rows(stack.view(0, head_start))
+    features = buffer(specs[head_start].input_dim)
+    for _, n, a, b in shards:
+        features[a:b, :n] = nn.forward(rep_rows(a, b), inputs[a:b, :n], with_cache=False)[0]
     head_rows = rows(stack.view(head_start, stack.num_layers))
     for _ in range(config.head_epochs):
         epoch(head_rows, features, add_private, slice(None))
     del features
 
     targets = [_slice_target(c, config, round_index) for c in clients]
-    epoch(rows(stack), inputs, add_slice, slice(0, rep_size))
+    epoch(stack_rows, inputs, add_slice, slice(0, rep_size))
+    scores = np.empty(len(clients))
+    for _, n, a, b in shards:
+        scores[a:b] = nn.evaluate_accuracy(stack_rows(a, b), nn.Batch(inputs[a:b, :n], labels[a:b, :n]))
     for client, row in zip(clients, stack.params):
         client.model.params[:] = row
+    return {c.client_id: score for c, score in zip(clients, scores.tolist())}
 
 
 def _setup_clients(config, dataset, partition, base_model):
@@ -369,7 +382,7 @@ def run_training(config: RunConfig) -> TrainingResult:
             config.n_clients, config.sample_rate, derive_seed(config.seed, STREAM_SAMPLING, round_index)
         )
         active = [clients[cid] for cid in sampled if cid not in server.banned]
-        client_local_update(active, server.rep_flat, config, round_index)
+        main_acc = client_local_update(active, server.rep_flat, config, round_index)
         trained = []  # (client, slice accuracy or None) per active client
         rejected = set()
         for client in active:
@@ -405,7 +418,7 @@ def run_training(config: RunConfig) -> TrainingResult:
                 embedding_count=client.embedding_count,
                 slice_acc=acc,
                 accepted=client.client_id not in rejected,
-                main_acc=nn.evaluate_accuracy(client.model, client.data),
+                main_acc=main_acc[client.client_id],
             )
             for client, acc in trained
         ]

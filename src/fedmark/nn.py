@@ -10,12 +10,13 @@ slice operation. Training steps compute gradients only: losses come only with
 `with_loss=True`, the default. A `Batch` is a plain pair of arrays: labels are
 checked once per `data.Dataset` and once per `attacks.finetune_attack` call,
 not on every step. One `forward` serves training steps, feature passes and
-evaluation.
+evaluation; the last two keep no activation cache.
 
 A cohort is a `Model` whose parameters are a (C, P) stack, one model per row,
 with (C, d_in, d_out) weight and (C, d_out) bias views. Every kernel works on
 the trailing axes, so the same code serves one model and a cohort: a cohort
-batch stacks one batch per row, (C, B, d) inputs and (C, B) labels. Each row's
+batch stacks one batch per row, (C, B, d) inputs and (C, B) labels, and a
+cohort's `evaluate_accuracy` gives one score per row. Each row's
 products are their own BLAS calls with the operand layout of the one-model
 case (`np.matmul` over stacked views, never `np.einsum`), so row i of a cohort
 computes bit for bit what `Model(specs, params[i], head_start)` computes.
@@ -170,22 +171,25 @@ def init_model(specs: list[LayerSpec], seed: int, head_start: int | None = None)
     return Model(specs=list(specs), params=np.concatenate(pieces), head_start=head_start)
 
 
-def forward(model: Model, inputs: np.ndarray) -> tuple[np.ndarray, list]:
+def forward(model: Model, inputs: np.ndarray, *, with_cache: bool = True) -> tuple[np.ndarray, list | None]:
     """Run the network, returning (logits, cache) where cache holds each
     layer's input and pre-activation for the backward pass. A cohort takes
-    (C, batch, d) inputs, one batch per model."""
+    (C, batch, d) inputs, one batch per model. With `with_cache=False` the
+    cache is None and each ReLU runs in place, so at most two activations
+    are alive at a time; the logits are the same bits."""
     x = np.asarray(inputs, dtype=np.float64)
     lead = model.params.shape[:-1]
     if x.ndim != len(lead) + 2 or x.shape[-1] != model.specs[0].input_dim:
         raise ValueError(
             f"inputs must have shape {(*lead, 'batch', model.specs[0].input_dim)}, got {x.shape}"
         )
-    cache = []
+    cache = [] if with_cache else None
     for spec, w, b in zip(model.specs, model.weights, model.biases):
         z = np.matmul(x, w)
         z += b[..., None, :]
-        cache.append((x, z))
-        x = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        if with_cache:
+            cache.append((x, z))
+        x = np.maximum(z, 0.0, out=None if with_cache else z) if spec.activation == "relu" else z
     return x, cache
 
 
@@ -253,12 +257,14 @@ def apply_sgd(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
     params -= grads
 
 
-def evaluate_accuracy(model: Model, dataset) -> float:
+def evaluate_accuracy(model: Model, dataset):
     """Fraction of samples whose argmax logit matches the label. A sample
     with any non-finite logit is a miss: argmax would read an all-NaN row
-    as class 0."""
-    if len(dataset.labels) == 0:
+    as class 0. A cohort and a cohort batch give a (C,) array, row i the
+    one-model score of row i. No activation cache is kept."""
+    if dataset.labels.shape[-1] == 0:
         raise ValueError("empty dataset")
-    logits, _ = forward(model, dataset.inputs)
+    logits, _ = forward(model, dataset.inputs, with_cache=False)
     hits = (logits.argmax(axis=-1) == dataset.labels) & np.isfinite(logits).all(axis=-1)
-    return float(hits.mean())
+    acc = hits.mean(axis=-1)
+    return float(acc) if model.params.ndim == 1 else acc

@@ -5,6 +5,8 @@ matrix: training adds a sigmoid cross-entropy penalty that pushes each
 projection toward the sign demanded by its bit, and extraction thresholds
 the projections at zero. Projection matrices are regenerable from their
 seed, so keys ship as (seed, rows, cols) triples rather than dense arrays.
+Reads and head-mark gradients also take a stack of models, row by row, so
+a stacked row holds the bits of that model alone.
 """
 
 import functools
@@ -168,18 +170,31 @@ def make_private_spec(bits, target_layers, layer_sizes, key_seed: int) -> Privat
     return PrivateWatermarkSpec(bits, target_layers, layer_sizes, seeds)
 
 
-def private_embedding_loss_and_grads(model, spec: PrivateWatermarkSpec, *, with_loss: bool = True):
-    """Total embedding loss (None unless `with_loss`) plus per-layer flat grads."""
-    losses, flat_grads = [], {}
-    for pos, layer_id in enumerate(spec.target_layers):
-        segment = spec.segments[pos]
-        if len(segment) == 0:
+def private_embedding_loss_and_grads(model, specs, *, with_loss: bool = True):
+    """Total head-mark embedding loss (None unless `with_loss`) plus flat
+    gradients per target layer, for one model and its spec, or (C,) losses
+    and (C, layer size) gradients for a cohort and one spec (or None) per
+    row; a row without that layer's mark gets zeros. Each row and layer is
+    its own `embedding_loss_and_grad` call on a 2-D matrix."""
+    one = model.params.ndim == 1
+    specs = [specs] if one else list(specs)
+    rows = model.params.reshape(len(specs), -1)
+    losses, flat_grads = np.zeros(len(specs)), {}
+    for i, spec in enumerate(specs):
+        if spec is None:
             continue
-        loss, flat_grads[layer_id] = embedding_loss_and_grad(
-            model.layer_flat(layer_id), spec.matrix(pos), segment, with_loss=with_loss
-        )
-        losses.append(loss)
-    return (sum(losses, 0.0) if with_loss else None), flat_grads
+        for pos, layer_id in enumerate(spec.target_layers):
+            segment = spec.segments[pos]
+            if len(segment) == 0:
+                continue
+            lo, hi = model.offsets[layer_id], model.offsets[layer_id + 1]
+            grads = flat_grads.setdefault(layer_id, np.zeros((len(specs), hi - lo)))
+            loss, grads[i] = embedding_loss_and_grad(rows[i, lo:hi], spec.matrix(pos), segment, with_loss=with_loss)
+            if with_loss:
+                losses[i] += loss
+    if one:
+        return (float(losses[0]) if with_loss else None), {k: g[0] for k, g in flat_grads.items()}
+    return (losses if with_loss else None), flat_grads
 
 
 def stack_layers(models, layer_ids) -> dict:

@@ -326,7 +326,10 @@ def test_parse_cells():
 def test_attack_sweep_empty_grid_writes_header_only(tiny_cfg_file, tmp_path):
     assert cli.main(["attack-sweep", str(tiny_cfg_file), "--cells", ""]) == 0
     rows = read_rows(tmp_path / "out" / "attack_sweep.csv")
-    assert rows == [["noniid", "f_m", "f_t", "w_n", "w_m", "d_t", "d_f", "delta"]]
+    assert rows == [
+        ["noniid", "f_m", "f_t", "w_n", "w_m", "d_t", "d_f", "delta"]
+        + ["malicious_rejected", "honest_rejected", "tampered_aggregated"]
+    ]
 
 
 def test_attack_sweep_single_cell(tiny_cfg_file, tmp_path):
@@ -341,6 +344,8 @@ def test_attack_sweep_single_cell(tiny_cfg_file, tmp_path):
     assert row["w_m"] != "" and row["delta"] != ""
     assert 0.0 <= float(row["d_t"]) <= 1.0
     assert 0.0 <= float(row["d_f"]) <= 1.0
+    for key in ("malicious_rejected", "honest_rejected", "tampered_aggregated"):
+        assert 0.0 <= float(row[key]) <= 1.0
 
 
 def test_attack_sweep_rejects_an_infeasible_cell_before_training(

@@ -207,6 +207,25 @@ def test_config_text_round_trips_custom_values(tmp_path):
     assert load_config(path) == custom
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("output_dir", " run "),
+        ("output_dir", "a\nb"),
+        ("idx_images", "x.idx\t"),
+        ("idx_labels", "a\rb"),
+        ("dataset", " blobs"),
+        ("partition", "klabels\x0b"),
+    ],
+)
+def test_validate_rejects_strings_that_config_text_cannot_round_trip(key, value):
+    """config.txt holds one key=value per line and its reader strips each
+    value, so an edge space would be lost and a line break would split the
+    line."""
+    with pytest.raises(ConfigError, match=f"{key} must not start or end with whitespace"):
+        validate_config(dataclasses.replace(RunConfig(), **{key: value}))
+
+
 def test_resolve_output_dir(monkeypatch, tmp_path):
     cfg = dataclasses.replace(RunConfig(), output_dir="runs/a")
     monkeypatch.delenv(config_mod.OUTPUT_ROOT_ENV, raising=False)

@@ -235,6 +235,30 @@ def test_detection_metrics_empty_ledger():
     assert detection.detection_metrics(detection.DetectionLedger(), {1}, 4) == (0.0, 0.0)
 
 
+def test_upload_shares_count_every_upload():
+    """Client 0 is rejected once and then accepted twice: per client it was
+    caught, per upload two of its three tampered uploads were aggregated."""
+    ledger = detection.DetectionLedger()
+    ledger.history = [
+        (record(0.5, client_id=0, round_index=1), False),
+        (record(0.9, client_id=0, round_index=2), True),
+        (record(0.9, client_id=0, round_index=3), True),
+        (record(1.0, client_id=1, round_index=1), True),
+        (record(0.8, client_id=2, round_index=1), False),
+        (record(1.0, client_id=2, round_index=2), True),
+        (record(1.0, client_id=2, round_index=3), True),
+    ]
+    assert detection.detection_metrics(ledger, {0}, n_clients=3)[0] == 1.0
+    assert detection.upload_shares(ledger, {0}) == (1 / 3, 1 / 4, 2 / 3)
+
+
+def test_upload_shares_are_none_without_uploads_of_a_kind():
+    assert detection.upload_shares(detection.DetectionLedger(), {1}) == (None, None, None)
+    ledger = detection.DetectionLedger()
+    ledger.history = [(record(1.0, client_id=1), True)]
+    assert detection.upload_shares(ledger, set()) == (None, 0.0, None)
+
+
 def test_export_ledger_csv(tmp_path):
     ledger = detection.DetectionLedger()
     ledger.history = [(record(1.0, client_id=3, round_index=2), True), (record(0.25, client_id=1), False)]

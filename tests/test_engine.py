@@ -10,7 +10,7 @@ import pytest
 
 from conftest import plain_fedrep_oracle, tiny_config
 from fedmark import cli, engine, nn
-from fedmark.attacks import tamper_bits
+from fedmark.attacks import attack_report, tamper_bits
 from fedmark.cli import write_run_artifacts
 from fedmark.config import RunConfig
 from fedmark.seeding import STREAM_INIT, STREAM_LOCAL_BATCHES, STREAM_TAMPER, derive_seed
@@ -212,6 +212,11 @@ COHORT_CASES = {
         3,  # 8 clients: cohorts of 3, 3 and 2
     ),
     "diverging": (RunConfig(n_clients=4, lr=50.0, detector=True, min_cohort=2, rounds=5), engine.COHORT_ROWS),
+    # shards of 71, 31, 11, 5, 1 and 1 samples: a one-row product is a gemv, not a gemm
+    "one-sample-shards": (
+        tiny_config(partition="dirichlet", n_clients=6, batch_size=7, dirichlet_beta=0.1, seed=12),
+        engine.COHORT_ROWS,
+    ),
 }
 
 
@@ -227,8 +232,10 @@ def test_cohort_training_equals_training_each_client_alone(name, monkeypatch):
     update = engine.client_local_update
 
     def alone(clients, rep_flat, config, round_index):
+        scores = {}
         for client in clients:
-            update([client], rep_flat, config, round_index)
+            scores.update(update([client], rep_flat, config, round_index))
+        return scores
 
     monkeypatch.setattr(engine, "client_local_update", alone)
     single = engine.run_training(config)
@@ -247,6 +254,30 @@ def test_cohort_training_equals_training_each_client_alone(name, monkeypatch):
     if name == "diverging":
         # a non-finite client shared its cohort with finite ones
         assert any(len({u.slice_acc is None for u in r.uploads}) == 2 for r in stacked.reports)
+    if name == "one-sample-shards":
+        assert sizes.count(1) == 2 and len(set(sizes)) == 5
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging case overflows on purpose
+@pytest.mark.parametrize("name", ["one-sample-shards", "diverging"])
+def test_update_scores_equal_the_one_model_accuracy_after_the_update(name, monkeypatch):
+    """Each score `client_local_update` returns, from one stacked pass per
+    shard length, equals `nn.evaluate_accuracy` of the client's own model
+    on its own shard right after the update, in every round."""
+    config, rows = COHORT_CASES[name]
+    monkeypatch.setattr(engine, "COHORT_ROWS", rows)
+    update = engine.client_local_update
+    scores = []
+
+    def checked(clients, rep_flat, config, round_index):
+        returned = update(clients, rep_flat, config, round_index)
+        assert returned == {c.client_id: nn.evaluate_accuracy(c.model, c.data) for c in clients}
+        scores.extend(returned.values())
+        return returned
+
+    monkeypatch.setattr(engine, "client_local_update", checked)
+    engine.run_training(config)
+    assert len(set(scores)) > 2
 
 
 # --- full runs ------------------------------------------------------------------
@@ -393,6 +424,24 @@ def test_non_finite_models_score_zero_main_accuracy(tmp_path):
         heatmap = list(csv.DictReader(f))
     for cid, row in rows.items():
         assert heatmap[cid][f"wm_{cid}"] == row["private_rate"]
+
+
+def test_upload_shares_match_the_round_reports():
+    """The per-upload detector shares count the uploads of every round:
+    each verified upload is one ledger record, so the reports give them
+    independently of the ledger."""
+    config = COHORT_CASES["tampering-detector"][0]
+    result = engine.run_training(config)
+    report = attack_report(
+        result.server.rep_flat, result.server.assignments, result.malicious_ids, result.server.ledger, config.n_clients
+    )
+    verified = [u for r in result.reports for u in r.uploads if u.slice_acc is not None]
+    tampered = [u.accepted for u in verified if u.client_id in result.malicious_ids]
+    honest = [u.accepted for u in verified if u.client_id not in result.malicious_ids]
+    assert tampered and honest and not all(tampered)
+    assert report.malicious_rejected == tampered.count(False) / len(tampered)
+    assert report.honest_rejected == honest.count(False) / len(honest)
+    assert report.tampered_aggregated == tampered.count(True) / len(tampered)
 
 
 def test_tampering_run_marks_clients_and_slices():

@@ -99,6 +99,14 @@ def test_forward_zero_weights_zero_logits():
     np.testing.assert_array_equal(logits, np.zeros((4, 3)))
 
 
+def test_forward_without_cache_gives_the_same_logits():
+    model = nn.init_model(small_specs(), seed=5)
+    x = np.random.default_rng(2).standard_normal((7, 5))
+    logits, cache = nn.forward(model, x, with_cache=False)
+    assert cache is None
+    assert logits.tobytes() == nn.forward(model, x)[0].tobytes()
+
+
 def test_forward_rejects_wrong_width():
     model = nn.init_model(small_specs(), seed=5)
     with pytest.raises(ValueError, match="shape"):

@@ -1,5 +1,5 @@
 """Property tests of the run's invariants: partitions, the key and manifest
-formats, the config file and the tamper flip count."""
+formats, the config file, the tamper flip count and cohort scoring."""
 
 import dataclasses
 import math
@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from fedmark import nn  # noqa: E402
 from fedmark.attacks import tamper_bits  # noqa: E402
 from fedmark.config import ConfigError, RunConfig, config_text, load_config, validate_config  # noqa: E402
 from fedmark.data import partition_dirichlet, partition_k_labels  # noqa: E402
@@ -149,6 +150,29 @@ def test_config_text_round_trips(config):
     assert dataclasses.asdict(loaded) == dataclasses.asdict(config)
 
 
+STRING_KEYS = ("output_dir", "idx_images", "idx_labels", "dataset", "partition")
+
+
+@PROPERTY
+@given(configs(), st.sampled_from(STRING_KEYS), st.text(" \t\n\r\x0b\x0c\x85\u2028ab/.", max_size=8))
+def test_config_strings_round_trip_or_fail_naming_the_key(config, key, value):
+    """A string value with edge whitespace or a line break cannot survive a
+    key=value line whose value is stripped: validation rejects it, naming
+    the key, and every value it accepts round-trips."""
+    changed = dataclasses.replace(config, **{key: value})
+    try:
+        validate_config(changed)
+    except ConfigError as err:
+        assert key in str(err)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.txt")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(config_text(changed))
+        loaded = load_config(path)
+    assert dataclasses.asdict(loaded) == dataclasses.asdict(changed)
+
+
 # --- tampering --------------------------------------------------------------------
 
 
@@ -157,3 +181,36 @@ def test_config_text_round_trips(config):
 def test_tamper_flips_the_floor_count(bits, rate, seed):
     flipped = int(np.count_nonzero(tamper_bits(bits, rate, seed) != bits))
     assert flipped == (max(1, math.floor(rate * len(bits))) if rate > 0.0 else 0)
+
+
+# --- cohort scoring ---------------------------------------------------------------
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+@example(rows=3, n=1, classes=3, seed=0, broken=1)
+def test_stacked_accuracy_rows_equal_the_one_model_scores(rows, n, classes, seed, broken):
+    """Row i of a cohort's `evaluate_accuracy` is the one-model score of row
+    i on its own batch, for one-sample batches and for a row with
+    non-finite parameters, which scores 0.0."""
+    rng = np.random.default_rng(seed)
+    specs = nn.build_layer_specs(3, (4,), classes)
+    params = 3.0 * rng.standard_normal((rows, nn.init_model(specs, 0).params.size))
+    if broken is not None and broken < rows:
+        params[broken, rng.integers(params.shape[1])] = np.nan
+    inputs = rng.standard_normal((rows, n, 3))
+    labels = rng.integers(0, classes, (rows, n))
+    with np.errstate(invalid="ignore"):
+        stacked = nn.evaluate_accuracy(nn.Model(specs, params, 1), nn.Batch(inputs, labels))
+        alone = [
+            nn.evaluate_accuracy(nn.Model(specs, row, 1), nn.Batch(x, y)) for row, x, y in zip(params, inputs, labels)
+        ]
+    assert stacked.shape == (rows,) and stacked.tolist() == alone
+    if broken is not None and broken < rows:
+        assert stacked[broken] == 0.0

@@ -307,3 +307,26 @@ def test_private_embedding_gradient_only_matches_the_loss_path():
     assert fast.keys() == grads.keys() == set(model.head_layer_ids)
     for layer_id, grad in grads.items():
         assert np.array_equal(fast[layer_id], grad)
+
+
+def test_private_embedding_rows_match_the_one_model_calls():
+    """A cohort call gives row i's losses and gradients of row i alone, bit
+    for bit, and zeros for a row without a mark."""
+    model = head_model()
+    sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
+    head_ids = list(model.head_layer_ids)
+    specs = [
+        watermark.make_private_spec(watermark.random_bits(21, seed=s), head_ids, sizes, key_seed=s) for s in (1, 2)
+    ]
+    rows = np.stack([model.params, model.params + 0.1, model.params - 0.2])
+    cohort = nn.Model(model.specs, rows, model.head_start)
+    losses, grads = watermark.private_embedding_loss_and_grads(cohort, [specs[0], None, specs[1]])
+    none, fast = watermark.private_embedding_loss_and_grads(cohort, [specs[0], None, specs[1]], with_loss=False)
+    assert none is None and fast.keys() == grads.keys() == set(head_ids)
+    for i, spec in ((0, specs[0]), (2, specs[1])):
+        loss, alone = watermark.private_embedding_loss_and_grads(nn.Model(model.specs, rows[i], 1), spec)
+        assert losses[i] == loss
+        for layer_id in head_ids:
+            assert grads[layer_id].shape == (3, model.specs[layer_id].flat_size)
+            assert grads[layer_id][i].tobytes() == alone[layer_id].tobytes() == fast[layer_id][i].tobytes()
+    assert losses[1] == 0.0 and all(not g[1].any() for g in grads.values())
