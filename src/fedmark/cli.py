@@ -27,11 +27,8 @@ from .watermark import (
     PrivateWatermarkSpec,
     bits_to_hex,
     detection_rate,
-    extract_stacked_private_bits,
     hex_to_bits,
     private_detection_rate,
-    private_rates,
-    stack_layers,
 )
 
 
@@ -82,7 +79,7 @@ def _write_keys_json(result: TrainingResult, config: RunConfig, path: str) -> No
             entry["private"] = {
                 "bits_hex": bits_to_hex(client.private.bits),
                 "bits_len": int(len(client.private.bits)),
-                "target_layers": list(client.private.target_layers),
+                "target_layers": list(client.model.head_layer_ids),
                 "layer_sizes": list(client.private.layer_sizes),
                 "matrix_seeds": list(client.private.matrix_seeds),
             }
@@ -121,31 +118,31 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def _check_private_spec(spec: PrivateWatermarkSpec, layer_specs, head_start: int, client_id) -> None:
-    """A private mark must sit on head layers of the sizes keys.json claims."""
-    for layer_id, size in zip(spec.target_layers, spec.layer_sizes):
-        if not isinstance(layer_id, int) or not head_start <= layer_id < len(layer_specs):
+def _private_spec(private: dict, layer_specs, head_start: int, client_id) -> PrivateWatermarkSpec:
+    """A client's private mark, which must cover exactly the head layers."""
+    head = list(range(head_start, len(layer_specs)))
+    sizes = [layer_specs[k].flat_size for k in head]
+    for key, expected in (("target_layers", head), ("layer_sizes", sizes)):
+        if private[key] != expected or not all(type(v) is int for v in private[key]):
             raise ValueError(
-                f"keys.json client {client_id}: private target_layers entry {layer_id} "
-                f"is not a head layer ({head_start}..{len(layer_specs) - 1})"
+                f"keys.json client {client_id}: private {key} {private[key]!r} must be {expected}, "
+                "those of the head layers"
             )
-        if size != layer_specs[layer_id].flat_size:
-            raise ValueError(
-                f"keys.json client {client_id}: private layer_sizes entry {size} does not match "
-                f"the {layer_specs[layer_id].flat_size} parameters of layer {layer_id}"
-            )
+    bits = hex_to_bits(private["bits_hex"], private["bits_len"])
+    return PrivateWatermarkSpec(bits, tuple(sizes), tuple(private["matrix_seeds"]))
 
 
 def _check_model_keys(keys) -> None:
-    """keys.json must describe a model with at least one representation layer."""
+    """keys.json must describe a model with at least one representation layer.
+    A JSON `true` or `false` loads as an int, so integers are checked by type."""
     for key in ("input_dim", "num_classes"):
-        if not isinstance(keys[key], int) or keys[key] < 1:
+        if type(keys[key]) is not int or keys[key] < 1:
             raise ValueError(f"keys.json {key} must be a positive integer, got {keys[key]!r}")
     hidden = keys["hidden_dims"]
-    if not isinstance(hidden, list) or not all(isinstance(d, int) and d >= 1 for d in hidden):
+    if not isinstance(hidden, list) or not all(type(d) is int and d >= 1 for d in hidden):
         raise ValueError(f"keys.json hidden_dims must be a list of positive integers, got {hidden!r}")
     head = keys["head_layers"]
-    if not isinstance(head, int) or not 1 <= head <= len(hidden):
+    if type(head) is not int or not 1 <= head <= len(hidden):
         raise ValueError(f"keys.json head_layers must be an integer in 1..{len(hidden)}, got {head!r}")
 
 
@@ -157,53 +154,49 @@ def _load_run_models(run_dir: str):
         _check_model_keys(keys)
         specs = nn.build_layer_specs(keys["input_dim"], keys["hidden_dims"], keys["num_classes"])
         head_start = len(specs) - keys["head_layers"]
-        heads = [f"head_{entry['client_id']}" for entry in keys["clients"]]
-        wm_specs = []
-        for entry in keys["clients"]:
-            private = entry.get("private")
-            if private is None:
-                wm_specs.append(None)
-            else:
-                spec = PrivateWatermarkSpec(
-                    bits=hex_to_bits(private["bits_hex"], private["bits_len"]),
-                    target_layers=tuple(private["target_layers"]),
-                    layer_sizes=tuple(private["layer_sizes"]),
-                    matrix_seeds=tuple(private["matrix_seeds"]),
-                )
-                _check_private_spec(spec, specs, head_start, entry["client_id"])
-                wm_specs.append(spec)
+        entries = keys["clients"]
+        heads = [f"head_{entry['client_id']}" for entry in entries]
+        with np.load(os.path.join(run_dir, "models.npz")) as arrays:
+            missing = sorted({"rep_flat", *heads} - set(arrays.files))
+            if missing:
+                raise ValueError(f"models.npz lacks the arrays {', '.join(missing)}")
+            rep = arrays["rep_flat"]
+            models = [nn.Model(list(specs), np.concatenate([rep, arrays[head]]), head_start) for head in heads]
+        # after the models, which name the total length when an array is cut short
+        rep_size = sum(spec.flat_size for spec in specs[:head_start])
+        if len(rep) != rep_size:
+            raise ValueError(
+                f"models.npz rep_flat holds {len(rep)} parameters, but keys.json hidden_dims and "
+                f"head_layers describe a {rep_size}-parameter representation"
+            )
+        # after the model checks, so a wrong head_layers is named, not the marks it misplaces
+        wm_specs = [
+            None if entry.get("private") is None
+            else _private_spec(entry["private"], specs, head_start, entry["client_id"])
+            for entry in entries
+        ]
     except KeyError as err:
         raise ValueError(f"keys.json lacks the key {err}") from None
-    with np.load(os.path.join(run_dir, "models.npz")) as arrays:
-        missing = sorted({"rep_flat", *heads} - set(arrays.files))
-        if missing:
-            raise ValueError(f"models.npz lacks the arrays {', '.join(missing)}")
-        rep = arrays["rep_flat"]
-        models = [nn.Model(list(specs), np.concatenate([rep, arrays[head]]), head_start) for head in heads]
-    # after the models, which name the total length when an array is cut short
-    rep_size = sum(spec.flat_size for spec in specs[:head_start])
-    if len(rep) != rep_size:
-        raise ValueError(
-            f"models.npz rep_flat holds {len(rep)} parameters, but keys.json hidden_dims and "
-            f"head_layers describe a {rep_size}-parameter representation"
-        )
     return models, wm_specs
 
 
 def cmd_heatmap(run_dir: str) -> int:
     """n x n matrix: entry (i, j) is the detection rate of client j's private
-    watermark read out of client i's model. Each watermark is read out of
-    every model with one stacked product per target layer; each layer is
-    stacked once per heatmap."""
+    watermark read out of client i's model. The heads of all models are
+    stacked once into one (n, head size) cohort, and each watermark is read
+    out of it with one `private_detection_rate` call."""
     models, wm_specs = _load_run_models(run_dir)
     if any(s is None for s in wm_specs):
         print("heatmap needs a run with private watermarks enabled", file=sys.stderr)
         return 1
     n = len(models)
-    layers = stack_layers(models, {layer_id for s in wm_specs for layer_id in s.target_layers})
     rates = np.empty((n, n))
-    for j, spec in enumerate(wm_specs):
-        rates[:, j] = private_rates(extract_stacked_private_bits(layers, spec), layers, spec)
+    if models:
+        first = models[0]
+        head_params = np.stack([m.params[first.rep_param_count :] for m in models])
+        heads = nn.Model(first.specs[first.head_start :], head_params, 0)
+        for j, spec in enumerate(wm_specs):
+            rates[:, j] = private_detection_rate(heads, spec)
     path = os.path.join(run_dir, "heatmap.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

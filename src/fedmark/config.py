@@ -1,6 +1,7 @@
 """Run configuration: a flat key=value text file, overridable per key."""
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -202,8 +203,13 @@ def validate_config(config: RunConfig) -> None:
         problems.append("seed must be non-negative")
     if config.region_size < 0:
         problems.append("region_size must be non-negative (0 means auto)")
+    for name in ("embed_strength", "slice_strength", "blob_spread"):
+        if getattr(config, name) < 0:
+            problems.append(f"{name} must be non-negative")
     for f in dataclasses.fields(RunConfig):
         value = getattr(config, f.name)
+        if isinstance(f.default, float) and not math.isfinite(value):
+            problems.append(f"{f.name} must be finite, got {value!r}")
         # config.txt holds one key=value per line and its reader strips each value
         if isinstance(f.default, str) and (value != value.strip() or len(value.splitlines()) > 1):
             problems.append(f"{f.name} must not start or end with whitespace or hold a line break, got {value!r}")

@@ -226,7 +226,7 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     head epochs train the view of its head columns over features computed
     once per shard, the representation epoch the whole stack. Each main-task
     step runs on the stack rows that still have a batch at that step,
-    grouped by batch length, with one private-mark call for those rows. The
+    grouped by batch length, with one private-mark call on their head rows. The
     feature pass and the scoring run once per group of equal shard lengths,
     not padded: a one-row product takes another BLAS path. Each client draws
     its batch orders from its own generator and gets its watermark gradients
@@ -275,10 +275,10 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     def add_private(a, b, grads):
         if config.embed_strength == 0.0 or all(p is None for p in privates[a:b]):
             return
-        _, flat_grads = private_embedding_loss_and_grads(stack_rows(a, b), privates[a:b], with_loss=False)
+        cohort = head_rows(a, b)
+        _, flat_grads = private_embedding_loss_and_grads(cohort, privates[a:b], with_loss=False)
         for layer_id, flat in flat_grads.items():
-            start = stack.offsets[layer_id] - rep_size
-            grads[:, start : start + flat.shape[-1]] += config.embed_strength * flat
+            grads[:, cohort.offsets[layer_id] : cohort.offsets[layer_id + 1]] += config.embed_strength * flat
 
     def add_slice(a, b, grads):
         for i, row_grads in enumerate(grads, start=a):
@@ -316,16 +316,13 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
 
 
 def _setup_clients(config, dataset, partition, base_model):
-    head_ids = list(base_model.head_layer_ids)
-    head_sizes = [base_model.specs[k].flat_size for k in head_ids]
+    head_sizes = [base_model.specs[k].flat_size for k in base_model.head_layer_ids]
     clients = []
     for cid in range(config.n_clients):
         private = None
         if config.private_bits > 0:
             bits = random_bits(config.private_bits, derive_seed(config.seed, STREAM_PRIVATE_BITS, cid))
-            private = make_private_spec(
-                bits, head_ids, head_sizes, derive_seed(config.seed, STREAM_PRIVATE_MATRIX, cid)
-            )
+            private = make_private_spec(bits, head_sizes, derive_seed(config.seed, STREAM_PRIVATE_MATRIX, cid))
         clients.append(
             ClientState(
                 client_id=cid,

@@ -5,8 +5,9 @@ matrix: training adds a sigmoid cross-entropy penalty that pushes each
 projection toward the sign demanded by its bit, and extraction thresholds
 the projections at zero. Projection matrices are regenerable from their
 seed, so keys ship as (seed, rows, cols) triples rather than dense arrays.
-Reads and head-mark gradients also take a stack of models, row by row, so
-a stacked row holds the bits of that model alone.
+A private mark covers every head layer, in order: its reads and gradients
+walk the head layers of the model they are given, one model or a (C, P)
+cohort, whole or head-only, and a cohort row holds the bits of its model alone.
 """
 
 import functools
@@ -139,17 +140,16 @@ def embedding_loss_and_grad(params_flat, matrix, bits, *, with_loss: bool = True
 
 @dataclass(frozen=True)
 class PrivateWatermarkSpec:
-    """A client's head watermark: the bits, the head layers they target, and
-    the per-layer projection matrix seeds (matrices regenerate on demand)."""
+    """A client's head watermark: the bits, and the parameter count and
+    projection matrix seed of each head layer (matrices regenerate on demand)."""
 
     bits: np.ndarray
-    target_layers: tuple
     layer_sizes: tuple
     matrix_seeds: tuple
 
     def __post_init__(self):
-        if not (len(self.target_layers) == len(self.layer_sizes) == len(self.matrix_seeds)):
-            raise ValueError("target_layers, layer_sizes and matrix_seeds must align")
+        if len(self.layer_sizes) != len(self.matrix_seeds):
+            raise ValueError("layer_sizes and matrix_seeds must align")
 
     @functools.cached_property
     def segments(self) -> list[np.ndarray]:
@@ -160,22 +160,22 @@ class PrivateWatermarkSpec:
         return cached_embedding_matrix(self.layer_sizes[position], cols, self.matrix_seeds[position])
 
 
-def make_private_spec(bits, target_layers, layer_sizes, key_seed: int) -> PrivateWatermarkSpec:
-    """Build a head watermark spec, deriving one matrix seed per target layer."""
+def make_private_spec(bits, layer_sizes, key_seed: int) -> PrivateWatermarkSpec:
+    """Build a head watermark spec, deriving one matrix seed per head layer."""
     bits = np.asarray(bits, dtype=np.uint8)
-    target_layers = tuple(int(t) for t in target_layers)
     layer_sizes = tuple(int(s) for s in layer_sizes)
     split_watermark(bits, layer_sizes)  # validates the split up front
-    seeds = tuple(derive_seed(key_seed, pos) for pos in range(len(target_layers)))
-    return PrivateWatermarkSpec(bits, target_layers, layer_sizes, seeds)
+    seeds = tuple(derive_seed(key_seed, pos) for pos in range(len(layer_sizes)))
+    return PrivateWatermarkSpec(bits, layer_sizes, seeds)
 
 
 def private_embedding_loss_and_grads(model, specs, *, with_loss: bool = True):
     """Total head-mark embedding loss (None unless `with_loss`) plus flat
-    gradients per target layer, for one model and its spec, or (C,) losses
+    gradients per head layer, for one model and its spec, or (C,) losses
     and (C, layer size) gradients for a cohort and one spec (or None) per
-    row; a row without that layer's mark gets zeros. Each row and layer is
-    its own `embedding_loss_and_grad` call on a 2-D matrix."""
+    row; a row without that layer's mark gets zeros. Gradients are keyed by
+    the model's own layer ids. Each row and layer is its own
+    `embedding_loss_and_grad` call on a 2-D matrix."""
     one = model.params.ndim == 1
     specs = [specs] if one else list(specs)
     rows = model.params.reshape(len(specs), -1)
@@ -183,8 +183,7 @@ def private_embedding_loss_and_grads(model, specs, *, with_loss: bool = True):
     for i, spec in enumerate(specs):
         if spec is None:
             continue
-        for pos, layer_id in enumerate(spec.target_layers):
-            segment = spec.segments[pos]
+        for pos, (layer_id, segment) in enumerate(zip(model.head_layer_ids, spec.segments, strict=True)):
             if len(segment) == 0:
                 continue
             lo, hi = model.offsets[layer_id], model.offsets[layer_id + 1]
@@ -197,43 +196,25 @@ def private_embedding_loss_and_grads(model, specs, *, with_loss: bool = True):
     return (losses if with_loss else None), flat_grads
 
 
-def stack_layers(models, layer_ids) -> dict:
-    """Map each layer id to an (n_models, layer size) array: row i is that
-    layer's flat vector in `models[i]`."""
-    return {layer_id: np.stack([m.layer_flat(layer_id) for m in models]) for layer_id in layer_ids}
-
-
-def extract_stacked_private_bits(layers: dict, spec: PrivateWatermarkSpec) -> np.ndarray:
-    """Read a head watermark out of many models at once: `layers` maps each
-    target layer to its `stack_layers` array, and row i of the (n_models,
-    bits) result is what model i holds, bit for bit (see `extract_bits`)."""
-    pieces = [
-        extract_bits(layers[layer_id], spec.matrix(pos))
-        for pos, layer_id in enumerate(spec.target_layers)
-        if len(spec.segments[pos])
-    ]
-    return np.concatenate(pieces, axis=1)
-
-
 def extract_private_bits(model, spec: PrivateWatermarkSpec) -> np.ndarray:
-    """Extract and concatenate all segments of a head watermark: the
-    one-model case of `extract_stacked_private_bits`."""
-    return extract_stacked_private_bits(stack_layers([model], spec.target_layers), spec)[0]
+    """Extract and concatenate all segments of a head watermark, or (C, bits)
+    for a cohort: row i is what model i alone holds (see `extract_bits`)."""
+    pieces = [
+        extract_bits(model.layer_flat(layer_id), spec.matrix(pos))
+        for pos, (layer_id, segment) in enumerate(zip(model.head_layer_ids, spec.segments, strict=True))
+        if len(segment)
+    ]
+    return np.concatenate(pieces, axis=-1)
 
 
-def private_rates(extracted: np.ndarray, layers: dict, spec: PrivateWatermarkSpec) -> np.ndarray:
-    """Detection rates of a head watermark: row i of `extracted`, the
-    `extract_stacked_private_bits` reads of the `stack_layers` arrays
-    `layers`, scored against the mark. A bit read out of a layer with a
-    non-finite entry is a miss: all of that layer's projections are then
-    non-finite, and `extract_bits` would turn them into plausible bits."""
-    finite = np.stack([np.isfinite(layers[layer_id]).all(axis=-1) for layer_id in spec.target_layers], axis=-1)
+def private_detection_rate(model, spec: PrivateWatermarkSpec):
+    """Detection rate of a head watermark in one model, or a (C,) array of
+    rates for a cohort. A bit read out of a layer with a non-finite entry is
+    a miss: all of that layer's projections are then non-finite, and
+    `extract_bits` would turn them into plausible bits."""
+    extracted = extract_private_bits(model, spec)
+    finite = np.stack([np.isfinite(model.layer_flat(k)).all(axis=-1) for k in model.head_layer_ids], axis=-1)
     hits = (extracted == spec.bits) & np.repeat(finite, [len(s) for s in spec.segments], axis=-1)
     # integer hit counts over len(bits): exact, as in detection_rate
-    return hits.mean(axis=-1)
-
-
-def private_detection_rate(model, spec: PrivateWatermarkSpec) -> float:
-    """The one-model case of `private_rates`."""
-    layers = stack_layers([model], spec.target_layers)
-    return float(private_rates(extract_private_bits(model, spec), layers, spec)[0])
+    rates = hits.mean(axis=-1)
+    return float(rates) if model.params.ndim == 1 else rates

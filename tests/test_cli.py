@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from fedmark import cli, watermark
+from fedmark import cli, nn, watermark
 from fedmark.config import config_text
 
 
@@ -198,9 +198,11 @@ BAD_MODEL_KEYS = [
     ("head_layers", 0),
     ("head_layers", 2),  # fits the model, not the run's one-layer head
     ("head_layers", "1"),
+    ("head_layers", True),
     ("hidden_dims", 64),
     ("hidden_dims", [16, 16.5]),
     ("input_dim", "5"),
+    ("input_dim", True),
     ("num_classes", 0),
 ]
 
@@ -243,6 +245,37 @@ def test_heatmap_rejects_a_private_mark_off_the_head(tiny_cfg_file, tmp_path, ca
     assert err.startswith("error:") and "client 3" in err and "target_layers" in err
 
 
+def test_heatmap_rejects_a_private_mark_on_part_of_the_head(tmp_path, capsys):
+    """A mark covers the whole head: in a two-layer-head run, a keys.json
+    that puts client 1's mark on layer 2 alone, with that layer's size and
+    seed, ends in an error line that names target_layers."""
+    cfg_path = tmp_path / "head2.cfg"
+    cfg_path.write_text(config_text(tiny_config(head_layers=2, output_dir=str(tmp_path / "out"))))
+    assert cli.main(["train", str(cfg_path)]) == 0
+
+    def on_layer_2(private):
+        private.update(
+            target_layers=[2], layer_sizes=private["layer_sizes"][1:], matrix_seeds=private["matrix_seeds"][1:]
+        )
+
+    _edit_private_key(tmp_path / "out", 1, on_layer_2)
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "client 1" in err and "target_layers" in err
+    assert not (tmp_path / "out" / "heatmap.csv").exists()
+
+
+def test_heatmap_of_a_run_without_clients_writes_the_header_only(tiny_cfg_file, tmp_path):
+    cli.main(["train", str(tiny_cfg_file)])
+    path = tmp_path / "out" / "keys.json"
+    keys = json.loads(path.read_text())
+    keys["clients"] = []
+    path.write_text(json.dumps(keys))
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 0
+    assert read_rows(tmp_path / "out" / "heatmap.csv") == [["model_client"]]
+
+
 def test_heatmap_rejects_private_layer_sizes_that_do_not_match_the_model(tiny_cfg_file, tmp_path, capsys):
     cli.main(["train", str(tiny_cfg_file)])
     _edit_private_key(tmp_path / "out", 1, lambda private: private["layer_sizes"].__setitem__(0, 50))
@@ -261,7 +294,7 @@ def test_heatmap_matches_a_per_pair_reference(tmp_path):
     assert cli.main(["heatmap", str(tmp_path / "out")]) == 0
     rows = read_rows(tmp_path / "out" / "heatmap.csv")
     models, specs = cli._load_run_models(str(tmp_path / "out"))
-    assert all(len(spec.target_layers) == 2 for spec in specs)
+    assert all(len(spec.layer_sizes) == 2 for spec in specs)
     reference = []
     for i, model in enumerate(models):
         row = [str(i)]
@@ -269,7 +302,7 @@ def test_heatmap_matches_a_per_pair_reference(tmp_path):
             extracted = np.concatenate(
                 [
                     watermark.extract_bits(model.layer_flat(layer_id), spec.matrix(pos))
-                    for pos, layer_id in enumerate(spec.target_layers)
+                    for pos, layer_id in enumerate(model.head_layer_ids)
                 ]
             )
             row.append(f"{watermark.detection_rate(spec.bits, extracted):.6f}")
@@ -278,8 +311,10 @@ def test_heatmap_matches_a_per_pair_reference(tmp_path):
     cells = [[float(v) for v in row[1:]] for row in reference]
     assert any(cells[i][i] < 1.0 for i in range(len(cells)))
     assert len({cells[i][j] for i in range(len(cells)) for j in range(len(cells)) if i != j}) > 1
+    first = models[0]
+    heads = nn.Model(first.specs[first.head_start :], np.stack([m.params[first.rep_param_count :] for m in models]), 0)
     for spec in specs:
-        stacked = watermark.extract_stacked_private_bits(watermark.stack_layers(models, spec.target_layers), spec)
+        stacked = watermark.extract_private_bits(heads, spec)
         assert stacked.shape == (len(models), len(spec.bits))
         for model, bits in zip(models, stacked):
             np.testing.assert_array_equal(bits, watermark.extract_private_bits(model, spec))

@@ -226,6 +226,29 @@ def test_validate_rejects_strings_that_config_text_cannot_round_trip(key, value)
         validate_config(dataclasses.replace(RunConfig(), **{key: value}))
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "lr=nan",
+        "lr=inf",
+        "embed_strength=-1",
+        "embed_strength=nan",
+        "slice_strength=inf",
+        "slice_strength=-5",
+        "blob_spread=nan",
+        "blob_spread=-1",
+        "dirichlet_beta=nan",
+        "dirichlet_beta=inf",
+    ],
+)
+def test_validate_rejects_non_finite_and_negative_floats(override):
+    """A NaN or infinite float, or a negative watermark strength or blob
+    spread, fails before training with an error that names the key."""
+    key = override.partition("=")[0]
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        apply_overrides(RunConfig(), [override])
+
+
 def test_resolve_output_dir(monkeypatch, tmp_path):
     cfg = dataclasses.replace(RunConfig(), output_dir="runs/a")
     monkeypatch.delenv(config_mod.OUTPUT_ROOT_ENV, raising=False)

@@ -151,7 +151,6 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
     rep_size = base.rep_param_count
     private = make_private_spec(
         random_bits(config.private_bits, seed=3),
-        head_ids,
         [specs[k].flat_size for k in head_ids],
         key_seed=4,
     )

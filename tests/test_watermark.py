@@ -248,17 +248,17 @@ def test_make_private_spec_segments_and_seeds():
     model = head_model()
     sizes = [model.specs[k].flat_size for k in model.head_layer_ids]  # [45, 18]
     bits = watermark.random_bits(21, seed=5)
-    spec = watermark.make_private_spec(bits, list(model.head_layer_ids), sizes, key_seed=77)
+    spec = watermark.make_private_spec(bits, sizes, key_seed=77)
     assert [len(s) for s in spec.segments] == [21 * 45 // 63, 21 - 21 * 45 // 63]
     assert len(set(spec.matrix_seeds)) == 2
-    again = watermark.make_private_spec(bits, list(model.head_layer_ids), sizes, key_seed=77)
+    again = watermark.make_private_spec(bits, sizes, key_seed=77)
     assert again.matrix_seeds == spec.matrix_seeds
 
 
 def test_private_spec_requires_aligned_fields():
     with pytest.raises(ValueError):
         watermark.PrivateWatermarkSpec(
-            bits=watermark.random_bits(4, 0), target_layers=(1, 2), layer_sizes=(10,), matrix_seeds=(1, 2)
+            bits=watermark.random_bits(4, 0), layer_sizes=(10,), matrix_seeds=(1, 2)
         )
 
 
@@ -266,11 +266,11 @@ def test_private_extraction_concatenates_layer_segments():
     model = head_model()
     sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
     bits = watermark.random_bits(20, seed=6)
-    spec = watermark.make_private_spec(bits, list(model.head_layer_ids), sizes, key_seed=13)
+    spec = watermark.make_private_spec(bits, sizes, key_seed=13)
     manual = np.concatenate(
         [
             watermark.extract_bits(model.layer_flat(layer_id), spec.matrix(pos))
-            for pos, layer_id in enumerate(spec.target_layers)
+            for pos, layer_id in enumerate(model.head_layer_ids)
         ]
     )
     np.testing.assert_array_equal(watermark.extract_private_bits(model, spec), manual)
@@ -282,7 +282,7 @@ def test_private_embedding_gradients_match_finite_differences():
     model = head_model()
     sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
     bits = watermark.random_bits(12, seed=8)
-    spec = watermark.make_private_spec(bits, list(model.head_layer_ids), sizes, key_seed=3)
+    spec = watermark.make_private_spec(bits, sizes, key_seed=3)
     _, flat_grads = watermark.private_embedding_loss_and_grads(model, spec)
     for layer_id, grad in flat_grads.items():
 
@@ -300,7 +300,7 @@ def test_private_embedding_gradient_only_matches_the_loss_path():
     model = head_model()  # a two-layer head
     sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
     bits = watermark.random_bits(21, seed=5)
-    spec = watermark.make_private_spec(bits, list(model.head_layer_ids), sizes, key_seed=2)
+    spec = watermark.make_private_spec(bits, sizes, key_seed=2)
     total, grads = watermark.private_embedding_loss_and_grads(model, spec)
     none, fast = watermark.private_embedding_loss_and_grads(model, spec, with_loss=False)
     assert total > 0.0 and none is None
@@ -316,7 +316,7 @@ def test_private_embedding_rows_match_the_one_model_calls():
     sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
     head_ids = list(model.head_layer_ids)
     specs = [
-        watermark.make_private_spec(watermark.random_bits(21, seed=s), head_ids, sizes, key_seed=s) for s in (1, 2)
+        watermark.make_private_spec(watermark.random_bits(21, seed=s), sizes, key_seed=s) for s in (1, 2)
     ]
     rows = np.stack([model.params, model.params + 0.1, model.params - 0.2])
     cohort = nn.Model(model.specs, rows, model.head_start)
@@ -330,3 +330,38 @@ def test_private_embedding_rows_match_the_one_model_calls():
             assert grads[layer_id].shape == (3, model.specs[layer_id].flat_size)
             assert grads[layer_id][i].tobytes() == alone[layer_id].tobytes() == fast[layer_id][i].tobytes()
     assert losses[1] == 0.0 and all(not g[1].any() for g in grads.values())
+
+
+def test_private_reads_of_a_cohort_equal_the_one_model_reads():
+    """Row i of a cohort's private bits and rates, and of a head-only
+    cohort's, is the one-model read of model i. A row with a non-finite entry
+    in every head layer reads 0.0: each of its bits is a miss."""
+    model = head_model()
+    sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
+    spec = watermark.make_private_spec(watermark.random_bits(21, seed=9), sizes, key_seed=9)
+    rows = np.stack([model.params, model.params + 0.1, model.params - 0.2, model.params])
+    rows[3, model.rep_param_count] = np.inf
+    rows[3, -1] = np.nan
+    alone = [nn.Model(model.specs, row, model.head_start) for row in rows]
+    rates = [watermark.private_detection_rate(m, spec) for m in alone]
+    assert rates[3] == 0.0
+    cohort = nn.Model(model.specs, rows, model.head_start)
+    heads = nn.Model(model.specs[model.head_start :], rows[:, model.rep_param_count :], 0)
+    for stacked in (cohort, heads):
+        stacked_rates = watermark.private_detection_rate(stacked, spec)
+        assert stacked_rates.shape == (4,) and stacked_rates.tolist() == rates
+        bits = watermark.extract_private_bits(stacked, spec)
+        for m, row_bits in zip(alone, bits):
+            np.testing.assert_array_equal(row_bits, watermark.extract_private_bits(m, spec))
+
+
+@pytest.mark.parametrize("sizes", [[45], [18, 45], [45, 18, 45]])
+def test_private_mark_must_fit_the_head_it_is_read_from(sizes):
+    """A mark made for other head layers than the model's (here 45 and 18
+    parameters) fails to read or embed, rather than covering part of it."""
+    model = head_model()
+    spec = watermark.make_private_spec(watermark.random_bits(21, seed=1), sizes, key_seed=1)
+    with pytest.raises(ValueError):
+        watermark.extract_private_bits(model, spec)
+    with pytest.raises(ValueError):
+        watermark.private_embedding_loss_and_grads(model, spec)
