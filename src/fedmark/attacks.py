@@ -11,8 +11,7 @@ import numpy as np
 
 from . import nn
 from .detection import DetectionLedger, detection_metrics, upload_shares
-from .slicing import extract_slice
-from .watermark import detection_rate
+from .slicing import slice_detection_rate
 
 
 def tamper_bits(bits: np.ndarray, tamper_rate: float, seed: int) -> np.ndarray:
@@ -116,8 +115,7 @@ def attack_report(
     malicious_ids = set(malicious_ids)
     honest, malicious = [], []
     for a in assignments:
-        rate = detection_rate(a.bits, extract_slice(rep_flat, a))
-        (malicious if a.client_id in malicious_ids else honest).append(rate)
+        (malicious if a.client_id in malicious_ids else honest).append(slice_detection_rate(rep_flat, a))
     d_t, d_f = detection_metrics(ledger, malicious_ids, n_clients)
     malicious_rejected, honest_rejected, tampered_aggregated = upload_shares(ledger, malicious_ids)
     return AttackReport(

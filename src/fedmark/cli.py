@@ -22,11 +22,10 @@ from .config import ConfigError, RunConfig, apply_overrides, config_text, load_c
 from .config import resolve_output_dir, validate_config
 from .detection import export_ledger_csv
 from .engine import TrainingResult, run_training
-from .slicing import extract_slice, write_manifest
+from .slicing import slice_detection_rate, write_manifest
 from .watermark import (
     PrivateWatermarkSpec,
     bits_to_hex,
-    detection_rate,
     hex_to_bits,
     private_detection_rate,
 )
@@ -59,8 +58,7 @@ def _write_final_metrics_csv(result: TrainingResult, path: str) -> None:
             rate = "" if client.private is None else f"{private_detection_rate(client.model, client.private):.6f}"
             slice_acc = ""
             if client.assignment is not None:
-                extracted = extract_slice(result.server.rep_flat, client.assignment)
-                slice_acc = f"{detection_rate(client.assignment.bits, extracted):.6f}"
+                slice_acc = f"{slice_detection_rate(result.server.rep_flat, client.assignment):.6f}"
             writer.writerow([client.client_id, f"{acc:.6f}", rate, slice_acc])
 
 
@@ -119,7 +117,10 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def _private_spec(private: dict, layer_specs, head_start: int, client_id) -> PrivateWatermarkSpec:
-    """A client's private mark, which must cover exactly the head layers."""
+    """A client's private mark, which must cover exactly the head layers, with
+    one non-negative matrix seed per head layer and a positive bit count that
+    packs into the bytes of `bits_hex`. Integers are checked by type, as a
+    JSON `true` or `false` loads as an int."""
     head = list(range(head_start, len(layer_specs)))
     sizes = [layer_specs[k].flat_size for k in head]
     for key, expected in (("target_layers", head), ("layer_sizes", sizes)):
@@ -128,8 +129,19 @@ def _private_spec(private: dict, layer_specs, head_start: int, client_id) -> Pri
                 f"keys.json client {client_id}: private {key} {private[key]!r} must be {expected}, "
                 "those of the head layers"
             )
-    bits = hex_to_bits(private["bits_hex"], private["bits_len"])
-    return PrivateWatermarkSpec(bits, tuple(sizes), tuple(private["matrix_seeds"]))
+    seeds = private["matrix_seeds"]
+    if not isinstance(seeds, list) or len(seeds) != len(head) or not all(type(v) is int and v >= 0 for v in seeds):
+        raise ValueError(
+            f"keys.json client {client_id}: private matrix_seeds {seeds!r} must be {len(head)} "
+            "non-negative integers, one per head layer"
+        )
+    bits_len, bits_hex = private["bits_len"], private["bits_hex"]
+    if type(bits_len) is not int or bits_len < 1 or 2 * ((bits_len + 7) // 8) != len(bits_hex):
+        raise ValueError(
+            f"keys.json client {client_id}: private bits_len {bits_len!r} must be a positive integer "
+            f"that packs into the {len(bits_hex) // 2} bytes of bits_hex"
+        )
+    return PrivateWatermarkSpec(hex_to_bits(bits_hex, bits_len), tuple(sizes), tuple(seeds))
 
 
 def _check_model_keys(keys) -> None:

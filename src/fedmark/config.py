@@ -162,8 +162,6 @@ def validate_config(config: RunConfig) -> None:
         problems.append("blob_classes must be at least 2")
     if not 1 <= config.head_layers <= len(config.hidden_dims):
         problems.append("head_layers must leave at least one representation layer")
-    if config.private_bits < 0 or config.slice_total_bits < 0:
-        problems.append("watermark bit counts must be non-negative")
     if 0 < config.slice_total_bits < config.n_clients:
         problems.append(
             f"slice_total_bits ({config.slice_total_bits}) must be at least n_clients "
@@ -203,7 +201,7 @@ def validate_config(config: RunConfig) -> None:
         problems.append("seed must be non-negative")
     if config.region_size < 0:
         problems.append("region_size must be non-negative (0 means auto)")
-    for name in ("embed_strength", "slice_strength", "blob_spread"):
+    for name in ("private_bits", "slice_total_bits", "embed_strength", "slice_strength", "blob_spread"):
         if getattr(config, name) < 0:
             problems.append(f"{name} must be non-negative")
     for f in dataclasses.fields(RunConfig):

@@ -48,17 +48,9 @@ from .seeding import (
     STREAM_TAMPER,
     derive_seed,
 )
-from .slicing import (
-    CommonWatermark,
-    SliceAssignment,
-    assign_slices,
-    extract_slice,
-    generate_common_watermark,
-    slice_loss_and_grad,
-)
+from .slicing import SliceAssignment, assign_slices, slice_detection_rate, slice_loss_and_grad
 from .watermark import (
     PrivateWatermarkSpec,
-    detection_rate,
     make_private_spec,
     private_embedding_loss_and_grads,
     random_bits,
@@ -115,7 +107,6 @@ class TrainingResult:
     server: ServerState
     clients: list
     reports: list
-    common: CommonWatermark | None
 
     @property
     def malicious_ids(self) -> set:
@@ -351,15 +342,12 @@ def run_training(config: RunConfig) -> TrainingResult:
     clients = _setup_clients(config, dataset, partition, base)
     del dataset, partition  # each client owns its shard; free the rest before training
 
-    common = None
     assignments = ()
     if config.slice_total_bits > 0:
-        common = generate_common_watermark(
-            config.slice_total_bits, config.n_clients, derive_seed(config.seed, STREAM_COMMON_WATERMARK)
-        )
+        bits = random_bits(config.slice_total_bits, derive_seed(config.seed, STREAM_COMMON_WATERMARK))
         region = region_params(config, rep_size)
         assignments = tuple(
-            assign_slices(common, rep_size, region, derive_seed(config.seed, STREAM_SLICE_ASSIGN))
+            assign_slices(bits, config.n_clients, rep_size, region, derive_seed(config.seed, STREAM_SLICE_ASSIGN))
         )
         for client, assignment in zip(clients, assignments):
             client.assignment = assignment
@@ -390,7 +378,7 @@ def run_training(config: RunConfig) -> TrainingResult:
                 # never scored: a non-finite projection extracts as plausible bits
                 rejected.add(client.client_id)
             elif client.assignment is not None:
-                acc = detection_rate(client.assignment.bits, extract_slice(upload, client.assignment))
+                acc = slice_detection_rate(upload, client.assignment)
             trained.append((client, acc))
 
         records = [
@@ -423,4 +411,4 @@ def run_training(config: RunConfig) -> TrainingResult:
 
     for client in clients:  # banned clients keep the final representation too
         client.model.params[:rep_size] = server.rep_flat
-    return TrainingResult(server=server, clients=clients, reports=reports, common=common)
+    return TrainingResult(server=server, clients=clients, reports=reports)

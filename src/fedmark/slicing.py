@@ -1,10 +1,12 @@
 """Server-side watermark slicing.
 
-The server issues one common watermark, cuts it into per-client slices, and
+The server draws one common watermark, cuts it into per-client slices, and
 pins each slice to a disjoint contiguous region of the flattened shared
-representation. Clients embed only their own slice inside their own region,
-so slices never interfere and the full watermark can be reassembled from the
-trained representation.
+representation. The list of `SliceAssignment`s is the only form the common
+watermark takes: its bits are the slices joined in client order. Clients
+embed only their own slice inside their own region, so slices never
+interfere, and the server scores an upload against the uploader's slice
+with `slice_detection_rate`.
 """
 
 from dataclasses import dataclass
@@ -15,32 +17,11 @@ from .seeding import derive_seed
 from .watermark import (
     bits_to_hex,
     cached_embedding_matrix,
+    detection_rate,
     embedding_loss_and_grad,
     extract_bits,
     hex_to_bits,
-    random_bits,
 )
-
-
-@dataclass(frozen=True)
-class CommonWatermark:
-    """The server's full watermark and the slice boundaries per client."""
-
-    bits: np.ndarray
-    boundaries: tuple  # len n_clients + 1, cumulative bit offsets
-
-    def __post_init__(self):
-        if self.boundaries[0] != 0 or self.boundaries[-1] != len(self.bits):
-            raise ValueError("boundaries must start at 0 and end at the bit count")
-        if any(b >= e for b, e in zip(self.boundaries, self.boundaries[1:])):
-            raise ValueError("every slice must hold at least one bit")
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.boundaries) - 1
-
-    def slice_bits(self, client_id: int) -> np.ndarray:
-        return self.bits[self.boundaries[client_id] : self.boundaries[client_id + 1]]
 
 
 @dataclass(frozen=True)
@@ -70,44 +51,34 @@ class SliceAssignment:
         return cached_embedding_matrix(self.region_size, len(self.bits), self.matrix_seed)
 
 
-def generate_common_watermark(total_bits: int, n_clients: int, seed: int) -> CommonWatermark:
-    """Draw the server watermark and cut it into n contiguous slices of equal
-    size, the last slice absorbing the remainder."""
+def assign_slices(
+    bits: np.ndarray, n_clients: int, rep_param_count: int, region_size: int, seed: int
+) -> list[SliceAssignment]:
+    """Cut the common watermark into n contiguous slices of equal size, the
+    last absorbing the remainder, and give client i the slice i and the
+    region [i * region_size, (i+1) * region_size) of the flattened
+    representation. Regions are pairwise disjoint by construction."""
     if n_clients < 1:
         raise ValueError("need at least one client")
-    if total_bits < n_clients:
-        raise ValueError(f"{total_bits} bits cannot give {n_clients} clients a slice each")
-    base = total_bits // n_clients
-    sizes = [base] * n_clients
-    sizes[-1] += total_bits - base * n_clients
-    boundaries = (0, *np.cumsum(sizes).tolist())
-    return CommonWatermark(random_bits(total_bits, seed), boundaries)
-
-
-def assign_slices(
-    common: CommonWatermark, rep_param_count: int, region_size: int, seed: int
-) -> list[SliceAssignment]:
-    """Give client i the region [i * region_size, (i+1) * region_size) of the
-    flattened representation. Regions are pairwise disjoint by construction."""
-    n = common.n_clients
+    if len(bits) < n_clients:
+        raise ValueError(f"{len(bits)} bits cannot give {n_clients} clients a slice each")
     if region_size < 1:
         raise ValueError("region_size must be positive")
-    if n * region_size > rep_param_count:
+    if n_clients * region_size > rep_param_count:
         raise ValueError(
-            f"{n} regions of {region_size} params exceed the {rep_param_count}-param representation"
+            f"{n_clients} regions of {region_size} params exceed the {rep_param_count}-param representation"
         )
-    assignments = []
-    for i in range(n):
-        assignments.append(
-            SliceAssignment(
-                client_id=i,
-                bits=common.slice_bits(i),
-                region_start=i * region_size,
-                region_stop=(i + 1) * region_size,
-                matrix_seed=derive_seed(seed, i),
-            )
+    base = len(bits) // n_clients
+    return [
+        SliceAssignment(
+            client_id=i,
+            bits=bits[i * base : len(bits) if i == n_clients - 1 else (i + 1) * base],
+            region_start=i * region_size,
+            region_stop=(i + 1) * region_size,
+            matrix_seed=derive_seed(seed, i),
         )
-    return assignments
+        for i in range(n_clients)
+    ]
 
 
 def extract_slice(rep_flat: np.ndarray, assignment: SliceAssignment) -> np.ndarray:
@@ -120,6 +91,11 @@ def extract_slice(rep_flat: np.ndarray, assignment: SliceAssignment) -> np.ndarr
         )
     segment = rep_flat[assignment.region_start : assignment.region_stop]
     return extract_bits(segment, assignment.matrix())
+
+
+def slice_detection_rate(rep_flat: np.ndarray, assignment: SliceAssignment) -> float:
+    """Detection rate of a client's slice in a flattened representation."""
+    return detection_rate(assignment.bits, extract_slice(rep_flat, assignment))
 
 
 def slice_loss_and_grad(rep_flat, assignment: SliceAssignment, bits=None, *, with_loss: bool = True):

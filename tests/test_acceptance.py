@@ -200,7 +200,8 @@ def test_04_slice_recovery_and_disjoint_regions(honest_result):
     assert min(rates) >= 0.95, f"worst per-slice recovery: {min(rates):.3f}"
 
     recovered = np.concatenate([extract_slice(rep, a) for a in assignments])
-    full = detection_rate(honest_result.common.bits, recovered)
+    common = np.concatenate([a.bits for a in honest_result.server.assignments])
+    full = detection_rate(common, recovered)
     assert full >= 0.95, f"full-watermark recovery: {full:.3f}"
 
     covered = set()
@@ -347,7 +348,6 @@ def test_10_deterministic_artifacts_and_clean_decoupling(tmp_path):
     np.testing.assert_array_equal(result.server.rep_flat, oracle_rep)
     for client, head in zip(result.clients, oracle_heads):
         np.testing.assert_array_equal(client.model.params[client.model.rep_param_count :], head)
-    assert result.common is None
     assert result.server.assignments == ()
 
 

@@ -168,8 +168,8 @@ def test_finetune_rejects_labels_beyond_the_output_before_any_step(monkeypatch):
 def perfect_slice_rep(n_clients, region_size, seed=0):
     """Representation where every 1-bit slice extracts exactly: each region is
     its matrix column scaled by the bit's sign."""
-    common = slicing.generate_common_watermark(n_clients, n_clients, seed=seed)
-    assignments = slicing.assign_slices(common, n_clients * region_size, region_size, seed=seed)
+    bits = watermark.random_bits(n_clients, seed=seed)
+    assignments = slicing.assign_slices(bits, n_clients, n_clients * region_size, region_size, seed=seed)
     rep = np.zeros(n_clients * region_size)
     for a in assignments:
         column = a.matrix()[:, 0]

@@ -285,6 +285,36 @@ def test_heatmap_rejects_private_layer_sizes_that_do_not_match_the_model(tiny_cf
     assert err.startswith("error:") and "client 1" in err and "layer_sizes" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("bits_len", -3),
+        ("bits_len", True),
+        ("bits_len", 0),
+        ("bits_len", 16),
+        ("bits_len", 25),
+        ("bits_len", "24"),
+        ("matrix_seeds", ["a"]),
+        ("matrix_seeds", [1, 2]),
+        ("matrix_seeds", [-1]),
+        ("matrix_seeds", [True]),
+        ("matrix_seeds", [1.5]),
+        ("matrix_seeds", 5),
+    ],
+)
+def test_heatmap_rejects_a_bad_private_bits_len_or_matrix_seeds(tiny_cfg_file, tmp_path, capsys, key, value):
+    """A 24-bit mark packs into the 3 bytes of bits_hex, and the one-layer
+    head needs one non-negative integer seed; anything else ends in an error
+    line that names the client and the key."""
+    cli.main(["train", str(tiny_cfg_file)])
+    _edit_private_key(tmp_path / "out", 1, lambda private: private.update({key: value}))
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "client 1" in err and key in err
+    assert not (tmp_path / "out" / "heatmap.csv").exists()
+
+
 def test_heatmap_matches_a_per_pair_reference(tmp_path):
     """A two-layer head splits each mark into two segments, and the short
     run leaves the marks imperfect, so the cells differ from one another."""

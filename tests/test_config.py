@@ -239,11 +239,13 @@ def test_validate_rejects_strings_that_config_text_cannot_round_trip(key, value)
         "blob_spread=-1",
         "dirichlet_beta=nan",
         "dirichlet_beta=inf",
+        "private_bits=-1",
+        "slice_total_bits=-5",
     ],
 )
 def test_validate_rejects_non_finite_and_negative_floats(override):
-    """A NaN or infinite float, or a negative watermark strength or blob
-    spread, fails before training with an error that names the key."""
+    """A NaN or infinite float, or a negative watermark strength, bit count
+    or blob spread, fails before training with an error that names the key."""
     key = override.partition("=")[0]
     with pytest.raises(ConfigError, match=f"{key} must be"):
         apply_overrides(RunConfig(), [override])

@@ -14,7 +14,7 @@ from fedmark.attacks import attack_report, tamper_bits
 from fedmark.cli import write_run_artifacts
 from fedmark.config import RunConfig
 from fedmark.seeding import STREAM_INIT, STREAM_LOCAL_BATCHES, STREAM_TAMPER, derive_seed
-from fedmark.slicing import assign_slices, generate_common_watermark, slice_loss_and_grad
+from fedmark.slicing import assign_slices, slice_loss_and_grad
 from fedmark.watermark import make_private_spec, private_embedding_loss_and_grads, random_bits
 
 
@@ -94,9 +94,9 @@ def test_malicious_update_differs_only_inside_its_region():
     # whole shard per batch; the config's tamper_rate applies to malicious clients
     config = tiny_config(private_bits=0, batch_size=10_000, tamper_rate=0.5)
     dataset, partition, specs, head_start, base = update_setup(config)
-    common = generate_common_watermark(config.slice_total_bits, config.n_clients, seed=5)
+    bits = random_bits(config.slice_total_bits, seed=5)
     region = base.rep_param_count // config.n_clients
-    assignments = assign_slices(common, base.rep_param_count, region, seed=6)
+    assignments = assign_slices(bits, config.n_clients, base.rep_param_count, region, seed=6)
 
     honest = make_client(1, base, dataset, partition, assignment=assignments[1])
     attacker = make_client(1, base, dataset, partition, assignment=assignments[1])
@@ -119,9 +119,9 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
     only inside the client's slice region."""
     config = tiny_config(private_bits=0)
     dataset, partition, specs, head_start, base = update_setup(config)
-    common = generate_common_watermark(config.slice_total_bits, config.n_clients, seed=5)
+    bits = random_bits(config.slice_total_bits, seed=5)
     region = base.rep_param_count // config.n_clients
-    assignments = assign_slices(common, base.rep_param_count, region, seed=6)
+    assignments = assign_slices(bits, config.n_clients, base.rep_param_count, region, seed=6)
     client = make_client(2, base, dataset, partition, assignment=assignments[2])
 
     def zero_main(model, batch, *, with_loss=True):
@@ -155,8 +155,8 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
         key_seed=4,
     )
     assert all(len(segment) > 0 for segment in private.segments)
-    common = generate_common_watermark(config.slice_total_bits, config.n_clients, seed=5)
-    assignment = assign_slices(common, rep_size, rep_size // config.n_clients, seed=6)[1]
+    bits = random_bits(config.slice_total_bits, seed=5)
+    assignment = assign_slices(bits, config.n_clients, rep_size, rep_size // config.n_clients, seed=6)[1]
     client = make_client(1, base, dataset, partition, assignment=assignment, private=private)
     client.malicious = True
     engine.client_local_update([client], base.params[:rep_size].copy(), config, 2)
@@ -462,5 +462,4 @@ def test_disabling_watermarks_reproduces_plain_federated_training():
     np.testing.assert_array_equal(result.server.rep_flat, oracle_rep)
     for client, head in zip(result.clients, oracle_heads):
         np.testing.assert_array_equal(head_of(client), head)
-    assert result.common is None
     assert result.server.assignments == ()

@@ -1,5 +1,5 @@
-"""Property tests of the run's invariants: partitions, the key and manifest
-formats, the config file, the tamper flip count and cohort scoring."""
+"""Property tests of the run's invariants: partitions, slice layouts, the key
+and manifest formats, the config file, the tamper flip count and cohort scoring."""
 
 import dataclasses
 import math
@@ -16,7 +16,7 @@ from fedmark import nn  # noqa: E402
 from fedmark.attacks import tamper_bits  # noqa: E402
 from fedmark.config import ConfigError, RunConfig, config_text, load_config, validate_config  # noqa: E402
 from fedmark.data import partition_dirichlet, partition_k_labels  # noqa: E402
-from fedmark.slicing import SliceAssignment, read_manifest, write_manifest  # noqa: E402
+from fedmark.slicing import SliceAssignment, assign_slices, read_manifest, write_manifest  # noqa: E402
 from fedmark.watermark import bits_to_hex, hex_to_bits  # noqa: E402
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -74,6 +74,40 @@ def test_dirichlet_partitions_place_every_sample_once(num_classes, n_clients, pe
     shards = partition_dirichlet(labels, n_clients, beta, seed).client_indices
     assert len(shards) == n_clients and all(len(shard) for shard in shards)
     np.testing.assert_array_equal(np.sort(np.concatenate(shards)), np.arange(len(labels)))
+
+
+# --- slice layouts ----------------------------------------------------------------
+
+
+@PROPERTY
+@given(
+    st.lists(st.integers(0, 1), max_size=64).map(lambda b: np.array(b, dtype=np.uint8)),
+    st.integers(0, 8),
+    st.integers(0, 24),
+    st.integers(0, 200),
+)
+@example(np.ones(10, dtype=np.uint8), 3, 4, 12)
+def test_assign_slices_cuts_the_bits_into_disjoint_regions(bits, n_clients, region_size, rep_param_count):
+    """The slices join to the bits in client order, every slice but the last
+    holds len(bits) // n_clients bits, and the regions are disjoint and lie
+    inside the representation; every other layout raises ValueError."""
+    base = len(bits) // n_clients if n_clients else 0
+    feasible = (
+        base >= 1
+        and region_size >= len(bits) - base * (n_clients - 1)  # the largest slice fits its region
+        and n_clients * region_size <= rep_param_count
+    )
+    if not feasible:
+        with pytest.raises(ValueError):
+            assign_slices(bits, n_clients, rep_param_count, region_size, seed=0)
+        return
+    out = assign_slices(bits, n_clients, rep_param_count, region_size, seed=0)
+    assert [a.client_id for a in out] == list(range(n_clients))
+    np.testing.assert_array_equal(np.concatenate([a.bits for a in out]), bits)
+    assert [len(a.bits) for a in out[:-1]] == [base] * (n_clients - 1)
+    spans = sorted((a.region_start, a.region_stop) for a in out)
+    assert spans[0][0] >= 0 and spans[-1][1] <= rep_param_count
+    assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
 
 
 # --- round trips ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Common watermark generation, slice/region assignment, extraction, and the
+"""Cutting the common watermark into slices and regions, extraction, and the
 slice manifest."""
 
 import numpy as np
@@ -10,51 +10,52 @@ from fedmark import slicing, watermark
 # --- common watermark -----------------------------------------------------------
 
 
+def common_slices(total_bits, n_clients, seed):
+    """Draw a common watermark and cut it for n clients, with regions wide
+    enough for any slice."""
+    bits = watermark.random_bits(total_bits, seed)
+    return bits, slicing.assign_slices(bits, n_clients, n_clients * total_bits, total_bits, seed)
+
+
 def test_common_watermark_equal_slices():
-    common = slicing.generate_common_watermark(128, n_clients=4, seed=0)
-    assert common.n_clients == 4
-    assert [len(common.slice_bits(i)) for i in range(4)] == [32, 32, 32, 32]
-    np.testing.assert_array_equal(
-        np.concatenate([common.slice_bits(i) for i in range(4)]), common.bits
-    )
+    bits, assignments = common_slices(128, n_clients=4, seed=0)
+    assert [a.client_id for a in assignments] == [0, 1, 2, 3]
+    assert [len(a.bits) for a in assignments] == [32, 32, 32, 32]
+    np.testing.assert_array_equal(np.concatenate([a.bits for a in assignments]), bits)
 
 
 def test_common_watermark_remainder_goes_last():
-    common = slicing.generate_common_watermark(10, n_clients=3, seed=0)
-    assert [len(common.slice_bits(i)) for i in range(3)] == [3, 3, 4]
+    _, assignments = common_slices(10, n_clients=3, seed=0)
+    assert [len(a.bits) for a in assignments] == [3, 3, 4]
 
 
 def test_common_watermark_one_bit_slices():
-    common = slicing.generate_common_watermark(5, n_clients=5, seed=1)
-    assert [len(common.slice_bits(i)) for i in range(5)] == [1] * 5
+    _, assignments = common_slices(5, n_clients=5, seed=1)
+    assert [len(a.bits) for a in assignments] == [1] * 5
 
 
 def test_common_watermark_deterministic_and_balanced():
-    a = slicing.generate_common_watermark(1000, n_clients=10, seed=3)
-    b = slicing.generate_common_watermark(1000, n_clients=10, seed=3)
-    np.testing.assert_array_equal(a.bits, b.bits)
-    assert 0.4 < a.bits.mean() < 0.6  # binomial bound at 1000 draws
+    a_bits, a = common_slices(1000, n_clients=10, seed=3)
+    b_bits, b = common_slices(1000, n_clients=10, seed=3)
+    np.testing.assert_array_equal(a_bits, b_bits)
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x.bits, y.bits)
+    assert 0.4 < a_bits.mean() < 0.6  # binomial bound at 1000 draws
 
 
 def test_common_watermark_needs_a_bit_per_client():
     with pytest.raises(ValueError):
-        slicing.generate_common_watermark(3, n_clients=4, seed=0)
-
-
-def test_common_watermark_validates_boundaries():
-    bits = watermark.random_bits(8, seed=0)
+        common_slices(3, n_clients=4, seed=0)
     with pytest.raises(ValueError):
-        slicing.CommonWatermark(bits, (0, 4, 4, 8))
-    with pytest.raises(ValueError):
-        slicing.CommonWatermark(bits, (1, 8))
+        common_slices(3, n_clients=0, seed=0)
 
 
 # --- region assignment ----------------------------------------------------------
 
 
 def test_assign_slices_contiguous_disjoint_regions():
-    common = slicing.generate_common_watermark(128, n_clients=4, seed=2)
-    assignments = slicing.assign_slices(common, rep_param_count=1000, region_size=250, seed=5)
+    bits = watermark.random_bits(128, seed=2)
+    assignments = slicing.assign_slices(bits, 4, rep_param_count=1000, region_size=250, seed=5)
     spans = [(a.region_start, a.region_stop) for a in assignments]
     assert spans == [(0, 250), (250, 500), (500, 750), (750, 1000)]
     covered = np.concatenate([np.arange(a.region_start, a.region_stop) for a in assignments])
@@ -63,22 +64,22 @@ def test_assign_slices_contiguous_disjoint_regions():
 
 
 def test_assign_slices_deterministic():
-    common = slicing.generate_common_watermark(64, n_clients=2, seed=2)
-    a = slicing.assign_slices(common, 300, 100, seed=9)
-    b = slicing.assign_slices(common, 300, 100, seed=9)
+    bits = watermark.random_bits(64, seed=2)
+    a = slicing.assign_slices(bits, 2, 300, 100, seed=9)
+    b = slicing.assign_slices(bits, 2, 300, 100, seed=9)
     assert [x.matrix_seed for x in a] == [x.matrix_seed for x in b]
 
 
 def test_assign_slices_rejects_oversubscription():
-    common = slicing.generate_common_watermark(64, n_clients=4, seed=2)
+    bits = watermark.random_bits(64, seed=2)
     with pytest.raises(ValueError):
-        slicing.assign_slices(common, rep_param_count=900, region_size=250, seed=0)
+        slicing.assign_slices(bits, 4, rep_param_count=900, region_size=250, seed=0)
 
 
 def test_region_smaller_than_slice_is_rejected():
-    common = slicing.generate_common_watermark(128, n_clients=4, seed=2)
+    bits = watermark.random_bits(128, seed=2)
     with pytest.raises(ValueError):
-        slicing.assign_slices(common, rep_param_count=1000, region_size=16, seed=0)
+        slicing.assign_slices(bits, 4, rep_param_count=1000, region_size=16, seed=0)
 
 
 # --- extraction -----------------------------------------------------------------
@@ -94,18 +95,30 @@ def embed_slice(assignment, rep_len, steps=400, lr=0.1, seed=0):
 
 
 def test_extract_slice_after_convergence_is_perfect():
-    common = slicing.generate_common_watermark(64, n_clients=2, seed=4)
-    assignments = slicing.assign_slices(common, rep_param_count=200, region_size=100, seed=6)
+    bits = watermark.random_bits(64, seed=4)
+    assignments = slicing.assign_slices(bits, 2, rep_param_count=200, region_size=100, seed=6)
     rep = embed_slice(assignments[0], 200)
     extracted = slicing.extract_slice(rep, assignments[0])
     assert watermark.detection_rate(assignments[0].bits, extracted) == 1.0
 
 
+def test_slice_detection_rate_scores_the_extracted_slice():
+    bits = watermark.random_bits(64, seed=4)
+    assignments = slicing.assign_slices(bits, 2, rep_param_count=200, region_size=100, seed=6)
+    rep = embed_slice(assignments[0], 200)
+    assert slicing.slice_detection_rate(rep, assignments[0]) == 1.0
+    for a in assignments:
+        expected = watermark.detection_rate(a.bits, slicing.extract_slice(rep, a))
+        assert slicing.slice_detection_rate(rep, a) == expected
+    with pytest.raises(ValueError):
+        slicing.slice_detection_rate(rep[:150], assignments[1])
+
+
 def test_wrong_matrix_reads_noise():
     """Random-projection oracle: a different client's matrix over the same
     region recovers nothing better than coin flips."""
-    common = slicing.generate_common_watermark(64, n_clients=2, seed=4)
-    assignments = slicing.assign_slices(common, rep_param_count=200, region_size=100, seed=6)
+    bits = watermark.random_bits(64, seed=4)
+    assignments = slicing.assign_slices(bits, 2, rep_param_count=200, region_size=100, seed=6)
     rep = embed_slice(assignments[0], 200)
     rates = []
     for wrong_seed in range(20):
@@ -122,8 +135,8 @@ def test_wrong_matrix_reads_noise():
 
 
 def test_zeroed_region_extracts_zero_bits():
-    common = slicing.generate_common_watermark(16, n_clients=2, seed=1)
-    assignments = slicing.assign_slices(common, rep_param_count=64, region_size=32, seed=2)
+    bits = watermark.random_bits(16, seed=1)
+    assignments = slicing.assign_slices(bits, 2, rep_param_count=64, region_size=32, seed=2)
     rep = np.random.default_rng(0).standard_normal(64)
     rep[assignments[1].region_start : assignments[1].region_stop] = 0.0
     np.testing.assert_array_equal(
@@ -132,8 +145,8 @@ def test_zeroed_region_extracts_zero_bits():
 
 
 def test_extract_slice_checks_bounds():
-    common = slicing.generate_common_watermark(16, n_clients=2, seed=1)
-    assignments = slicing.assign_slices(common, rep_param_count=64, region_size=32, seed=2)
+    bits = watermark.random_bits(16, seed=1)
+    assignments = slicing.assign_slices(bits, 2, rep_param_count=64, region_size=32, seed=2)
     with pytest.raises(ValueError):
         slicing.extract_slice(np.zeros(40), assignments[1])
 
@@ -144,8 +157,8 @@ def test_extract_slice_checks_bounds():
 def test_slice_gradient_is_confined_to_the_region():
     """Non-interference: descent on the slice loss never moves a parameter
     outside the owner's region."""
-    common = slicing.generate_common_watermark(32, n_clients=2, seed=7)
-    assignments = slicing.assign_slices(common, rep_param_count=120, region_size=60, seed=8)
+    bits = watermark.random_bits(32, seed=7)
+    assignments = slicing.assign_slices(bits, 2, rep_param_count=120, region_size=60, seed=8)
     target = assignments[1]
     rep = np.random.default_rng(3).standard_normal(120)
     before = rep.copy()
@@ -162,8 +175,8 @@ def test_slice_gradient_is_confined_to_the_region():
 
 
 def test_slice_loss_override_bits():
-    common = slicing.generate_common_watermark(16, n_clients=2, seed=9)
-    assignments = slicing.assign_slices(common, rep_param_count=64, region_size=32, seed=0)
+    bits = watermark.random_bits(16, seed=9)
+    assignments = slicing.assign_slices(bits, 2, rep_param_count=64, region_size=32, seed=0)
     rep = np.random.default_rng(1).standard_normal(64)
     own_loss, _ = slicing.slice_loss_and_grad(rep, assignments[0])
     flipped_loss, _ = slicing.slice_loss_and_grad(rep, assignments[0], bits=1 - assignments[0].bits)
@@ -173,8 +186,8 @@ def test_slice_loss_override_bits():
 
 
 def test_slice_gradient_only_matches_the_loss_path():
-    common = slicing.generate_common_watermark(16, n_clients=2, seed=9)
-    assignments = slicing.assign_slices(common, rep_param_count=64, region_size=32, seed=0)
+    bits = watermark.random_bits(16, seed=9)
+    assignments = slicing.assign_slices(bits, 2, rep_param_count=64, region_size=32, seed=0)
     rep = np.random.default_rng(1).standard_normal(64)
     for bits in (None, 1 - assignments[1].bits):  # the true slice, then an override
         loss, grad = slicing.slice_loss_and_grad(rep, assignments[1], bits)
@@ -187,8 +200,8 @@ def test_slice_gradient_only_matches_the_loss_path():
 
 
 def test_manifest_round_trip(tmp_path):
-    common = slicing.generate_common_watermark(100, n_clients=3, seed=11)
-    assignments = slicing.assign_slices(common, rep_param_count=300, region_size=100, seed=12)
+    bits = watermark.random_bits(100, seed=11)
+    assignments = slicing.assign_slices(bits, 3, rep_param_count=300, region_size=100, seed=12)
     path = tmp_path / "slices.manifest"
     slicing.write_manifest(assignments, path)
     loaded = slicing.read_manifest(path)
