@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import os
+import string
 import sys
 
 import numpy as np
@@ -118,9 +119,10 @@ def cmd_train(config: RunConfig) -> int:
 
 def _private_spec(private: dict, layer_specs, head_start: int, client_id) -> PrivateWatermarkSpec:
     """A client's private mark, which must cover exactly the head layers, with
-    one non-negative matrix seed per head layer and a positive bit count that
-    packs into the bytes of `bits_hex`. Integers are checked by type, as a
-    JSON `true` or `false` loads as an int."""
+    one non-negative matrix seed per head layer, a hex string `bits_hex`, and
+    a bit count of at least one bit per head layer that packs into its
+    bytes. Integers are checked by type, as a JSON `true` or `false` loads
+    as an int."""
     head = list(range(head_start, len(layer_specs)))
     sizes = [layer_specs[k].flat_size for k in head]
     for key, expected in (("target_layers", head), ("layer_sizes", sizes)):
@@ -136,10 +138,12 @@ def _private_spec(private: dict, layer_specs, head_start: int, client_id) -> Pri
             "non-negative integers, one per head layer"
         )
     bits_len, bits_hex = private["bits_len"], private["bits_hex"]
-    if type(bits_len) is not int or bits_len < 1 or 2 * ((bits_len + 7) // 8) != len(bits_hex):
+    if type(bits_hex) is not str or not set(bits_hex) <= set(string.hexdigits):
+        raise ValueError(f"keys.json client {client_id}: private bits_hex {bits_hex!r} must be a hex string")
+    if type(bits_len) is not int or bits_len < len(head) or 2 * ((bits_len + 7) // 8) != len(bits_hex):
         raise ValueError(
-            f"keys.json client {client_id}: private bits_len {bits_len!r} must be a positive integer "
-            f"that packs into the {len(bits_hex) // 2} bytes of bits_hex"
+            f"keys.json client {client_id}: private bits_len {bits_len!r} must be an integer of at least "
+            f"one bit per head layer ({len(head)}) that packs into the {len(bits_hex) // 2} bytes of bits_hex"
         )
     return PrivateWatermarkSpec(hex_to_bits(bits_hex, bits_len), tuple(sizes), tuple(seeds))
 

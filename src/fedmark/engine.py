@@ -54,6 +54,7 @@ from .watermark import (
     make_private_spec,
     private_embedding_loss_and_grads,
     random_bits,
+    stack_private_marks,
 )
 
 
@@ -217,12 +218,12 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     head epochs train the view of its head columns over features computed
     once per shard, the representation epoch the whole stack. Each main-task
     step runs on the stack rows that still have a batch at that step,
-    grouped by batch length, with one private-mark call on their head rows. The
-    feature pass and the scoring run once per group of equal shard lengths,
-    not padded: a one-row product takes another BLAS path. Each client draws
-    its batch orders from its own generator and gets its watermark gradients
-    from its own stack row, as when it trains alone. The trained rows are
-    scored, then written back into each `client.model`.
+    grouped by batch length, with one private-mark call on their head rows
+    and marks, stacked once per round. The feature pass and the scoring run
+    once per group of equal shard lengths, not padded: a one-row product
+    takes another BLAS path. Each client draws its batch orders from its own
+    generator and its watermark gradients from its own stack row, as alone.
+    The trained rows are scored, then written back into each `client.model`.
     """
     first = clients[0].model
     stack = nn.Model(first.specs, np.stack([c.model.params for c in clients]), first.head_start)
@@ -236,7 +237,7 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     steps = _cohort_steps(sizes, config.batch_size)
     shards = _cohort_steps(sizes, sizes[0])  # one (0, length, a, b) per shard length
     row_ids = np.arange(len(clients))[:, None]
-    privates = [c.private for c in clients]
+    privates = [c.private for c in clients]  # a run gives every client a mark, or none
 
     def buffer(*shape, dtype=np.float64):
         """One row per client; rows of shorter shards leave their tail unread."""
@@ -264,10 +265,11 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
         nn.apply_sgd(cohort.params[:, part], grads[:, part], config.lr)
 
     def add_private(a, b, grads):
-        if config.embed_strength == 0.0 or all(p is None for p in privates[a:b]):
+        if marks is None:
             return
         cohort = head_rows(a, b)
-        _, flat_grads = private_embedding_loss_and_grads(cohort, privates[a:b], with_loss=False)
+        rows_marks = [None if m is None else (m[0][a:b], m[1][a:b]) for m in marks]
+        _, flat_grads = private_embedding_loss_and_grads(cohort, rows_marks, with_loss=False)
         for layer_id, flat in flat_grads.items():
             grads[:, cohort.offsets[layer_id] : cohort.offsets[layer_id + 1]] += config.embed_strength * flat
 
@@ -290,11 +292,12 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     rep_rows = rows(stack.view(0, head_start))
     features = buffer(specs[head_start].input_dim)
     for _, n, a, b in shards:
-        features[a:b, :n] = nn.forward(rep_rows(a, b), inputs[a:b, :n], with_cache=False)[0]
+        nn.forward(rep_rows(a, b), inputs[a:b, :n], with_cache=False, out=features[a:b, :n])
+    marks = stack_private_marks(privates) if config.embed_strength != 0.0 and privates[0] is not None else None
     head_rows = rows(stack.view(head_start, stack.num_layers))
     for _ in range(config.head_epochs):
         epoch(head_rows, features, add_private, slice(None))
-    del features
+    del features, marks
 
     targets = [_slice_target(c, config, round_index) for c in clients]
     epoch(stack_rows, inputs, add_slice, slice(0, rep_size))

@@ -171,12 +171,13 @@ def init_model(specs: list[LayerSpec], seed: int, head_start: int | None = None)
     return Model(specs=list(specs), params=np.concatenate(pieces), head_start=head_start)
 
 
-def forward(model: Model, inputs: np.ndarray, *, with_cache: bool = True) -> tuple[np.ndarray, list | None]:
+def forward(model: Model, inputs: np.ndarray, *, with_cache: bool = True, out=None) -> tuple[np.ndarray, list | None]:
     """Run the network, returning (logits, cache) where cache holds each
     layer's input and pre-activation for the backward pass. A cohort takes
     (C, batch, d) inputs, one batch per model. With `with_cache=False` the
     cache is None and each ReLU runs in place, so at most two activations
-    are alive at a time; the logits are the same bits."""
+    are alive at a time; the logits are the same bits, written into `out`
+    if it is given."""
     x = np.asarray(inputs, dtype=np.float64)
     lead = model.params.shape[:-1]
     if x.ndim != len(lead) + 2 or x.shape[-1] != model.specs[0].input_dim:
@@ -184,8 +185,9 @@ def forward(model: Model, inputs: np.ndarray, *, with_cache: bool = True) -> tup
             f"inputs must have shape {(*lead, 'batch', model.specs[0].input_dim)}, got {x.shape}"
         )
     cache = [] if with_cache else None
-    for spec, w, b in zip(model.specs, model.weights, model.biases):
-        z = np.matmul(x, w)
+    last = model.num_layers - 1
+    for k, (spec, w, b) in enumerate(zip(model.specs, model.weights, model.biases)):
+        z = np.matmul(x, w, out=out if k == last and not with_cache else None)
         z += b[..., None, :]
         if with_cache:
             cache.append((x, z))

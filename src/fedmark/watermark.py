@@ -112,6 +112,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
+def _embedding_kernel(params, matrix, bits, with_loss):
+    """`embedding_loss_and_grad` unchecked, on (..., r) params, (..., r, c)
+    matrices and (..., c) bits: one product per vector, in the operand layout
+    of `extract_bits`, so row i of a stack gives bit for bit what it alone gives."""
+    proj = np.matmul(matrix.swapaxes(-1, -2), params[..., None])[..., 0]
+    # float64 minus the uint8 bits promotes to the same values a float copy holds
+    grad = np.matmul(matrix, (_sigmoid(proj) - bits)[..., None])[..., 0] / bits.shape[-1]
+    if not with_loss:
+        return None, grad
+    # log(sigmoid(p)) = -softplus(-p); log(1 - sigmoid(p)) = -softplus(p)
+    softplus = np.logaddexp(0.0, proj)
+    per_bit = bits * (softplus - proj) + (1.0 - bits) * softplus
+    return per_bit.mean(axis=-1), grad
+
+
 def embedding_loss_and_grad(params_flat, matrix, bits, *, with_loss: bool = True):
     """Mean binary cross-entropy between sigmoid(projections) and the bits
     (None unless `with_loss`), with its exact gradient in parameter space.
@@ -120,22 +135,13 @@ def embedding_loss_and_grad(params_flat, matrix, bits, *, with_loss: bool = True
     matrix @ (sigmoid(proj) - bits) / len(bits).
     """
     params_flat = np.asarray(params_flat, dtype=np.float64)
-    # float64 minus the uint8 bits promotes to the same values a float copy holds
     bits = np.asarray(bits)
     if bits.ndim != 1 or len(bits) == 0:
         raise ValueError("bits must be a non-empty 1-d vector")
-    if matrix.shape != (len(params_flat), len(bits)):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match {len(params_flat)} params x {len(bits)} bits"
-        )
-    proj = matrix.T @ params_flat
-    grad = matrix @ (_sigmoid(proj) - bits) / len(bits)
-    if not with_loss:
-        return None, grad
-    # log(sigmoid(p)) = -softplus(-p); log(1 - sigmoid(p)) = -softplus(p)
-    softplus = np.logaddexp(0.0, proj)
-    per_bit = bits * (softplus - proj) + (1.0 - bits) * softplus
-    return float(per_bit.mean()), grad
+    if params_flat.ndim != 1 or matrix.shape != (len(params_flat), len(bits)):
+        raise ValueError(f"matrix shape {matrix.shape} does not fit {params_flat.shape} params x {len(bits)} bits")
+    loss, grad = _embedding_kernel(params_flat, matrix, bits, with_loss)
+    return (float(loss) if with_loss else None), grad
 
 
 @dataclass(frozen=True)
@@ -169,31 +175,28 @@ def make_private_spec(bits, layer_sizes, key_seed: int) -> PrivateWatermarkSpec:
     return PrivateWatermarkSpec(bits, layer_sizes, seeds)
 
 
-def private_embedding_loss_and_grads(model, specs, *, with_loss: bool = True):
-    """Total head-mark embedding loss (None unless `with_loss`) plus flat
-    gradients per head layer, for one model and its spec, or (C,) losses
-    and (C, layer size) gradients for a cohort and one spec (or None) per
-    row; a row without that layer's mark gets zeros. Gradients are keyed by
-    the model's own layer ids. Each row and layer is its own
-    `embedding_loss_and_grad` call on a 2-D matrix."""
-    one = model.params.ndim == 1
-    specs = [specs] if one else list(specs)
-    rows = model.params.reshape(len(specs), -1)
-    losses, flat_grads = np.zeros(len(specs)), {}
-    for i, spec in enumerate(specs):
-        if spec is None:
-            continue
-        for pos, (layer_id, segment) in enumerate(zip(model.head_layer_ids, spec.segments, strict=True)):
-            if len(segment) == 0:
-                continue
-            lo, hi = model.offsets[layer_id], model.offsets[layer_id + 1]
-            grads = flat_grads.setdefault(layer_id, np.zeros((len(specs), hi - lo)))
-            loss, grads[i] = embedding_loss_and_grad(rows[i, lo:hi], spec.matrix(pos), segment, with_loss=with_loss)
-            if with_loss:
-                losses[i] += loss
-    if one:
-        return (float(losses[0]) if with_loss else None), {k: g[0] for k, g in flat_grads.items()}
-    return (losses if with_loss else None), flat_grads
+def stack_private_marks(specs) -> list:
+    """Per head layer, the (C, r, c) projection matrices and (C, c) segment bits
+    of C marks of one shape, or None where the layer's segment has no bits."""
+    return [
+        (np.stack([s.matrix(k) for s in specs]), np.stack([s.segments[k] for s in specs])) if len(segment) else None
+        for k, segment in enumerate(specs[0].segments)
+    ]
+
+
+def private_embedding_loss_and_grads(model, marks, *, with_loss: bool = True):
+    """Total head-mark embedding loss (None unless `with_loss`) plus a flat
+    gradient per head layer, keyed by the model's own layer ids, for one model
+    and its spec, or (C,) losses and (C, layer size) gradients for a (C, P)
+    cohort and its `stack_private_marks`: one kernel call per layer with bits."""
+    if isinstance(marks, PrivateWatermarkSpec):
+        marks = [(marks.matrix(pos), s) if len(s) else None for pos, s in enumerate(marks.segments)]
+    loss, flat_grads = 0.0, {}
+    for layer_id, mark in zip(model.head_layer_ids, marks, strict=True):
+        if mark is not None:
+            part, flat_grads[layer_id] = _embedding_kernel(model.layer_flat(layer_id), *mark, with_loss)
+            loss = loss + part if with_loss else None
+    return loss, flat_grads
 
 
 def extract_private_bits(model, spec: PrivateWatermarkSpec) -> np.ndarray:

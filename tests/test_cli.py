@@ -300,18 +300,36 @@ def test_heatmap_rejects_private_layer_sizes_that_do_not_match_the_model(tiny_cf
         ("matrix_seeds", [True]),
         ("matrix_seeds", [1.5]),
         ("matrix_seeds", 5),
+        ("bits_hex", 123),
+        ("bits_hex", None),
+        ("bits_hex", "zz12ab"),
+        ("bits_hex", "ab cd "),
     ],
 )
 def test_heatmap_rejects_a_bad_private_bits_len_or_matrix_seeds(tiny_cfg_file, tmp_path, capsys, key, value):
-    """A 24-bit mark packs into the 3 bytes of bits_hex, and the one-layer
-    head needs one non-negative integer seed; anything else ends in an error
-    line that names the client and the key."""
+    """A 24-bit mark packs into the 3 bytes of bits_hex, a hex string, and
+    the one-layer head needs one non-negative integer seed; anything else
+    ends in an error line that names the client and the key."""
     cli.main(["train", str(tiny_cfg_file)])
     _edit_private_key(tmp_path / "out", 1, lambda private: private.update({key: value}))
     capsys.readouterr()
     assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "client 1" in err and key in err
+    assert not (tmp_path / "out" / "heatmap.csv").exists()
+
+
+def test_heatmap_rejects_fewer_private_bits_than_head_layers(tmp_path, capsys):
+    """A mark needs one bit per head layer: in a two-layer-head run, a one-bit
+    mark ends in an error line that names the client and bits_len."""
+    cfg_path = tmp_path / "head2.cfg"
+    cfg_path.write_text(config_text(tiny_config(head_layers=2, output_dir=str(tmp_path / "out"))))
+    assert cli.main(["train", str(cfg_path)]) == 0
+    _edit_private_key(tmp_path / "out", 1, lambda private: private.update(bits_len=1, bits_hex="80"))
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "client 1" in err and "bits_len" in err
     assert not (tmp_path / "out" / "heatmap.csv").exists()
 
 

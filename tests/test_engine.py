@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import plain_fedrep_oracle, tiny_config
-from fedmark import cli, engine, nn
+from fedmark import cli, engine, nn, slicing, watermark
 from fedmark.attacks import attack_report, tamper_bits
 from fedmark.cli import write_run_artifacts
 from fedmark.config import RunConfig
@@ -463,3 +463,23 @@ def test_disabling_watermarks_reproduces_plain_federated_training():
     for client, head in zip(result.clients, oracle_heads):
         np.testing.assert_array_equal(head_of(client), head)
     assert result.server.assignments == ()
+
+
+def test_embedding_kernel_calls_take_one_vector_and_a_2d_matrix(monkeypatch):
+    """The benchmark's trace model of `embedding_loss_and_grad` reads a 2-d
+    (rows, cols) matrix. In a two-layer-head run with both marks, every call,
+    through its `watermark` or its `slicing` binding, gets a 1-d parameter
+    vector and a 2-d matrix."""
+    shapes = []
+    original = watermark.embedding_loss_and_grad
+
+    def spy(params, matrix, *args, **kwargs):
+        shapes.append((np.ndim(params), np.ndim(matrix)))
+        return original(params, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(watermark, "embedding_loss_and_grad", spy)
+    monkeypatch.setattr(slicing, "embedding_loss_and_grad", spy)
+    config = tiny_config(head_layers=2, embed_strength=3.0, rounds=2)
+    assert config.private_bits > 0 and config.slice_total_bits > 0
+    engine.run_training(config)
+    assert shapes and set(shapes) == {(1, 2)}

@@ -100,11 +100,17 @@ def test_forward_zero_weights_zero_logits():
 
 
 def test_forward_without_cache_gives_the_same_logits():
+    """Also into `out`, here a strided view of a larger buffer, as the
+    cohort feature pass writes a short shard's rows."""
     model = nn.init_model(small_specs(), seed=5)
     x = np.random.default_rng(2).standard_normal((7, 5))
     logits, cache = nn.forward(model, x, with_cache=False)
     assert cache is None
     assert logits.tobytes() == nn.forward(model, x)[0].tobytes()
+    buffer = np.zeros((9, logits.shape[1] + 2))
+    out = buffer[:7, 1:-1]
+    assert nn.forward(model, x, with_cache=False, out=out)[0] is out
+    assert out.tobytes() == logits.tobytes() and not buffer[7:].any() and not buffer[:, [0, -1]].any()
 
 
 def test_forward_rejects_wrong_width():

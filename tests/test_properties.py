@@ -1,5 +1,6 @@
 """Property tests of the run's invariants: partitions, slice layouts, the key
-and manifest formats, the config file, the tamper flip count and cohort scoring."""
+and manifest formats, the config file, the tamper flip count, cohort scoring
+and stacked private-mark gradients."""
 
 import dataclasses
 import math
@@ -17,7 +18,16 @@ from fedmark.attacks import tamper_bits  # noqa: E402
 from fedmark.config import ConfigError, RunConfig, config_text, load_config, validate_config  # noqa: E402
 from fedmark.data import partition_dirichlet, partition_k_labels  # noqa: E402
 from fedmark.slicing import SliceAssignment, assign_slices, read_manifest, write_manifest  # noqa: E402
-from fedmark.watermark import bits_to_hex, hex_to_bits  # noqa: E402
+from fedmark.watermark import (  # noqa: E402
+    _sigmoid,
+    bits_to_hex,
+    embedding_loss_and_grad,
+    hex_to_bits,
+    make_private_spec,
+    private_embedding_loss_and_grads,
+    random_bits,
+    stack_private_marks,
+)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -248,3 +258,49 @@ def test_stacked_accuracy_rows_equal_the_one_model_scores(rows, n, classes, seed
     assert stacked.shape == (rows,) and stacked.tolist() == alone
     if broken is not None and broken < rows:
         assert stacked[broken] == 0.0
+
+
+# --- stacked private-mark gradients -----------------------------------------------
+
+
+@PROPERTY
+@given(
+    st.integers(1, 5),
+    st.integers(1, 2),
+    st.integers(1, 30),
+    st.integers(2, 5),
+    st.integers(0, 2**32 - 1),
+)
+@example(rows=3, head_layers=1, n_bits=1, classes=3, seed=0)
+@example(rows=2, head_layers=2, n_bits=2, classes=2, seed=0)
+@example(rows=2, head_layers=2, n_bits=2, classes=5, seed=0)
+def test_stacked_private_gradients_equal_the_one_vector_kernel(rows, head_layers, n_bits, classes, seed):
+    """Row i of the losses and gradients that a cohort's head view gets from
+    its stacked marks is, bit for bit, the sum over row i's head layers of
+    the one-vector `embedding_loss_and_grad` with its own mark, whose
+    gradient is the plain 2-d products `M @ (sigmoid(M.T @ p) - bits) / c`.
+    The examples give one-bit segments, (r, 1) matrices, and a two-layer
+    head whose first segment has no bits."""
+    assume(n_bits >= head_layers)
+    rng = np.random.default_rng(seed)
+    specs = nn.build_layer_specs(3, (4, 5), classes)
+    head_start = len(specs) - head_layers
+    full = nn.Model(specs, rng.standard_normal((rows, nn.init_model(specs, 0).params.size)), head_start)
+    heads = full.view(head_start, len(specs))
+    sizes = [specs[k].flat_size for k in full.head_layer_ids]
+    marks = [make_private_spec(random_bits(n_bits, seed + i), sizes, seed + i) for i in range(rows)]
+    losses, grads = private_embedding_loss_and_grads(heads, stack_private_marks(marks))
+    none, fast = private_embedding_loss_and_grads(heads, stack_private_marks(marks), with_loss=False)
+    assert none is None and fast.keys() == grads.keys()
+    for i, mark in enumerate(marks):
+        loss = 0.0
+        for pos, (layer_id, segment) in enumerate(zip(heads.head_layer_ids, mark.segments)):
+            if not len(segment):
+                assert layer_id not in grads
+                continue
+            params, matrix = full.layer_flat(head_start + pos)[i], mark.matrix(pos)
+            part, grad = embedding_loss_and_grad(params, matrix, segment)
+            loss += part
+            plain = matrix @ (_sigmoid(matrix.T @ params) - segment) / len(segment)
+            assert grads[layer_id][i].tobytes() == fast[layer_id][i].tobytes() == grad.tobytes() == plain.tobytes()
+        assert losses[i] == loss

@@ -310,26 +310,27 @@ def test_private_embedding_gradient_only_matches_the_loss_path():
 
 
 def test_private_embedding_rows_match_the_one_model_calls():
-    """A cohort call gives row i's losses and gradients of row i alone, bit
-    for bit, and zeros for a row without a mark."""
+    """A cohort call on its stacked marks gives row i's losses and gradients
+    of row i alone with its own mark, bit for bit."""
     model = head_model()
     sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
     head_ids = list(model.head_layer_ids)
     specs = [
-        watermark.make_private_spec(watermark.random_bits(21, seed=s), sizes, key_seed=s) for s in (1, 2)
+        watermark.make_private_spec(watermark.random_bits(21, seed=s), sizes, key_seed=s) for s in (1, 2, 3)
     ]
+    marks = watermark.stack_private_marks(specs)
+    assert [(matrix.shape, bits.shape) for matrix, bits in marks] == [((3, 45, 15), (3, 15)), ((3, 18, 6), (3, 6))]
     rows = np.stack([model.params, model.params + 0.1, model.params - 0.2])
     cohort = nn.Model(model.specs, rows, model.head_start)
-    losses, grads = watermark.private_embedding_loss_and_grads(cohort, [specs[0], None, specs[1]])
-    none, fast = watermark.private_embedding_loss_and_grads(cohort, [specs[0], None, specs[1]], with_loss=False)
+    losses, grads = watermark.private_embedding_loss_and_grads(cohort, marks)
+    none, fast = watermark.private_embedding_loss_and_grads(cohort, marks, with_loss=False)
     assert none is None and fast.keys() == grads.keys() == set(head_ids)
-    for i, spec in ((0, specs[0]), (2, specs[1])):
+    for i, spec in enumerate(specs):
         loss, alone = watermark.private_embedding_loss_and_grads(nn.Model(model.specs, rows[i], 1), spec)
         assert losses[i] == loss
         for layer_id in head_ids:
             assert grads[layer_id].shape == (3, model.specs[layer_id].flat_size)
             assert grads[layer_id][i].tobytes() == alone[layer_id].tobytes() == fast[layer_id][i].tobytes()
-    assert losses[1] == 0.0 and all(not g[1].any() for g in grads.values())
 
 
 def test_private_reads_of_a_cohort_equal_the_one_model_reads():
@@ -358,10 +359,14 @@ def test_private_reads_of_a_cohort_equal_the_one_model_reads():
 @pytest.mark.parametrize("sizes", [[45], [18, 45], [45, 18, 45]])
 def test_private_mark_must_fit_the_head_it_is_read_from(sizes):
     """A mark made for other head layers than the model's (here 45 and 18
-    parameters) fails to read or embed, rather than covering part of it."""
+    parameters) fails to read or embed, rather than covering part of it, in
+    one model and, stacked, in a cohort."""
     model = head_model()
     spec = watermark.make_private_spec(watermark.random_bits(21, seed=1), sizes, key_seed=1)
     with pytest.raises(ValueError):
         watermark.extract_private_bits(model, spec)
     with pytest.raises(ValueError):
         watermark.private_embedding_loss_and_grads(model, spec)
+    cohort = nn.Model(model.specs, np.stack([model.params, model.params]), model.head_start)
+    with pytest.raises(ValueError):
+        watermark.private_embedding_loss_and_grads(cohort, watermark.stack_private_marks([spec, spec]))
