@@ -14,6 +14,7 @@ import json
 import os
 import string
 import sys
+import zipfile
 
 import numpy as np
 
@@ -120,9 +121,9 @@ def cmd_train(config: RunConfig) -> int:
 def _private_spec(private: dict, layer_specs, head_start: int, client_id) -> PrivateWatermarkSpec:
     """A client's private mark, which must cover exactly the head layers, with
     one non-negative matrix seed per head layer, a hex string `bits_hex`, and
-    a bit count of at least one bit per head layer that packs into its
-    bytes. Integers are checked by type, as a JSON `true` or `false` loads
-    as an int."""
+    a bit count that packs into its bytes and whose proportional split gives
+    every head layer a bit. Integers are checked by type, as a JSON `true` or
+    `false` loads as an int."""
     head = list(range(head_start, len(layer_specs)))
     sizes = [layer_specs[k].flat_size for k in head]
     for key, expected in (("target_layers", head), ("layer_sizes", sizes)):
@@ -140,12 +141,17 @@ def _private_spec(private: dict, layer_specs, head_start: int, client_id) -> Pri
     bits_len, bits_hex = private["bits_len"], private["bits_hex"]
     if type(bits_hex) is not str or not set(bits_hex) <= set(string.hexdigits):
         raise ValueError(f"keys.json client {client_id}: private bits_hex {bits_hex!r} must be a hex string")
-    if type(bits_len) is not int or bits_len < len(head) or 2 * ((bits_len + 7) // 8) != len(bits_hex):
+    if type(bits_len) is not int or 2 * ((bits_len + 7) // 8) != len(bits_hex):
         raise ValueError(
-            f"keys.json client {client_id}: private bits_len {bits_len!r} must be an integer of at least "
-            f"one bit per head layer ({len(head)}) that packs into the {len(bits_hex) // 2} bytes of bits_hex"
+            f"keys.json client {client_id}: private bits_len {bits_len!r} must be an integer "
+            f"that packs into the {len(bits_hex) // 2} bytes of bits_hex"
         )
-    return PrivateWatermarkSpec(hex_to_bits(bits_hex, bits_len), tuple(sizes), tuple(seeds))
+    try:  # the fields align and the bits unpack, so only the split can fail
+        return PrivateWatermarkSpec(hex_to_bits(bits_hex, bits_len), tuple(sizes), tuple(seeds))
+    except ValueError as err:
+        raise ValueError(
+            f"keys.json client {client_id}: private bits_len {bits_len} must give every head layer a bit: {err}"
+        ) from None
 
 
 def _check_model_keys(keys) -> None:
@@ -172,12 +178,16 @@ def _load_run_models(run_dir: str):
         head_start = len(specs) - keys["head_layers"]
         entries = keys["clients"]
         heads = [f"head_{entry['client_id']}" for entry in entries]
-        with np.load(os.path.join(run_dir, "models.npz")) as arrays:
-            missing = sorted({"rep_flat", *heads} - set(arrays.files))
-            if missing:
-                raise ValueError(f"models.npz lacks the arrays {', '.join(missing)}")
-            rep = arrays["rep_flat"]
-            models = [nn.Model(list(specs), np.concatenate([rep, arrays[head]]), head_start) for head in heads]
+        try:  # np.load reads a truncated archive or a foreign file as one of these
+            with np.load(os.path.join(run_dir, "models.npz")) as archive:
+                arrays = {name: archive[name] for name in ["rep_flat", *heads] if name in archive.files}
+        except (EOFError, ValueError, zipfile.BadZipFile) as err:
+            raise ValueError(f"models.npz is not a readable .npz archive: {err}") from None
+        missing = sorted({"rep_flat", *heads} - arrays.keys())
+        if missing:
+            raise ValueError(f"models.npz lacks the arrays {', '.join(missing)}")
+        rep = arrays["rep_flat"]
+        models = [nn.Model(list(specs), np.concatenate([rep, arrays[head]]), head_start) for head in heads]
         # after the models, which name the total length when an array is cut short
         rep_size = sum(spec.flat_size for spec in specs[:head_start])
         if len(rep) != rep_size:

@@ -5,8 +5,9 @@ import math
 import os
 from dataclasses import dataclass
 
-from .data import IDX_IMAGES_MAGIC, read_idx
+from .data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, read_idx
 from .nn import build_layer_specs
+from .watermark import segment_lengths
 
 OUTPUT_ROOT_ENV = "FEDMARK_OUTPUT_ROOT"
 
@@ -167,11 +168,6 @@ def validate_config(config: RunConfig) -> None:
             f"slice_total_bits ({config.slice_total_bits}) must be at least n_clients "
             f"({config.n_clients}) to give every client a slice"
         )
-    if 0 < config.private_bits < config.head_layers:
-        problems.append(
-            f"private_bits ({config.private_bits}) must be at least head_layers "
-            f"({config.head_layers}) to mark every head layer"
-        )
     if config.dataset not in ("blobs", "idx"):
         problems.append(f"dataset must be 'blobs' or 'idx', got {config.dataset!r}")
     if config.dataset == "idx" and not (config.idx_images and config.idx_labels):
@@ -211,6 +207,17 @@ def validate_config(config: RunConfig) -> None:
         # config.txt holds one key=value per line and its reader strips each value
         if isinstance(f.default, str) and (value != value.strip() or len(value.splitlines()) > 1):
             problems.append(f"{f.name} must not start or end with whitespace or hold a line break, got {value!r}")
+    if not problems and config.private_bits > 0 and config.head_layers > 1:
+        # the input width sizes only the first layer, which is never in the head
+        try:  # an idx run reads its class count from the label file, as `load_idx` does
+            classes = config.blob_classes if blobs else max(read_idx(config.idx_labels, IDX_LABELS_MAGIC, 1)[1]) + 1
+        except (OSError, ValueError) as err:  # only an idx label file can fail here
+            raise ConfigError(f"idx_labels: {err}") from None
+        specs = build_layer_specs(1, config.hidden_dims, classes)
+        try:
+            segment_lengths(config.private_bits, [spec.flat_size for spec in specs[-config.head_layers :]])
+        except ValueError as err:
+            problems.append(f"private_bits ({config.private_bits}) must give every head layer a bit: {err}")
     if not problems and config.slice_total_bits > 0:
         # the class count sizes only the head, so the input width fixes the representation
         try:  # an idx run reads its input width from the 16-byte image header

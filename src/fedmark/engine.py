@@ -268,7 +268,7 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
         if marks is None:
             return
         cohort = head_rows(a, b)
-        rows_marks = [None if m is None else (m[0][a:b], m[1][a:b]) for m in marks]
+        rows_marks = [(matrices[a:b], bits[a:b]) for matrices, bits in marks]
         _, flat_grads = private_embedding_loss_and_grads(cohort, rows_marks, with_loss=False)
         for layer_id, flat in flat_grads.items():
             grads[:, cohort.offsets[layer_id] : cohort.offsets[layer_id + 1]] += config.embed_strength * flat

@@ -5,9 +5,10 @@ matrix: training adds a sigmoid cross-entropy penalty that pushes each
 projection toward the sign demanded by its bit, and extraction thresholds
 the projections at zero. Projection matrices are regenerable from their
 seed, so keys ship as (seed, rows, cols) triples rather than dense arrays.
-A private mark covers every head layer, in order: its reads and gradients
-walk the head layers of the model they are given, one model or a (C, P)
-cohort, whole or head-only, and a cohort row holds the bits of its model alone.
+A private mark covers every head layer, in order, with at least one bit in
+each (`segment_lengths`): its reads and gradients walk the head layers of
+the model they are given, one model or a (C, P) cohort, whole or head-only,
+and a cohort row holds the bits of its model alone.
 """
 
 import functools
@@ -37,29 +38,28 @@ def hex_to_bits(text: str, length: int) -> np.ndarray:
     return unpacked[:length].astype(np.uint8)
 
 
-def split_watermark(bits: np.ndarray, layer_sizes) -> list[np.ndarray]:
-    """Divide a watermark across layers in proportion to layer size.
-
-    Layer k receives floor(size_k / total_size * len(bits)) bits; the last
-    layer absorbs the remainder so no bit is dropped.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
+def segment_lengths(n_bits: int, layer_sizes) -> list[int]:
+    """Bits per layer of an n_bits watermark divided in proportion to layer
+    size: layer k receives floor(size_k / total_size * n_bits) bits, and the
+    last layer the remainder, so no bit is dropped. Raises unless every layer
+    receives at least one bit."""
     layer_sizes = list(layer_sizes)
     if not layer_sizes:
         raise ValueError("layer_sizes must be non-empty")
     if any(s <= 0 for s in layer_sizes):
         raise ValueError("layer sizes must be positive")
-    if len(bits) < len(layer_sizes):
-        raise ValueError(f"{len(bits)} bits cannot cover {len(layer_sizes)} layers")
     total = sum(layer_sizes)
-    counts = [len(bits) * s // total for s in layer_sizes[:-1]]
-    counts.append(len(bits) - sum(counts))
-    segments = []
-    offset = 0
-    for c in counts:
-        segments.append(bits[offset : offset + c])
-        offset += c
-    return segments
+    counts = [n_bits * s // total for s in layer_sizes[:-1]]
+    counts.append(n_bits - sum(counts))
+    if min(counts) < 1:
+        raise ValueError(f"{n_bits} bits over layers of {layer_sizes} params split as {counts}, leaving a layer no bit")
+    return counts
+
+
+def split_watermark(bits: np.ndarray, layer_sizes) -> list[np.ndarray]:
+    """Divide a watermark across layers into segments of `segment_lengths`."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return np.split(bits, np.cumsum(segment_lengths(len(bits), layer_sizes))[:-1])
 
 
 def gen_embedding_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -69,10 +69,11 @@ def gen_embedding_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((rows, cols))
 
 
-@functools.lru_cache(maxsize=512)
+@functools.cache
 def cached_embedding_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """Read-only cached variant for hot training loops; regeneration from the
-    seed every SGD step would dominate the run time."""
+    seed every SGD step would dominate the run time. The cache never evicts:
+    each matrix is generated once and kept for the life of the process."""
     matrix = gen_embedding_matrix(rows, cols, seed)
     matrix.flags.writeable = False
     return matrix
@@ -147,7 +148,7 @@ def embedding_loss_and_grad(params_flat, matrix, bits, *, with_loss: bool = True
 @dataclass(frozen=True)
 class PrivateWatermarkSpec:
     """A client's head watermark: the bits, and the parameter count and
-    projection matrix seed of each head layer (matrices regenerate on demand)."""
+    projection matrix seed of each head layer (matrices come from the cache)."""
 
     bits: np.ndarray
     layer_sizes: tuple
@@ -156,6 +157,7 @@ class PrivateWatermarkSpec:
     def __post_init__(self):
         if len(self.layer_sizes) != len(self.matrix_seeds):
             raise ValueError("layer_sizes and matrix_seeds must align")
+        self.segments  # split now: every layer must get a bit
 
     @functools.cached_property
     def segments(self) -> list[np.ndarray]:
@@ -170,17 +172,16 @@ def make_private_spec(bits, layer_sizes, key_seed: int) -> PrivateWatermarkSpec:
     """Build a head watermark spec, deriving one matrix seed per head layer."""
     bits = np.asarray(bits, dtype=np.uint8)
     layer_sizes = tuple(int(s) for s in layer_sizes)
-    split_watermark(bits, layer_sizes)  # validates the split up front
     seeds = tuple(derive_seed(key_seed, pos) for pos in range(len(layer_sizes)))
     return PrivateWatermarkSpec(bits, layer_sizes, seeds)
 
 
 def stack_private_marks(specs) -> list:
-    """Per head layer, the (C, r, c) projection matrices and (C, c) segment bits
-    of C marks of one shape, or None where the layer's segment has no bits."""
+    """Per head layer, the (C, r, c) projection matrices and (C, c) segment
+    bits of C marks of one shape."""
     return [
-        (np.stack([s.matrix(k) for s in specs]), np.stack([s.segments[k] for s in specs])) if len(segment) else None
-        for k, segment in enumerate(specs[0].segments)
+        (np.stack([s.matrix(k) for s in specs]), np.stack([s.segments[k] for s in specs]))
+        for k in range(len(specs[0].segments))
     ]
 
 
@@ -188,14 +189,13 @@ def private_embedding_loss_and_grads(model, marks, *, with_loss: bool = True):
     """Total head-mark embedding loss (None unless `with_loss`) plus a flat
     gradient per head layer, keyed by the model's own layer ids, for one model
     and its spec, or (C,) losses and (C, layer size) gradients for a (C, P)
-    cohort and its `stack_private_marks`: one kernel call per layer with bits."""
+    cohort and its `stack_private_marks`: one kernel call per head layer."""
     if isinstance(marks, PrivateWatermarkSpec):
-        marks = [(marks.matrix(pos), s) if len(s) else None for pos, s in enumerate(marks.segments)]
+        marks = [(marks.matrix(pos), s) for pos, s in enumerate(marks.segments)]
     loss, flat_grads = 0.0, {}
     for layer_id, mark in zip(model.head_layer_ids, marks, strict=True):
-        if mark is not None:
-            part, flat_grads[layer_id] = _embedding_kernel(model.layer_flat(layer_id), *mark, with_loss)
-            loss = loss + part if with_loss else None
+        part, flat_grads[layer_id] = _embedding_kernel(model.layer_flat(layer_id), *mark, with_loss)
+        loss = loss + part if with_loss else None
     return loss, flat_grads
 
 
@@ -204,8 +204,7 @@ def extract_private_bits(model, spec: PrivateWatermarkSpec) -> np.ndarray:
     for a cohort: row i is what model i alone holds (see `extract_bits`)."""
     pieces = [
         extract_bits(model.layer_flat(layer_id), spec.matrix(pos))
-        for pos, (layer_id, segment) in enumerate(zip(model.head_layer_ids, spec.segments, strict=True))
-        if len(segment)
+        for layer_id, pos in zip(model.head_layer_ids, range(len(spec.layer_sizes)), strict=True)
     ]
     return np.concatenate(pieces, axis=-1)
 

@@ -333,6 +333,37 @@ def test_heatmap_rejects_fewer_private_bits_than_head_layers(tmp_path, capsys):
     assert not (tmp_path / "out" / "heatmap.csv").exists()
 
 
+def test_heatmap_rejects_a_private_bits_len_that_leaves_a_head_layer_empty(tmp_path, capsys):
+    """Over head layers of 48 and 51 params, two bits split as [0, 2]: more
+    bits than layers, but none for the first, so the error names the client
+    and bits_len."""
+    cfg_path = tmp_path / "head2.cfg"
+    narrow = tiny_config(hidden_dims=(2, 16), head_layers=2, slice_total_bits=0, output_dir=str(tmp_path / "out"))
+    cfg_path.write_text(config_text(narrow))
+    assert cli.main(["train", str(cfg_path)]) == 0
+    _edit_private_key(tmp_path / "out", 1, lambda private: private.update(bits_len=2, bits_hex="c0"))
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "client 1" in err and "bits_len" in err and "[0, 2]" in err
+    assert not (tmp_path / "out" / "heatmap.csv").exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty"])
+def test_heatmap_rejects_a_models_npz_that_is_no_archive(tiny_cfg_file, tmp_path, capsys, damage):
+    """A cut-short archive, a file of other bytes and an empty file each end
+    in one error line that names models.npz, not in a traceback."""
+    cli.main(["train", str(tiny_cfg_file)])
+    path = tmp_path / "out" / "models.npz"
+    contents = {"truncated": path.read_bytes()[:100], "garbage": b"not an archive\n" * 8, "empty": b""}
+    path.write_bytes(contents[damage])
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "models.npz" in err and err.count("\n") == 1
+    assert not (tmp_path / "out" / "heatmap.csv").exists()
+
+
 def test_heatmap_matches_a_per_pair_reference(tmp_path):
     """A two-layer head splits each mark into two segments, and the short
     run leaves the marks imperfect, so the cells differ from one another."""

@@ -111,6 +111,12 @@ def test_validate_needs_a_private_bit_per_head_layer():
     no_slices = dataclasses.replace(RunConfig(), slice_total_bits=0)
     validate_config(dataclasses.replace(no_slices, private_bits=2, head_layers=2))
     validate_config(dataclasses.replace(no_slices, private_bits=0, head_layers=2))
+    # two bits over head layers of 192 and 260 params split as [0, 2]
+    narrow = dataclasses.replace(no_slices, hidden_dims=(2, 64), private_bits=2, head_layers=2)
+    with pytest.raises(ConfigError, match=r"private_bits \(2\).*\[0, 2\]"):
+        validate_config(narrow)
+    validate_config(dataclasses.replace(narrow, private_bits=3))  # split as [1, 2]
+    validate_config(dataclasses.replace(narrow, head_layers=1))
 
 
 def test_validate_layer_widths_are_positive():
@@ -169,6 +175,21 @@ def test_validate_rejects_a_bad_idx_header(tmp_path, damage, message):
     with pytest.raises(ConfigError, match=f"idx_images: .*{message}"):
         validate_config(cfg)
     validate_config(dataclasses.replace(cfg, slice_total_bits=0))  # no slices, no header read
+
+
+def test_validate_reads_an_idx_class_count_from_the_label_file(tmp_path):
+    """Over a (2, 64) head, two private bits split as [1, 1] with 2 classes
+    (head layers of 192 and 130 params) and as [0, 2] with 10 (192 and 650);
+    the label file decides which, and a missing one is named."""
+    cfg = idx_config(tmp_path, 2, 2, hidden_dims=(2, 64), head_layers=2, private_bits=2, slice_total_bits=0)
+    with pytest.raises(ConfigError, match="idx_labels: .*labels.idx"):
+        validate_config(cfg)
+    labels = tmp_path / "labels.idx"
+    labels.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, 2) + bytes(range(2)))
+    validate_config(cfg)
+    labels.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, 10) + bytes(range(10)))
+    with pytest.raises(ConfigError, match=r"private_bits .*\[0, 2\]"):
+        validate_config(cfg)
 
 
 def test_validate_rejects_a_missing_idx_file(tmp_path):

@@ -483,3 +483,29 @@ def test_embedding_kernel_calls_take_one_vector_and_a_2d_matrix(monkeypatch):
     assert config.private_bits > 0 and config.slice_total_bits > 0
     engine.run_training(config)
     assert shapes and set(shapes) == {(1, 2)}
+
+
+def test_matrix_cache_generates_each_matrix_once_in_a_run_of_many():
+    """A 300-client run with both marks needs 600 distinct projection
+    matrices, more than a bounded cache of 512 would hold; each is generated
+    once, however many rounds read it."""
+    config = tiny_config(
+        n_clients=300,
+        rounds=2,
+        head_epochs=1,
+        blob_dim=8,
+        blob_samples_per_class=300,
+        hidden_dims=(40, 4),
+        private_bits=2,
+        slice_total_bits=300,
+        k_labels=1,
+    )
+    watermark.cached_embedding_matrix.cache_clear()
+    result = engine.run_training(config)
+    keys = {(a.region_size, len(a.bits), a.matrix_seed) for a in result.server.assignments}
+    for client in result.clients:
+        spec = client.private
+        keys |= {(size, len(s), seed) for size, s, seed in zip(spec.layer_sizes, spec.segments, spec.matrix_seeds)}
+    info = watermark.cached_embedding_matrix.cache_info()
+    assert len(keys) == 600 and info.misses == info.currsize == len(keys)
+    assert info.hits > info.misses

@@ -63,6 +63,10 @@ def test_split_rejects_bad_inputs():
         watermark.split_watermark(bits, [10, 0])
     with pytest.raises(ValueError):
         watermark.split_watermark(watermark.random_bits(2, seed=0), [5, 5, 5])
+    with pytest.raises(ValueError, match=r"\[0, 2\]"):  # more bits than layers, but none for the first
+        watermark.split_watermark(watermark.random_bits(2, seed=0), [192, 260])
+    with pytest.raises(ValueError):
+        watermark.PrivateWatermarkSpec(watermark.random_bits(2, seed=0), (192, 260), (1, 2))
 
 
 # --- projection matrices --------------------------------------------------------
