@@ -124,6 +124,8 @@ def _private_spec(private: dict, layer_specs, head_start: int, client_id) -> Pri
     a bit count that packs into its bytes and whose proportional split gives
     every head layer a bit. Integers are checked by type, as a JSON `true` or
     `false` loads as an int."""
+    if not isinstance(private, dict):
+        raise ValueError(f"keys.json client {client_id}: private {private!r} must be an object")
     head = list(range(head_start, len(layer_specs)))
     sizes = [layer_specs[k].flat_size for k in head]
     for key, expected in (("target_layers", head), ("layer_sizes", sizes)):
@@ -157,6 +159,8 @@ def _private_spec(private: dict, layer_specs, head_start: int, client_id) -> Pri
 def _check_model_keys(keys) -> None:
     """keys.json must describe a model with at least one representation layer.
     A JSON `true` or `false` loads as an int, so integers are checked by type."""
+    if not isinstance(keys, dict):
+        raise ValueError(f"keys.json must hold an object of run keys, not a {type(keys).__name__}")
     for key in ("input_dim", "num_classes"):
         if type(keys[key]) is not int or keys[key] < 1:
             raise ValueError(f"keys.json {key} must be a positive integer, got {keys[key]!r}")
@@ -177,9 +181,14 @@ def _load_run_models(run_dir: str):
         specs = nn.build_layer_specs(keys["input_dim"], keys["hidden_dims"], keys["num_classes"])
         head_start = len(specs) - keys["head_layers"]
         entries = keys["clients"]
+        if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+            raise ValueError(f"keys.json clients must be a list of client objects, got {entries!r}")
         heads = [f"head_{entry['client_id']}" for entry in entries]
         try:  # np.load reads a truncated archive or a foreign file as one of these
-            with np.load(os.path.join(run_dir, "models.npz")) as archive:
+            archive = np.load(os.path.join(run_dir, "models.npz"))
+            if not isinstance(archive, np.lib.npyio.NpzFile):  # a plain .npy file loads as one array
+                raise ValueError("it holds one .npy array")
+            with archive:
                 arrays = {name: archive[name] for name in ["rep_flat", *heads] if name in archive.files}
         except (EOFError, ValueError, zipfile.BadZipFile) as err:
             raise ValueError(f"models.npz is not a readable .npz archive: {err}") from None

@@ -219,11 +219,13 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     once per shard, the representation epoch the whole stack. Each main-task
     step runs on the stack rows that still have a batch at that step,
     grouped by batch length, with one private-mark call on their head rows
-    and marks, stacked once per round. The feature pass and the scoring run
-    once per group of equal shard lengths, not padded: a one-row product
-    takes another BLAS path. Each client draws its batch orders from its own
-    generator and its watermark gradients from its own stack row, as alone.
-    The trained rows are scored, then written back into each `client.model`.
+    and marks: stacked once per round when a row reads its mark more than
+    once, and otherwise read in place from the cache. The feature pass and
+    the scoring run once per group of equal shard lengths, not padded: a
+    one-row product takes another BLAS path. Each client draws its batch
+    orders from its own generator and its watermark gradients from its own
+    stack row, as alone. The trained rows are scored, then written back into
+    each `client.model`.
     """
     first = clients[0].model
     stack = nn.Model(first.specs, np.stack([c.model.params for c in clients]), first.head_start)
@@ -293,7 +295,9 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     features = buffer(specs[head_start].input_dim)
     for _, n, a, b in shards:
         nn.forward(rep_rows(a, b), inputs[a:b, :n], with_cache=False, out=features[a:b, :n])
-    marks = stack_private_marks(privates) if config.embed_strength != 0.0 and privates[0] is not None else None
+    # a row reads its mark once per head step, and the largest shard takes the most steps
+    reads = config.head_epochs * len(range(0, sizes[0], config.batch_size))
+    marks = stack_private_marks(privates, reads) if config.embed_strength != 0.0 and privates[0] is not None else None
     head_rows = rows(stack.view(head_start, stack.num_layers))
     for _ in range(config.head_epochs):
         epoch(head_rows, features, add_private, slice(None))

@@ -113,13 +113,28 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
+def _matvecs(matrices, vectors):
+    """Row i of `matrices @ vectors`: one stacked product for a (..., n, m)
+    array, or one product per (n, m) matrix of a list, read in place and
+    written into one (C, n) result."""
+    if not isinstance(matrices, list):
+        return np.matmul(matrices, vectors[..., None])[..., 0]
+    out = np.empty((len(matrices), matrices[0].shape[0]))
+    for m, v, row in zip(matrices, vectors, out, strict=True):
+        np.matmul(m, v[:, None], out=row[:, None])
+    return out
+
+
 def _embedding_kernel(params, matrix, bits, with_loss):
     """`embedding_loss_and_grad` unchecked, on (..., r) params, (..., r, c)
     matrices and (..., c) bits: one product per vector, in the operand layout
-    of `extract_bits`, so row i of a stack gives bit for bit what it alone gives."""
-    proj = np.matmul(matrix.swapaxes(-1, -2), params[..., None])[..., 0]
+    of `extract_bits`, so row i of a stack gives bit for bit what it alone gives.
+    `matrix` may also be a list of C (r, c) matrices for (C, r) params, each
+    read in place with the products a stack would give its row."""
+    transposed = [m.T for m in matrix] if isinstance(matrix, list) else matrix.swapaxes(-1, -2)
+    proj = _matvecs(transposed, params)
     # float64 minus the uint8 bits promotes to the same values a float copy holds
-    grad = np.matmul(matrix, (_sigmoid(proj) - bits)[..., None])[..., 0] / bits.shape[-1]
+    grad = _matvecs(matrix, _sigmoid(proj) - bits) / bits.shape[-1]
     if not with_loss:
         return None, grad
     # log(sigmoid(p)) = -softplus(-p); log(1 - sigmoid(p)) = -softplus(p)
@@ -176,11 +191,18 @@ def make_private_spec(bits, layer_sizes, key_seed: int) -> PrivateWatermarkSpec:
     return PrivateWatermarkSpec(bits, layer_sizes, seeds)
 
 
-def stack_private_marks(specs) -> list:
-    """Per head layer, the (C, r, c) projection matrices and (C, c) segment
-    bits of C marks of one shape."""
+def stack_private_marks(specs, reads: int) -> list:
+    """Per head layer, the projection matrices and (C, c) segment bits of C
+    marks of one shape, for a cohort that reads each mark `reads` times.
+    Marks read more than once have their matrices copied into one (C, r, c)
+    stack, so each read is one call, not C; a mark read once keeps its cached
+    (r, c) matrix, in a list of C that the kernel reads in place, as a copy
+    would be made for a single read."""
     return [
-        (np.stack([s.matrix(k) for s in specs]), np.stack([s.segments[k] for s in specs]))
+        (
+            np.stack([s.matrix(k) for s in specs]) if reads > 1 else [s.matrix(k) for s in specs],
+            np.stack([s.segments[k] for s in specs]),
+        )
         for k in range(len(specs[0].segments))
     ]
 

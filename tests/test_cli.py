@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -204,24 +205,38 @@ BAD_MODEL_KEYS = [
     ("input_dim", "5"),
     ("input_dim", True),
     ("num_classes", 0),
+    ("clients", 5),
+    ("clients", [5]),
+    ("clients.1.private", 7),  # a dotted key reaches into the clients list
+    ("", [5]),  # the whole document: a list, not an object
 ]
 
 
 @pytest.mark.parametrize(
-    "key, value", BAD_MODEL_KEYS, ids=[f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in BAD_MODEL_KEYS]
+    "key, value",
+    BAD_MODEL_KEYS,
+    ids=[f"{k or 'keys.json'}={json.dumps(v, separators=(',', ':'))}" for k, v in BAD_MODEL_KEYS],
 )
 def test_heatmap_rejects_keys_that_do_not_describe_the_run(tiny_cfg_file, tmp_path, capsys, key, value):
-    """Each bad model key ends in an error line that names it, not in a
-    traceback or in a heatmap read off a wrong layer split."""
+    """Each bad model key, or a keys.json that is no object, ends in an error
+    line that names it, not in a traceback or in a heatmap read off a wrong
+    layer split."""
     cli.main(["train", str(tiny_cfg_file)])
     path = tmp_path / "out" / "keys.json"
     keys = json.loads(path.read_text())
-    keys[key] = value
+    if key:
+        *parents, last = key.split(".")
+        target = keys
+        for step in parents:
+            target = target[int(step) if step.isdigit() else step]
+        target[last] = value
+    else:
+        keys = value
     path.write_text(json.dumps(keys))
     capsys.readouterr()
     assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
+    assert err.startswith("error:") and (key.split(".")[-1] or "keys.json") in err
     assert not (tmp_path / "out" / "heatmap.csv").exists()
 
 
@@ -349,13 +364,21 @@ def test_heatmap_rejects_a_private_bits_len_that_leaves_a_head_layer_empty(tmp_p
     assert not (tmp_path / "out" / "heatmap.csv").exists()
 
 
-@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty"])
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy"])
 def test_heatmap_rejects_a_models_npz_that_is_no_archive(tiny_cfg_file, tmp_path, capsys, damage):
-    """A cut-short archive, a file of other bytes and an empty file each end
-    in one error line that names models.npz, not in a traceback."""
+    """A cut-short archive, a file of other bytes, an empty file and one
+    `np.save` array each end in one error line that names models.npz, not in
+    a traceback."""
     cli.main(["train", str(tiny_cfg_file)])
     path = tmp_path / "out" / "models.npz"
-    contents = {"truncated": path.read_bytes()[:100], "garbage": b"not an archive\n" * 8, "empty": b""}
+    npy = io.BytesIO()
+    np.save(npy, np.arange(4.0))
+    contents = {
+        "truncated": path.read_bytes()[:100],
+        "garbage": b"not an archive\n" * 8,
+        "empty": b"",
+        "npy": npy.getvalue(),
+    }
     path.write_bytes(contents[damage])
     capsys.readouterr()
     assert cli.main(["heatmap", str(tmp_path / "out")]) == 1

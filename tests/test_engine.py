@@ -144,8 +144,15 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
     """Head epochs train on representation features computed once per round.
     With a two-layer head, a private mark, and a malicious client embedding
     a freshly tampered slice, the upload and the head must equal a reference
-    loop that runs the whole model on every batch."""
-    config = tiny_config(head_layers=2, embed_strength=3.0, batch_size=7, tamper_rate=0.3, fresh_tamper=True)
+    loop that runs the whole model on every batch: over two head epochs of
+    short batches, which read stacked marks, and over one head step on the
+    whole shard, which reads its marks in place."""
+    marked = dict(head_layers=2, embed_strength=3.0, tamper_rate=0.3, fresh_tamper=True)
+    for config in (tiny_config(batch_size=7, **marked), tiny_config(batch_size=10_000, head_epochs=1, **marked)):
+        _check_one_update_against_full_model_steps(config)
+
+
+def _check_one_update_against_full_model_steps(config):
     dataset, partition, specs, head_start, base = update_setup(config)
     head_ids = list(base.head_layer_ids)
     rep_size = base.rep_param_count
@@ -165,7 +172,7 @@ def test_head_epochs_on_cached_features_match_full_model_steps():
     model = base.copy()
     xs = dataset.inputs[partition.client_indices[1]]
     ys = dataset.labels[partition.client_indices[1]]
-    assert len(ys) % config.batch_size != 0  # a short last batch is covered
+    assert len(ys) % config.batch_size != 0  # the last batch is short of batch_size
     batch_rng = np.random.default_rng(derive_seed(config.seed, STREAM_LOCAL_BATCHES, 1, 2))
     target = tamper_bits(assignment.bits, config.tamper_rate, derive_seed(config.seed, STREAM_TAMPER, 1, 2))
     assert not np.array_equal(target, assignment.bits)
@@ -216,6 +223,15 @@ COHORT_CASES = {
         tiny_config(partition="dirichlet", n_clients=6, batch_size=7, dirichlet_beta=0.1, seed=12),
         engine.COHORT_ROWS,
     ),
+    # the same shards with one head epoch: the cohort's 71-sample row takes 11
+    # head steps, so it stacks its marks, while the 5- and 1-sample clients
+    # alone take one step and read their marks in place
+    "one-head-epoch": (
+        tiny_config(partition="dirichlet", n_clients=6, batch_size=7, dirichlet_beta=0.1, seed=12, head_epochs=1),
+        engine.COHORT_ROWS,
+    ),
+    # one head step per round for every row: whole cohorts read their marks in place
+    "one-step-rounds": (tiny_config(head_layers=2, head_epochs=1, batch_size=10_000), engine.COHORT_ROWS),
 }
 
 
@@ -253,8 +269,38 @@ def test_cohort_training_equals_training_each_client_alone(name, monkeypatch):
     if name == "diverging":
         # a non-finite client shared its cohort with finite ones
         assert any(len({u.slice_acc is None for u in r.uploads}) == 2 for r in stacked.reports)
-    if name == "one-sample-shards":
+    if name in ("one-sample-shards", "one-head-epoch"):
         assert sizes.count(1) == 2 and len(set(sizes)) == 5
+    if name == "one-head-epoch":
+        assert min(sizes) <= config.batch_size < max(sizes)
+
+
+def test_private_marks_read_once_are_read_in_place(monkeypatch):
+    """When every row of a round takes one head step, the private-mark kernel
+    gets each client's cached `spec.matrix(k)` itself, not a copy. With more
+    steps it gets rows of one (C, r, c) stack per head layer."""
+    matrices = []
+    kernel = watermark._embedding_kernel
+
+    def spy(params, matrix, bits, with_loss):
+        if np.ndim(params) == 2:  # a cohort's private mark; the slices pass one vector
+            matrices.append(matrix)
+        return kernel(params, matrix, bits, with_loss)
+
+    monkeypatch.setattr(watermark, "_embedding_kernel", spy)
+    one_step = tiny_config(head_layers=2, head_epochs=1, batch_size=10_000, rounds=1)
+    result = engine.run_training(one_step)
+    cached = [c.private.matrix(k) for c in result.clients for k in range(2)]
+    assert matrices and all(isinstance(m, list) for m in matrices)
+    handed = [m for rows in matrices for m in rows]
+    assert len(handed) == len(cached) and all(any(m is c for c in cached) for m in handed)
+
+    matrices.clear()
+    result = engine.run_training(dataclasses.replace(one_step, head_epochs=2))
+    assert matrices and all(isinstance(m, np.ndarray) and m.ndim == 3 for m in matrices)
+    stacks = {id(m.base) for m in matrices}
+    assert len(stacks) == 2 and all(m.base.shape[0] == one_step.n_clients for m in matrices)
+    assert not any(m.base is c.private.matrix(k) for m in matrices for c in result.clients for k in range(2))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging case overflows on purpose

@@ -276,10 +276,11 @@ def test_stacked_accuracy_rows_equal_the_one_model_scores(rows, n, classes, seed
 @example(rows=2, head_layers=2, n_bits=2, classes=2, seed=0)
 def test_stacked_private_gradients_equal_the_one_vector_kernel(rows, head_layers, n_bits, classes, seed):
     """Row i of the losses and gradients that a cohort's head view gets from
-    its stacked marks is, bit for bit, the sum over row i's head layers of
-    the one-vector `embedding_loss_and_grad` with its own mark, whose
-    gradient is the plain 2-d products `M @ (sigmoid(M.T @ p) - bits) / c`.
-    The examples give one-bit segments and (r, 1) matrices."""
+    its marks, stacked (read many times) or read in place (read once), is,
+    bit for bit, the sum over row i's head layers of the one-vector
+    `embedding_loss_and_grad` with its own mark, whose gradient is the plain
+    2-d products `M @ (sigmoid(M.T @ p) - bits) / c`. The examples give
+    one-bit segments and (r, 1) matrices."""
     rng = np.random.default_rng(seed)
     specs = nn.build_layer_specs(3, (4, 5), classes)
     head_start = len(specs) - head_layers
@@ -291,9 +292,14 @@ def test_stacked_private_gradients_equal_the_one_vector_kernel(rows, head_layers
     full = nn.Model(specs, rng.standard_normal((rows, nn.init_model(specs, 0).params.size)), head_start)
     heads = full.view(head_start, len(specs))
     marks = [make_private_spec(random_bits(n_bits, seed + i), sizes, seed + i) for i in range(rows)]
-    losses, grads = private_embedding_loss_and_grads(heads, stack_private_marks(marks))
-    none, fast = private_embedding_loss_and_grads(heads, stack_private_marks(marks), with_loss=False)
-    assert none is None and fast.keys() == grads.keys()
+    stacked, in_place = stack_private_marks(marks, reads=2), stack_private_marks(marks, reads=1)
+    assert all(isinstance(m, np.ndarray) and isinstance(p, list) for (m, _), (p, _) in zip(stacked, in_place))
+    losses, grads = private_embedding_loss_and_grads(heads, stacked)
+    none, fast = private_embedding_loss_and_grads(heads, stacked, with_loss=False)
+    place_losses, place_grads = private_embedding_loss_and_grads(heads, in_place)
+    place_none, place_fast = private_embedding_loss_and_grads(heads, in_place, with_loss=False)
+    assert none is None and place_none is None
+    assert fast.keys() == grads.keys() == place_grads.keys() == place_fast.keys()
     for i, mark in enumerate(marks):
         loss = 0.0
         for pos, (layer_id, segment) in enumerate(zip(heads.head_layer_ids, mark.segments)):
@@ -302,4 +308,5 @@ def test_stacked_private_gradients_equal_the_one_vector_kernel(rows, head_layers
             loss += part
             plain = matrix @ (_sigmoid(matrix.T @ params) - segment) / len(segment)
             assert grads[layer_id][i].tobytes() == fast[layer_id][i].tobytes() == grad.tobytes() == plain.tobytes()
-        assert losses[i] == loss
+            assert place_grads[layer_id][i].tobytes() == place_fast[layer_id][i].tobytes() == grad.tobytes()
+        assert losses[i] == place_losses[i] == loss

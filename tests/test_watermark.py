@@ -322,7 +322,7 @@ def test_private_embedding_rows_match_the_one_model_calls():
     specs = [
         watermark.make_private_spec(watermark.random_bits(21, seed=s), sizes, key_seed=s) for s in (1, 2, 3)
     ]
-    marks = watermark.stack_private_marks(specs)
+    marks = watermark.stack_private_marks(specs, reads=2)
     assert [(matrix.shape, bits.shape) for matrix, bits in marks] == [((3, 45, 15), (3, 15)), ((3, 18, 6), (3, 6))]
     rows = np.stack([model.params, model.params + 0.1, model.params - 0.2])
     cohort = nn.Model(model.specs, rows, model.head_start)
@@ -364,7 +364,7 @@ def test_private_reads_of_a_cohort_equal_the_one_model_reads():
 def test_private_mark_must_fit_the_head_it_is_read_from(sizes):
     """A mark made for other head layers than the model's (here 45 and 18
     parameters) fails to read or embed, rather than covering part of it, in
-    one model and, stacked, in a cohort."""
+    one model and, stacked or read in place, in a cohort."""
     model = head_model()
     spec = watermark.make_private_spec(watermark.random_bits(21, seed=1), sizes, key_seed=1)
     with pytest.raises(ValueError):
@@ -372,5 +372,6 @@ def test_private_mark_must_fit_the_head_it_is_read_from(sizes):
     with pytest.raises(ValueError):
         watermark.private_embedding_loss_and_grads(model, spec)
     cohort = nn.Model(model.specs, np.stack([model.params, model.params]), model.head_start)
-    with pytest.raises(ValueError):
-        watermark.private_embedding_loss_and_grads(cohort, watermark.stack_private_marks([spec, spec]))
+    for reads in (1, 2):
+        with pytest.raises(ValueError):
+            watermark.private_embedding_loss_and_grads(cohort, watermark.stack_private_marks([spec, spec], reads))
