@@ -290,6 +290,8 @@ def _optional(value) -> str:
 
 def cmd_attack_sweep(config: RunConfig, grid) -> int:
     """One detector-on run per (malicious_fraction, tamper_rate) cell."""
+    if config.slice_total_bits == 0:
+        raise ConfigError("slice_total_bits must be positive: an attack sweep scores every client's slice")
     variants = [
         dataclasses.replace(config, malicious_fraction=f_m, tamper_rate=f_t, detector=True)
         for f_m, f_t in grid
@@ -333,6 +335,14 @@ def cmd_attack_sweep(config: RunConfig, grid) -> int:
     return 0
 
 
+def _parse_numbers(flag: str, parts, kind) -> list:
+    """The numbers a flag's parts spell; a malformed one names the flag."""
+    try:
+        return [kind(part) for part in parts]
+    except ValueError as err:
+        raise ConfigError(f"{flag}: {err}") from None
+
+
 def _parse_cells(text: str):
     cells = []
     for chunk in text.split(";"):
@@ -341,8 +351,8 @@ def _parse_cells(text: str):
             continue
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise ConfigError(f"grid cell must be 'f_m,f_t', got {chunk!r}")
-        cells.append((float(parts[0]), float(parts[1])))
+            raise ConfigError(f"--cells: grid cell must be 'f_m,f_t', got {chunk!r}")
+        cells.append(tuple(_parse_numbers("--cells", parts, float)))
     return tuple(cells)
 
 
@@ -393,7 +403,7 @@ def main(argv=None) -> int:
         if args.command == "heatmap":
             return cmd_heatmap(args.run_dir)
         if args.command == "fidelity-sweep":
-            bits = [int(b) for b in args.bits.split(",") if b.strip()]
+            bits = _parse_numbers("--bits", [b for b in args.bits.split(",") if b.strip()], int)
             return cmd_fidelity_sweep(_config_from_args(args), bits)
         if args.command == "attack-sweep":
             grid = DEFAULT_GRID if args.cells is None else _parse_cells(args.cells)

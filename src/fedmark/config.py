@@ -1,12 +1,14 @@
 """Run configuration: a flat key=value text file, overridable per key."""
 
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
 
 from .data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, read_idx
 from .nn import build_layer_specs
+from .slicing import check_slice_layout
 from .watermark import segment_lengths
 
 OUTPUT_ROOT_ENV = "FEDMARK_OUTPUT_ROOT"
@@ -163,11 +165,6 @@ def validate_config(config: RunConfig) -> None:
         problems.append("blob_classes must be at least 2")
     if not 1 <= config.head_layers <= len(config.hidden_dims):
         problems.append("head_layers must leave at least one representation layer")
-    if 0 < config.slice_total_bits < config.n_clients:
-        problems.append(
-            f"slice_total_bits ({config.slice_total_bits}) must be at least n_clients "
-            f"({config.n_clients}) to give every client a slice"
-        )
     if config.dataset not in ("blobs", "idx"):
         problems.append(f"dataset must be 'blobs' or 'idx', got {config.dataset!r}")
     if config.dataset == "idx" and not (config.idx_images and config.idx_labels):
@@ -207,12 +204,24 @@ def validate_config(config: RunConfig) -> None:
         # config.txt holds one key=value per line and its reader strips each value
         if isinstance(f.default, str) and (value != value.strip() or len(value.splitlines()) > 1):
             problems.append(f"{f.name} must not start or end with whitespace or hold a line break, got {value!r}")
+
+    @functools.cache
+    def idx_labels() -> set:
+        """The distinct labels of an idx run's label file, read once, as `load_idx` reads it."""
+        try:
+            labels = set(read_idx(config.idx_labels, IDX_LABELS_MAGIC, 1)[1])
+            if not labels:
+                raise ValueError(f"{config.idx_labels}: holds no label")
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"idx_labels: {err}") from None
+        return labels
+
+    if not problems and not blobs and config.partition == "klabels" and config.k_labels > len(idx_labels()):
+        # `partition_k_labels` bounds k by the distinct labels, not by the class count
+        problems.append(f"k_labels ({config.k_labels}) exceeds the {len(idx_labels())} distinct labels of idx_labels")
     if not problems and config.private_bits > 0 and config.head_layers > 1:
         # the input width sizes only the first layer, which is never in the head
-        try:  # an idx run reads its class count from the label file, as `load_idx` does
-            classes = config.blob_classes if blobs else max(read_idx(config.idx_labels, IDX_LABELS_MAGIC, 1)[1]) + 1
-        except (OSError, ValueError) as err:  # only an idx label file can fail here
-            raise ConfigError(f"idx_labels: {err}") from None
+        classes = config.blob_classes if blobs else max(idx_labels()) + 1  # as `load_idx` counts classes
         specs = build_layer_specs(1, config.hidden_dims, classes)
         try:
             segment_lengths(config.private_bits, [spec.flat_size for spec in specs[-config.head_layers :]])
@@ -228,20 +237,11 @@ def validate_config(config: RunConfig) -> None:
             specs = build_layer_specs(width, config.hidden_dims, 1)
         except (OSError, ValueError) as err:  # only an idx header can fail here
             raise ConfigError(f"idx_images: {err}") from None
-        n, total = config.n_clients, config.slice_total_bits
         rep_size = sum(spec.flat_size for spec in specs[: len(specs) - config.head_layers])
-        region = region_params(config, rep_size)
-        largest = total // n + total % n  # the last slice takes the remainder
-        if n * config.region_size > rep_size:
-            problems.append(
-                f"region_size ({config.region_size}) times n_clients ({n}) exceeds the "
-                f"{rep_size}-param representation"
-            )
-        elif region < largest:
-            problems.append(
-                f"slice_total_bits ({total}) over {n} clients gives slices of up to "
-                f"{largest} bits, more than a region of {region} params can carry"
-            )
+        try:
+            check_slice_layout(config.slice_total_bits, config.n_clients, rep_size, region_params(config, rep_size))
+        except ValueError as err:
+            problems.append(str(err))
     if problems:
         raise ConfigError("; ".join(problems))
 

@@ -269,11 +269,9 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     def add_private(a, b, grads):
         if marks is None:
             return
-        cohort = head_rows(a, b)
         rows_marks = [(matrices[a:b], bits[a:b]) for matrices, bits in marks]
-        _, flat_grads = private_embedding_loss_and_grads(cohort, rows_marks, with_loss=False)
-        for layer_id, flat in flat_grads.items():
-            grads[:, cohort.offsets[layer_id] : cohort.offsets[layer_id + 1]] += config.embed_strength * flat
+        _, grad = private_embedding_loss_and_grads(head_rows(a, b), rows_marks, with_loss=False)
+        grads += config.embed_strength * grad
 
     def add_slice(a, b, grads):
         for i, row_grads in enumerate(grads, start=a):

@@ -51,23 +51,34 @@ class SliceAssignment:
         return cached_embedding_matrix(self.region_size, len(self.bits), self.matrix_seed)
 
 
+def check_slice_layout(total_bits: int, n_clients: int, rep_param_count: int, region_size: int) -> None:
+    """The slice layout rule: every client gets a slice, n_clients regions of
+    region_size params fit the representation, and a region carries the
+    largest slice, the last, which absorbs the remainder. Raises ValueError."""
+    if n_clients < 1 or total_bits < n_clients:
+        raise ValueError(f"slice_total_bits ({total_bits}) cannot give {n_clients} clients a slice each")
+    if region_size < 1 or n_clients * region_size > rep_param_count:
+        raise ValueError(
+            f"region_size ({region_size}) times n_clients ({n_clients}) must be positive and "
+            f"fit the {rep_param_count}-param representation"
+        )
+    largest = total_bits // n_clients + total_bits % n_clients
+    if region_size < largest:
+        raise ValueError(
+            f"slice_total_bits ({total_bits}) over {n_clients} clients gives slices of up to "
+            f"{largest} bits, more than a region of {region_size} params can carry"
+        )
+
+
 def assign_slices(
     bits: np.ndarray, n_clients: int, rep_param_count: int, region_size: int, seed: int
 ) -> list[SliceAssignment]:
     """Cut the common watermark into n contiguous slices of equal size, the
     last absorbing the remainder, and give client i the slice i and the
     region [i * region_size, (i+1) * region_size) of the flattened
-    representation. Regions are pairwise disjoint by construction."""
-    if n_clients < 1:
-        raise ValueError("need at least one client")
-    if len(bits) < n_clients:
-        raise ValueError(f"{len(bits)} bits cannot give {n_clients} clients a slice each")
-    if region_size < 1:
-        raise ValueError("region_size must be positive")
-    if n_clients * region_size > rep_param_count:
-        raise ValueError(
-            f"{n_clients} regions of {region_size} params exceed the {rep_param_count}-param representation"
-        )
+    representation, in a layout `check_slice_layout` accepts. Regions are
+    pairwise disjoint by construction."""
+    check_slice_layout(len(bits), n_clients, rep_param_count, region_size)
     base = len(bits) // n_clients
     return [
         SliceAssignment(

@@ -208,17 +208,18 @@ def stack_private_marks(specs, reads: int) -> list:
 
 
 def private_embedding_loss_and_grads(model, marks, *, with_loss: bool = True):
-    """Total head-mark embedding loss (None unless `with_loss`) plus a flat
-    gradient per head layer, keyed by the model's own layer ids, for one model
-    and its spec, or (C,) losses and (C, layer size) gradients for a (C, P)
-    cohort and its `stack_private_marks`: one kernel call per head layer."""
+    """Total head-mark embedding loss (None unless `with_loss`) plus its
+    gradient laid out like the head parameters, for one model and its spec,
+    or (C,) losses and a (C, head size) gradient for a (C, P) cohort and its
+    `stack_private_marks`: one kernel call per head layer, joined in head order."""
     if isinstance(marks, PrivateWatermarkSpec):
         marks = [(marks.matrix(pos), s) for pos, s in enumerate(marks.segments)]
-    loss, flat_grads = 0.0, {}
-    for layer_id, mark in zip(model.head_layer_ids, marks, strict=True):
-        part, flat_grads[layer_id] = _embedding_kernel(model.layer_flat(layer_id), *mark, with_loss)
-        loss = loss + part if with_loss else None
-    return loss, flat_grads
+    parts = [
+        _embedding_kernel(model.layer_flat(layer_id), *mark, with_loss)
+        for layer_id, mark in zip(model.head_layer_ids, marks, strict=True)
+    ]
+    loss = sum(part for part, _ in parts) if with_loss else None
+    return loss, np.concatenate([grad for _, grad in parts], axis=-1)
 
 
 def extract_private_bits(model, spec: PrivateWatermarkSpec) -> np.ndarray:

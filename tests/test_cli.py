@@ -501,3 +501,26 @@ def test_attack_sweep_rejects_an_infeasible_cell_before_training(
 def test_attack_sweep_rejects_malformed_cells(tiny_cfg_file, capsys):
     assert cli.main(["attack-sweep", str(tiny_cfg_file), "--cells", "nonsense"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert cli.main(["attack-sweep", str(tiny_cfg_file), "--cells", "0.25,x"]) == 1
+    assert capsys.readouterr().err.startswith("error: --cells: could not convert string to float: 'x'")
+
+
+def test_fidelity_sweep_rejects_a_malformed_length(tiny_cfg_file, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "run_training", runs.append)
+    assert cli.main(["fidelity-sweep", str(tiny_cfg_file), "--bits", "8,x"]) == 1
+    assert capsys.readouterr().err.startswith("error: --bits: invalid literal for int()")
+    assert runs == []
+
+
+def test_attack_sweep_without_slices_fails_before_training(tiny_cfg_file, tmp_path, monkeypatch, capsys):
+    """The sweep scores slices, so a config without them (valid for training
+    with the detector on) fails, naming slice_total_bits, before any cell runs."""
+    runs = []
+    monkeypatch.setattr(cli, "run_training", runs.append)
+    argv = ["attack-sweep", str(tiny_cfg_file), "--cells", "0.25,0.3", "--slice_total_bits", "0"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "slice_total_bits" in err
+    assert runs == []
+    assert not (tmp_path / "out" / "attack_sweep.csv").exists()

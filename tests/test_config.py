@@ -192,6 +192,26 @@ def test_validate_reads_an_idx_class_count_from_the_label_file(tmp_path):
         validate_config(cfg)
 
 
+def test_validate_bounds_idx_k_labels_by_the_distinct_labels(tmp_path, monkeypatch):
+    """Under klabels an idx run's k_labels may not exceed the distinct labels
+    of its label file (here 0, 5 and 9: three, not max + 1 = 10), the bound
+    that `partition_k_labels` applies after loading. One read of the label
+    file serves this check and the head split."""
+    cfg = idx_config(tmp_path, 28, 28, partition="klabels", k_labels=4)
+    labels = tmp_path / "labels.idx"
+    labels.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, 6) + bytes([0, 5, 9, 9, 5, 0]))
+    with pytest.raises(ConfigError, match=r"k_labels \(4\) exceeds the 3 distinct labels"):
+        validate_config(cfg)
+    reads = []
+    monkeypatch.setattr(config_mod, "read_idx", lambda *args, **kw: reads.append(args[0]) or data.read_idx(*args, **kw))
+    validate_config(dataclasses.replace(cfg, k_labels=3, hidden_dims=(8, 8), head_layers=2, private_bits=20))
+    assert reads.count(str(labels)) == 1
+    validate_config(dataclasses.replace(cfg, partition="dirichlet"))  # dirichlet reads no k_labels
+    labels.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, 0))
+    with pytest.raises(ConfigError, match="idx_labels: .*holds no label"):
+        validate_config(dataclasses.replace(cfg, k_labels=1))
+
+
 def test_validate_rejects_a_missing_idx_file(tmp_path):
     cfg = dataclasses.replace(idx_config(tmp_path, 28, 28), idx_images=str(tmp_path / "absent.idx"))
     with pytest.raises(ConfigError, match="idx_images: .*absent.idx"):

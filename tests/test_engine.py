@@ -186,10 +186,8 @@ def _check_one_update_against_full_model_steps(config):
     for _ in range(config.head_epochs):
         for batch in batches():
             _, grads = nn.main_task_loss_and_grads(model, batch)
-            _, flat_grads = private_embedding_loss_and_grads(model, private)
-            for layer_id, flat in flat_grads.items():
-                lo, hi = model.offsets[layer_id], model.offsets[layer_id + 1]
-                grads[lo:hi] = grads[lo:hi] + config.embed_strength * flat
+            _, private_grad = private_embedding_loss_and_grads(model, private)  # laid out like the head
+            grads[rep_size:] = grads[rep_size:] + config.embed_strength * private_grad
             nn.apply_sgd(model.params[rep_size:], grads[rep_size:], config.lr)
     for batch in batches():
         _, grads = nn.main_task_loss_and_grads(model, batch)

@@ -15,7 +15,14 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from fedmark import nn  # noqa: E402
 from fedmark.attacks import tamper_bits  # noqa: E402
-from fedmark.config import ConfigError, RunConfig, config_text, load_config, validate_config  # noqa: E402
+from fedmark.config import (  # noqa: E402
+    ConfigError,
+    RunConfig,
+    config_text,
+    load_config,
+    region_params,
+    validate_config,
+)
 from fedmark.data import partition_dirichlet, partition_k_labels  # noqa: E402
 from fedmark.slicing import SliceAssignment, assign_slices, read_manifest, write_manifest  # noqa: E402
 from fedmark.watermark import (  # noqa: E402
@@ -119,6 +126,51 @@ def test_assign_slices_cuts_the_bits_into_disjoint_regions(bits, n_clients, regi
     spans = sorted((a.region_start, a.region_stop) for a in out)
     assert spans[0][0] >= 0 and spans[-1][1] <= rep_param_count
     assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
+
+
+@PROPERTY
+@given(
+    st.integers(2, 40),
+    st.integers(1, 400),
+    st.lists(st.integers(1, 32), min_size=1, max_size=3),
+    st.integers(1, 3),
+    st.integers(0, 60),
+)
+@example(n_clients=10, slice_total_bits=5, hidden_dims=[64, 64], head_layers=1, region_size=0)
+@example(n_clients=200, slice_total_bits=1280, hidden_dims=[64, 64], head_layers=1, region_size=0)
+@example(n_clients=200, slice_total_bits=2000, hidden_dims=[64, 64], head_layers=1, region_size=24)
+@example(n_clients=40, slice_total_bits=40, hidden_dims=[1], head_layers=1, region_size=0)
+def test_validate_config_rejects_exactly_the_slice_layouts_assign_slices_rejects(
+    n_clients, slice_total_bits, hidden_dims, head_layers, region_size
+):
+    """A blobs config's slices are rejected by validate_config, naming
+    slice_total_bits or region_size, exactly when assign_slices raises on the
+    layout that run_training would hand it: both state one rule."""
+    assume(head_layers <= len(hidden_dims))
+    config = dataclasses.replace(
+        RunConfig(),
+        n_clients=n_clients,
+        slice_total_bits=slice_total_bits,
+        hidden_dims=tuple(hidden_dims),
+        head_layers=head_layers,
+        region_size=region_size,
+        private_bits=0,  # no head split to reject
+    )
+    specs = nn.build_layer_specs(config.blob_dim, config.hidden_dims, config.blob_classes)
+    rep_size = nn.init_model(specs, 0, len(specs) - head_layers).rep_param_count
+    bits = random_bits(slice_total_bits, 0)
+    try:
+        assign_slices(bits, n_clients, rep_size, region_params(config, rep_size), seed=0)
+        raised = False
+    except ValueError:
+        raised = True
+    try:
+        validate_config(config)
+        rejected = ""
+    except ConfigError as err:
+        rejected = str(err)
+    assert bool(rejected) == raised
+    assert not rejected or "slice_total_bits" in rejected or "region_size" in rejected
 
 
 # --- round trips ------------------------------------------------------------------
@@ -299,7 +351,7 @@ def test_stacked_private_gradients_equal_the_one_vector_kernel(rows, head_layers
     place_losses, place_grads = private_embedding_loss_and_grads(heads, in_place)
     place_none, place_fast = private_embedding_loss_and_grads(heads, in_place, with_loss=False)
     assert none is None and place_none is None
-    assert fast.keys() == grads.keys() == place_grads.keys() == place_fast.keys()
+    assert grads.shape == fast.shape == place_grads.shape == place_fast.shape == (rows, sum(sizes))
     for i, mark in enumerate(marks):
         loss = 0.0
         for pos, (layer_id, segment) in enumerate(zip(heads.head_layer_ids, mark.segments)):
@@ -307,6 +359,7 @@ def test_stacked_private_gradients_equal_the_one_vector_kernel(rows, head_layers
             part, grad = embedding_loss_and_grad(params, matrix, segment)
             loss += part
             plain = matrix @ (_sigmoid(matrix.T @ params) - segment) / len(segment)
-            assert grads[layer_id][i].tobytes() == fast[layer_id][i].tobytes() == grad.tobytes() == plain.tobytes()
-            assert place_grads[layer_id][i].tobytes() == place_fast[layer_id][i].tobytes() == grad.tobytes()
+            at = slice(heads.offsets[layer_id], heads.offsets[layer_id + 1])  # the layer's place in the head
+            assert grads[i, at].tobytes() == fast[i, at].tobytes() == grad.tobytes() == plain.tobytes()
+            assert place_grads[i, at].tobytes() == place_fast[i, at].tobytes() == grad.tobytes()
         assert losses[i] == place_losses[i] == loss

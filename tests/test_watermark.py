@@ -287,8 +287,10 @@ def test_private_embedding_gradients_match_finite_differences():
     sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
     bits = watermark.random_bits(12, seed=8)
     spec = watermark.make_private_spec(bits, sizes, key_seed=3)
-    _, flat_grads = watermark.private_embedding_loss_and_grads(model, spec)
-    for layer_id, grad in flat_grads.items():
+    _, grad = watermark.private_embedding_loss_and_grads(model, spec)
+    rep_size = model.rep_param_count
+    assert grad.shape == (model.params.size - rep_size,)  # laid out like the head
+    for layer_id in model.head_layer_ids:
 
         def loss_at(flat, layer_id=layer_id):
             probe = model.copy()
@@ -297,7 +299,7 @@ def test_private_embedding_gradients_match_finite_differences():
             return total
 
         numeric = finite_difference_grads(loss_at, model.layer_flat(layer_id))
-        assert_grads_close(grad, numeric)
+        assert_grads_close(grad[model.offsets[layer_id] - rep_size : model.offsets[layer_id + 1] - rep_size], numeric)
 
 
 def test_private_embedding_gradient_only_matches_the_loss_path():
@@ -305,12 +307,11 @@ def test_private_embedding_gradient_only_matches_the_loss_path():
     sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
     bits = watermark.random_bits(21, seed=5)
     spec = watermark.make_private_spec(bits, sizes, key_seed=2)
-    total, grads = watermark.private_embedding_loss_and_grads(model, spec)
+    total, grad = watermark.private_embedding_loss_and_grads(model, spec)
     none, fast = watermark.private_embedding_loss_and_grads(model, spec, with_loss=False)
     assert total > 0.0 and none is None
-    assert fast.keys() == grads.keys() == set(model.head_layer_ids)
-    for layer_id, grad in grads.items():
-        assert np.array_equal(fast[layer_id], grad)
+    assert fast.shape == grad.shape == (model.params.size - model.rep_param_count,)
+    assert np.array_equal(fast, grad)
 
 
 def test_private_embedding_rows_match_the_one_model_calls():
@@ -318,7 +319,6 @@ def test_private_embedding_rows_match_the_one_model_calls():
     of row i alone with its own mark, bit for bit."""
     model = head_model()
     sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
-    head_ids = list(model.head_layer_ids)
     specs = [
         watermark.make_private_spec(watermark.random_bits(21, seed=s), sizes, key_seed=s) for s in (1, 2, 3)
     ]
@@ -328,13 +328,11 @@ def test_private_embedding_rows_match_the_one_model_calls():
     cohort = nn.Model(model.specs, rows, model.head_start)
     losses, grads = watermark.private_embedding_loss_and_grads(cohort, marks)
     none, fast = watermark.private_embedding_loss_and_grads(cohort, marks, with_loss=False)
-    assert none is None and fast.keys() == grads.keys() == set(head_ids)
+    assert none is None and fast.shape == grads.shape == (3, sum(sizes))
     for i, spec in enumerate(specs):
         loss, alone = watermark.private_embedding_loss_and_grads(nn.Model(model.specs, rows[i], 1), spec)
         assert losses[i] == loss
-        for layer_id in head_ids:
-            assert grads[layer_id].shape == (3, model.specs[layer_id].flat_size)
-            assert grads[layer_id][i].tobytes() == alone[layer_id].tobytes() == fast[layer_id][i].tobytes()
+        assert grads[i].tobytes() == alone.tobytes() == fast[i].tobytes()
 
 
 def test_private_reads_of_a_cohort_equal_the_one_model_reads():
