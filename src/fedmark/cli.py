@@ -127,7 +127,7 @@ def _private_spec(private: dict, layer_specs, head_start: int, client_id) -> Pri
     if not isinstance(private, dict):
         raise ValueError(f"keys.json client {client_id}: private {private!r} must be an object")
     head = list(range(head_start, len(layer_specs)))
-    sizes = [layer_specs[k].flat_size for k in head]
+    _, sizes = nn.param_counts(layer_specs, head_start)
     for key, expected in (("target_layers", head), ("layer_sizes", sizes)):
         if private[key] != expected or not all(type(v) is int for v in private[key]):
             raise ValueError(
@@ -198,7 +198,7 @@ def _load_run_models(run_dir: str):
         rep = arrays["rep_flat"]
         models = [nn.Model(list(specs), np.concatenate([rep, arrays[head]]), head_start) for head in heads]
         # after the models, which name the total length when an array is cut short
-        rep_size = sum(spec.flat_size for spec in specs[:head_start])
+        rep_size, _ = nn.param_counts(specs, head_start)
         if len(rep) != rep_size:
             raise ValueError(
                 f"models.npz rep_flat holds {len(rep)} parameters, but keys.json hidden_dims and "
@@ -362,13 +362,9 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    config = load_config(args.config)
-    overrides = []
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides.append(f"{f.name}={value}")
-    return apply_overrides(config, overrides)
+    """The config file with the command line's flags on top, validated once."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
+    return load_config(args.config, [f"{key}={value}" for key, value in flags.items() if value is not None])
 
 
 def main(argv=None) -> int:

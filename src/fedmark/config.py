@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass
 
 from .data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, read_idx
-from .nn import build_layer_specs
+from .nn import build_layer_specs, param_counts
 from .slicing import check_slice_layout
 from .watermark import segment_lengths
 
@@ -99,8 +99,11 @@ def _parse_value(name: str, text: str):
         raise ConfigError(f"bad value for {name!r}: {err}") from None
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides=()) -> RunConfig:
     """Parse a key=value file; '#' lines and blank lines are ignored.
+    `overrides`, key=value strings (e.g. from command-line flags), replace
+    the file's values before the one validation, so an override can mend a
+    value the file alone would fail on.
 
     Errors carry the file name and line number.
     """
@@ -121,13 +124,12 @@ def load_config(path: str) -> RunConfig:
             values[key] = _parse_value(key, raw)
         except ConfigError as err:
             raise ConfigError(f"{path}:{lineno}: {err}") from None
-    config = RunConfig(**values)
-    validate_config(config)
-    return config
+    return apply_overrides(RunConfig(**values), overrides)
 
 
 def apply_overrides(config: RunConfig, overrides) -> RunConfig:
-    """Apply key=value strings (e.g. from command-line flags) on top of a config."""
+    """Apply key=value strings (e.g. from command-line flags) on top of a
+    config, and validate the result."""
     updates = {}
     for item in overrides:
         if "=" not in item:
@@ -223,8 +225,9 @@ def validate_config(config: RunConfig) -> None:
         # the input width sizes only the first layer, which is never in the head
         classes = config.blob_classes if blobs else max(idx_labels()) + 1  # as `load_idx` counts classes
         specs = build_layer_specs(1, config.hidden_dims, classes)
+        _, head_sizes = param_counts(specs, len(specs) - config.head_layers)
         try:
-            segment_lengths(config.private_bits, [spec.flat_size for spec in specs[-config.head_layers :]])
+            segment_lengths(config.private_bits, head_sizes)
         except ValueError as err:
             problems.append(f"private_bits ({config.private_bits}) must give every head layer a bit: {err}")
     if not problems and config.slice_total_bits > 0:
@@ -237,7 +240,7 @@ def validate_config(config: RunConfig) -> None:
             specs = build_layer_specs(width, config.hidden_dims, 1)
         except (OSError, ValueError) as err:  # only an idx header can fail here
             raise ConfigError(f"idx_images: {err}") from None
-        rep_size = sum(spec.flat_size for spec in specs[: len(specs) - config.head_layers])
+        rep_size, _ = param_counts(specs, len(specs) - config.head_layers)
         try:
             check_slice_layout(config.slice_total_bits, config.n_clients, rep_size, region_params(config, rep_size))
         except ValueError as err:

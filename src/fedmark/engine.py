@@ -6,14 +6,15 @@ private-watermark penalty on its head, then one representation-only epoch
 whose loss adds the penalty for its server-issued watermark slice, and
 uploads the representation. The server rejects a non-finite upload unscored,
 verifies every other upload against the client's true slice, optionally
-screens it with the tamper detector, and averages the accepted uploads into
-the next shared representation. Each client trains its own personalized
-model in place, on the data shard it owns; heads never leave their clients.
-A round's clients never read each other's state, so they train together in
-cohorts: each cohort is one `nn.Model` over a stack of the clients' parameter
-vectors, whose head epochs train its head-column view, with the same bits as
-clients trained one by one. Each upload is scored once, on the cohort that
-produced it, and reported as one `Upload` row.
+screens it with the tamper detector, and averages the accepted uploads, as
+a running sum, into the next shared representation. Each client trains its
+own personalized model in place, on the data shard it owns; heads never
+leave their clients. A round's clients never read each other's state, so
+they train together in cohorts: each cohort is one `nn.Model` over the
+leading rows of one run-owned parameter buffer, whose head epochs train its
+head-column view, with the same bits as clients trained one by one. Each
+upload is scored once, on the cohort that produced it, and reported as one
+`Upload` row.
 """
 
 import functools
@@ -145,10 +146,17 @@ def sample_clients(n_clients: int, sample_rate: float, seed: int) -> list[int]:
 
 
 def aggregate(reps: list) -> np.ndarray:
-    """Element-wise mean of uploaded representations."""
+    """Element-wise mean of uploaded representations: a running sum from
+    zero in list order, then one division. These are the bits of
+    `np.mean(np.stack(reps), axis=0)`, which sums a stack's rows the same
+    way, without building the (K, rep) stack."""
     if not reps:
         raise ValueError("nothing to aggregate")
-    return np.mean(np.stack(reps), axis=0)
+    total = np.zeros(len(reps[0]))
+    for rep in reps:
+        total += rep
+    total /= len(reps)
+    return total
 
 
 # Rows per training cohort. A cohort's working set grows with its rows (the
@@ -191,6 +199,7 @@ def client_local_update(
     rep_flat: np.ndarray,
     config: RunConfig,
     round_index: int,
+    cohort_params: np.ndarray,
 ) -> dict:
     """One round for the given clients: head epochs, then a single
     representation epoch, every client trained on its own shard. Returns
@@ -199,38 +208,45 @@ def client_local_update(
 
     The clients never read each other's state, so they train together as
     stacked cohorts of at most `COHORT_ROWS`, largest shards first (see
-    `_train_cohort`). Each client's model and score come out bit for bit as
-    if it had trained alone; its representation prefix is the upload.
+    `_train_cohort`), each in the leading rows of `cohort_params`, a
+    (rows, P) buffer of at least min(`COHORT_ROWS`, len(clients)) rows whose
+    values are overwritten: `run_training` allocates one per run, and every
+    cohort of every round trains in it. Each client's model and score come
+    out bit for bit as if it had trained alone; its representation prefix is
+    the upload.
     """
     clients = sorted(clients, key=lambda c: -len(c.data))  # stable: ties keep their order
     scores = {}
     for lo in range(0, len(clients), COHORT_ROWS):
-        scores.update(_train_cohort(clients[lo : lo + COHORT_ROWS], rep_flat, config, round_index))
+        cohort = clients[lo : lo + COHORT_ROWS]
+        scores.update(_train_cohort(cohort, rep_flat, config, round_index, cohort_params[: len(cohort)]))
     return scores
 
 
-def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_index: int) -> dict:
+def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_index: int, params) -> dict:
     """Train clients, sorted by shard size from largest, as one cohort, and
     score them; returns each client's accuracy by client id.
 
-    The clients' models are stacked once into a (C, P) `nn.Model`, and the
-    broadcast `rep_flat` is written into its representation columns. The
-    head epochs train the view of its head columns over features computed
-    once per shard, the representation epoch the whole stack. Each main-task
-    step runs on the stack rows that still have a batch at that step,
-    grouped by batch length, with one private-mark call on their head rows
-    and marks: stacked once per round when a row reads its mark more than
-    once, and otherwise read in place from the cache. The feature pass and
-    the scoring run once per group of equal shard lengths, not padded: a
-    one-row product takes another BLAS path. Each client draws its batch
-    orders from its own generator and its watermark gradients from its own
-    stack row, as alone. The trained rows are scored, then written back into
-    each `client.model`.
+    The cohort is one (C, P) `nn.Model` over `params`, a buffer the caller
+    owns: the broadcast `rep_flat` fills its representation columns and
+    each client's head the rest of its row. The head epochs train the view
+    of its head columns over features computed once per shard, the
+    representation epoch the whole stack. Each main-task step runs on the
+    stack rows that still have a batch at that step, grouped by batch
+    length, with one private-mark call on their head rows and marks:
+    stacked once per round when a row reads its mark more than once, and
+    otherwise read in place from the cache. The feature pass and the scoring
+    run once per group of equal shard lengths, not padded: a one-row product
+    takes another BLAS path. Each client draws its batch orders from its own
+    generator and its watermark gradients from its own stack row, as alone.
+    The trained rows are scored, then written back into each `client.model`.
     """
     first = clients[0].model
-    stack = nn.Model(first.specs, np.stack([c.model.params for c in clients]), first.head_start)
+    stack = nn.Model(first.specs, params, first.head_start)
     specs, head_start, rep_size = stack.specs, stack.head_start, stack.rep_param_count
     stack.params[:, :rep_size] = rep_flat
+    for client, row in zip(clients, stack.params):
+        row[rep_size:] = client.model.params[rep_size:]
     sizes = [len(c.data) for c in clients]
     rngs = [
         np.random.default_rng(derive_seed(config.seed, STREAM_LOCAL_BATCHES, c.client_id, round_index))
@@ -312,7 +328,7 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
 
 
 def _setup_clients(config, dataset, partition, base_model):
-    head_sizes = [base_model.specs[k].flat_size for k in base_model.head_layer_ids]
+    _, head_sizes = nn.param_counts(base_model.specs, base_model.head_start)
     clients = []
     for cid in range(config.n_clients):
         private = None
@@ -346,6 +362,8 @@ def run_training(config: RunConfig) -> TrainingResult:
     rep = base.params[:rep_size].copy()
     clients = _setup_clients(config, dataset, partition, base)
     del dataset, partition  # each client owns its shard; free the rest before training
+    # every cohort of every round trains in this buffer: no round allocates (and faults in) its own
+    cohort_params = np.empty((min(COHORT_ROWS, round(config.sample_rate * config.n_clients)), base.params.size))
 
     assignments = ()
     if config.slice_total_bits > 0:
@@ -372,7 +390,7 @@ def run_training(config: RunConfig) -> TrainingResult:
             config.n_clients, config.sample_rate, derive_seed(config.seed, STREAM_SAMPLING, round_index)
         )
         active = [clients[cid] for cid in sampled if cid not in server.banned]
-        main_acc = client_local_update(active, server.rep_flat, config, round_index)
+        main_acc = client_local_update(active, server.rep_flat, config, round_index, cohort_params)
         trained = []  # (client, slice accuracy or None) per active client
         rejected = set()
         for client in active:

@@ -141,6 +141,13 @@ def build_layer_specs(input_dim: int, hidden_dims, num_classes: int) -> list[Lay
     ]
 
 
+def param_counts(specs, head_start: int) -> tuple[int, list[int]]:
+    """The parameter count of the representation, layers [0, head_start),
+    and that of each head layer, for a model of `specs` split there."""
+    sizes = [spec.flat_size for spec in specs]
+    return sum(sizes[:head_start]), sizes[head_start:]
+
+
 def init_model(specs: list[LayerSpec], seed: int, head_start: int | None = None) -> Model:
     """Create a model with seeded normal weights scaled by 1/sqrt(input_dim).
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from fedmark import cli, nn, watermark
+from fedmark import cli, data, nn, watermark
 from fedmark.config import config_text
 
 
@@ -123,6 +124,37 @@ def test_train_flag_overrides(tiny_cfg_file, tmp_path):
     assert cli.main(["train", str(tiny_cfg_file), "--rounds", "1"]) == 0
     rows = read_rows(tmp_path / "out" / "rounds.csv")
     assert {row[0] for row in rows[1:]} == {"1"}
+
+
+def test_train_flag_mends_a_file_value_that_fails_alone(tmp_path, capsys):
+    """Flags replace the file's values before the one validation: a file
+    asking for 5 labels per client over 3 blob classes trains with
+    --k_labels 2, and fails without it."""
+    path = tmp_path / "k5.cfg"
+    path.write_text(config_text(tiny_config(k_labels=5, rounds=1, output_dir=str(tmp_path / "out"))))
+    assert cli.main(["train", str(path)]) == 1
+    assert "k_labels (5) exceeds blob_classes (3)" in capsys.readouterr().err
+    assert cli.main(["train", str(path), "--k_labels", "2"]) == 0
+    assert (tmp_path / "out" / "models.npz").exists()
+
+
+def test_train_flag_mends_an_idx_k_labels_above_the_label_file(tmp_path, capsys):
+    """The idx form of the same mend: the label file holds 3 distinct labels,
+    the config file asks for 5 per client, and --k_labels 3 trains."""
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    pixels = np.random.default_rng(0).integers(0, 256, (60, 2, 2), dtype=np.uint8)
+    images.write_bytes(struct.pack(">IIII", data.IDX_IMAGES_MAGIC, 60, 2, 2) + pixels.tobytes())
+    labels.write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, 60) + bytes(i % 3 for i in range(60)))
+    config = tiny_config(
+        dataset="idx", idx_images=str(images), idx_labels=str(labels), k_labels=5, rounds=1,
+        hidden_dims=(8, 8), private_bits=8, slice_total_bits=16, output_dir=str(tmp_path / "out"),
+    )
+    path = tmp_path / "idx.cfg"
+    path.write_text(config_text(config))
+    assert cli.main(["train", str(path)]) == 1
+    assert "k_labels (5) exceeds the 3 distinct labels" in capsys.readouterr().err
+    assert cli.main(["train", str(path), "--k_labels", "3"]) == 0
+    assert (tmp_path / "out" / "models.npz").exists()
 
 
 def test_keys_json_lists_all_clients(tiny_cfg_file, tmp_path):

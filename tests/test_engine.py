@@ -4,6 +4,7 @@ privacy, and the degenerate no-watermark behavior."""
 import csv
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,19 @@ def test_aggregate_is_linear(rng):
     np.testing.assert_allclose(scaled, 2.5 * engine.aggregate(reps), atol=1e-12)
 
 
+def test_aggregate_holds_one_running_sum_not_a_stack(rng):
+    """Averaging 50 crowd-sized uploads allocates the result and no (50, rep)
+    stack: traced numpy memory peaks below two uploads' bytes."""
+    reps = [rng.standard_normal(4736) for _ in range(50)]
+    tracemalloc.start()
+    try:
+        engine.aggregate(reps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * reps[0].nbytes
+
+
 # --- single-client update -------------------------------------------------------
 
 
@@ -103,8 +117,8 @@ def test_malicious_update_differs_only_inside_its_region():
     attacker.malicious = True
 
     rep = base.params[: base.rep_param_count].copy()
-    engine.client_local_update([honest], rep, config, 1)
-    engine.client_local_update([attacker], rep, config, 1)
+    engine.client_local_update([honest], rep, config, 1, np.empty((1, base.params.size)))
+    engine.client_local_update([attacker], rep, config, 1, np.empty((1, base.params.size)))
     up_honest, up_attack = honest.model.params[: len(rep)], attacker.model.params[: len(rep)]
 
     inside = np.zeros(base.rep_param_count, dtype=bool)
@@ -129,7 +143,7 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
 
     monkeypatch.setattr(nn, "main_task_loss_and_grads", zero_main)
     rep = base.params[: base.rep_param_count].copy()
-    engine.client_local_update([client], rep, config, 1)
+    engine.client_local_update([client], rep, config, 1, np.empty((1, base.params.size)))
     upload = client.model.params[: len(rep)]
 
     inside = np.zeros(base.rep_param_count, dtype=bool)
@@ -166,7 +180,7 @@ def _check_one_update_against_full_model_steps(config):
     assignment = assign_slices(bits, config.n_clients, rep_size, rep_size // config.n_clients, seed=6)[1]
     client = make_client(1, base, dataset, partition, assignment=assignment, private=private)
     client.malicious = True
-    engine.client_local_update([client], base.params[:rep_size].copy(), config, 2)
+    engine.client_local_update([client], base.params[:rep_size].copy(), config, 2, np.empty((1, base.params.size)))
     upload = client.model.params[:rep_size]
 
     model = base.copy()
@@ -244,10 +258,10 @@ def test_cohort_training_equals_training_each_client_alone(name, monkeypatch):
     stacked = engine.run_training(config)
     update = engine.client_local_update
 
-    def alone(clients, rep_flat, config, round_index):
+    def alone(clients, rep_flat, config, round_index, cohort_params):
         scores = {}
         for client in clients:
-            scores.update(update([client], rep_flat, config, round_index))
+            scores.update(update([client], rep_flat, config, round_index, cohort_params))
         return scores
 
     monkeypatch.setattr(engine, "client_local_update", alone)
@@ -271,6 +285,28 @@ def test_cohort_training_equals_training_each_client_alone(name, monkeypatch):
         assert sizes.count(1) == 2 and len(set(sizes)) == 5
     if name == "one-head-epoch":
         assert min(sizes) <= config.batch_size < max(sizes)
+
+
+def test_every_cohort_of_a_run_trains_in_one_buffer(monkeypatch):
+    """A run allocates one (min(COHORT_ROWS, clients per round), P) parameter
+    buffer, and every training step of every cohort in every round, head
+    view or whole stack, runs on a view of it."""
+    config = tiny_config(n_clients=8, sample_rate=0.75, rounds=3)  # 6 clients a round: cohorts of 4 and 2
+    monkeypatch.setattr(engine, "COHORT_ROWS", 4)
+    trained = []
+    step = nn.main_task_loss_and_grads
+
+    def spy(model, batch, *, with_loss=True):
+        trained.append(model.params)
+        return step(model, batch, with_loss=with_loss)
+
+    monkeypatch.setattr(nn, "main_task_loss_and_grads", spy)
+    result = engine.run_training(config)
+    buffer = trained[0].base
+    assert buffer is not None and buffer.shape == (4, result.clients[0].model.params.size)
+    assert all(params.base is buffer for params in trained)
+    assert max(params.shape[0] for params in trained) == 4
+    assert len({params.shape[-1] for params in trained}) == 2  # head views and whole stacks
 
 
 def test_private_marks_read_once_are_read_in_place(monkeypatch):
@@ -312,8 +348,8 @@ def test_update_scores_equal_the_one_model_accuracy_after_the_update(name, monke
     update = engine.client_local_update
     scores = []
 
-    def checked(clients, rep_flat, config, round_index):
-        returned = update(clients, rep_flat, config, round_index)
+    def checked(clients, rep_flat, config, round_index, cohort_params):
+        returned = update(clients, rep_flat, config, round_index, cohort_params)
         assert returned == {c.client_id: nn.evaluate_accuracy(c.model, c.data) for c in clients}
         scores.extend(returned.values())
         return returned

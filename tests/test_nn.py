@@ -63,6 +63,17 @@ def test_head_boundary_is_configurable():
         nn.init_model(small_specs(), seed=0, head_start=3)
 
 
+@pytest.mark.parametrize("head_start", [1, 2])
+def test_param_counts_split_a_model_at_its_head(head_start):
+    """5*8+8 = 48, 8*6+6 = 54 and 6*3+3 = 21 params: the representation
+    count and the head layer counts are the model's own offsets."""
+    model = nn.init_model(small_specs(), seed=0, head_start=head_start)
+    rep_size, head_sizes = nn.param_counts(model.specs, head_start)
+    assert (rep_size, head_sizes) == ((48, [54, 21]) if head_start == 1 else (102, [21]))
+    assert rep_size == model.rep_param_count
+    assert head_sizes == [model.layer_flat(k).size for k in model.head_layer_ids]
+
+
 def test_model_rejects_params_of_wrong_length():
     size = sum(spec.flat_size for spec in small_specs())
     nn.Model(small_specs(), np.zeros(size), head_start=2)

@@ -1,6 +1,6 @@
 """Property tests of the run's invariants: partitions, slice layouts, the key
-and manifest formats, the config file, the tamper flip count, cohort scoring
-and stacked private-mark gradients."""
+and manifest formats, the config file, the tamper flip count, cohort scoring,
+stacked private-mark gradients and the server's running-sum aggregate."""
 
 import dataclasses
 import math
@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from fedmark import nn  # noqa: E402
+from fedmark import engine, nn  # noqa: E402
 from fedmark.attacks import tamper_bits  # noqa: E402
 from fedmark.config import (  # noqa: E402
     ConfigError,
@@ -363,3 +363,26 @@ def test_stacked_private_gradients_equal_the_one_vector_kernel(rows, head_layers
             assert grads[i, at].tobytes() == fast[i, at].tobytes() == grad.tobytes() == plain.tobytes()
             assert place_grads[i, at].tobytes() == place_fast[i, at].tobytes() == grad.tobytes()
         assert losses[i] == place_losses[i] == loss
+
+
+# --- aggregation --------------------------------------------------------------------
+
+
+@PROPERTY
+@given(
+    st.integers(1, 64),
+    st.integers(2, 40),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+@example(count=64, size=2, zeros=1.0, seed=0)  # every entry a zero of either sign
+@example(count=50, size=4736, zeros=0.3, seed=1)  # a crowd round's upload size
+def test_running_sum_aggregate_equals_the_stacked_mean(count, size, zeros, seed):
+    """`aggregate` gives the bytes of `np.mean(np.stack(reps), axis=0)`, signed
+    zeros included, for entries of either sign from 1e-8 to 1e8. A
+    representation holds at least one weight and one bias, so vectors have
+    at least two entries; numpy's mean of a (K, 1) stack sums pairwise."""
+    rng = np.random.default_rng(seed)
+    magnitudes = np.where(rng.random((count, size)) < zeros, 0.0, 10.0 ** rng.uniform(-8, 8, (count, size)))
+    reps = list(rng.choice([-1.0, 1.0], (count, size)) * magnitudes)
+    assert engine.aggregate(reps).tobytes() == np.mean(np.stack(reps), axis=0).tobytes()
