@@ -108,15 +108,14 @@ def attack_report(
     assignments,
     malicious_ids,
     ledger: DetectionLedger,
-    n_clients: int,
 ) -> AttackReport:
-    """Score a finished run: slice detection rates are measured against the
-    final shared representation, the surface every party keeps."""
+    """Score a finished run with one slice per client: slice detection rates
+    are measured against the final shared representation, the surface every party keeps."""
     malicious_ids = set(malicious_ids)
     honest, malicious = [], []
     for a in assignments:
         (malicious if a.client_id in malicious_ids else honest).append(slice_detection_rate(rep_flat, a))
-    d_t, d_f = detection_metrics(ledger, malicious_ids, n_clients)
+    d_t, d_f = detection_metrics(ledger, malicious_ids, len(assignments))
     malicious_rejected, honest_rejected, tampered_aggregated = upload_shares(ledger, malicious_ids)
     return AttackReport(
         honest_rate=100.0 * float(np.mean(honest)),

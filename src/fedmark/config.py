@@ -109,8 +109,9 @@ def load_config(path: str, overrides=()) -> RunConfig:
     """
     values = {}
     try:
-        lines = open(path).read().splitlines()
-    except OSError as err:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()

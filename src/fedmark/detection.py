@@ -9,7 +9,6 @@ rejected pool is large enough, the test flips: a record is accepted only
 when it rises above an upper confidence band around the rejected pool.
 """
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -153,20 +152,3 @@ def upload_shares(ledger: DetectionLedger, malicious_ids):
         return flags.count(value) / len(flags) if flags else None
 
     return share(tampered, False), share(honest, False), share(tampered, True)
-
-
-def export_ledger_csv(ledger: DetectionLedger, path) -> None:
-    """All records with their decisions, in arrival order."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["round", "client", "embedding_count", "acc", "decision"])
-        for record, accepted in ledger.history:
-            writer.writerow(
-                [
-                    record.round_index,
-                    record.client_id,
-                    record.embedding_count,
-                    f"{record.acc:.6f}",
-                    "accept" if accepted else "reject",
-                ]
-            )

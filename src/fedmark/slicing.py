@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import derive_seed
-from .watermark import (
-    bits_to_hex,
-    cached_embedding_matrix,
-    detection_rate,
-    embedding_loss_and_grad,
-    extract_bits,
-    hex_to_bits,
-)
+from .watermark import cached_embedding_matrix, detection_rate, embedding_loss_and_grad, extract_bits
 
 
 @dataclass(frozen=True)
@@ -121,34 +114,3 @@ def slice_loss_and_grad(rep_flat, assignment: SliceAssignment, bits=None, *, wit
         raise ValueError("override bits must match the slice length")
     segment = rep_flat[assignment.region_start : assignment.region_stop]
     return embedding_loss_and_grad(segment, assignment.matrix(), target, with_loss=with_loss)
-
-
-def write_manifest(assignments: list[SliceAssignment], path) -> None:
-    """One line per client: id, slice hex, slice bit length, region, seed."""
-    with open(path, "w") as f:
-        f.write("client_id,slice_hex,slice_bits,region_start,region_stop,matrix_seed\n")
-        for a in assignments:
-            f.write(
-                f"{a.client_id},{bits_to_hex(a.bits)},{len(a.bits)},"
-                f"{a.region_start},{a.region_stop},{a.matrix_seed}\n"
-            )
-
-
-def read_manifest(path) -> list[SliceAssignment]:
-    assignments = []
-    with open(path) as f:
-        header = f.readline()
-        if not header.startswith("client_id,"):
-            raise ValueError(f"{path}: not a slice manifest")
-        for line in f:
-            cid, hexbits, nbits, start, stop, seed = line.strip().split(",")
-            assignments.append(
-                SliceAssignment(
-                    client_id=int(cid),
-                    bits=hex_to_bits(hexbits, int(nbits)),
-                    region_start=int(start),
-                    region_stop=int(stop),
-                    matrix_seed=int(seed),
-                )
-            )
-    return assignments

@@ -256,7 +256,6 @@ def check_detector_grid(seed: int) -> None:
                 result.server.assignments,
                 result.malicious_ids,
                 result.server.ledger,
-                config.n_clients,
             )
             cell = f"(seed={seed}, f_m={malicious_fraction}, f_t={tamper_rate})"
             assert report.true_detection >= 0.9, (

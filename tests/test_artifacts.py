@@ -1,0 +1,27 @@
+"""Run files read back as what training produced."""
+
+import numpy as np
+import pytest
+
+from conftest import tiny_config
+from fedmark import artifacts, engine
+
+
+@pytest.mark.parametrize("head_layers", [1, 2])
+def test_load_run_models_returns_the_trained_models_and_marks(tmp_path, head_layers):
+    """Each client's final parameters come back byte for byte, and its
+    private mark with the bits, layer sizes and matrix seeds it trained."""
+    config = tiny_config(head_layers=head_layers)
+    result = engine.run_training(config)
+    artifacts.write_run_artifacts(result, config, str(tmp_path))
+    models, specs = artifacts.load_run_models(str(tmp_path))
+    assert len(models) == len(specs) == len(result.clients)
+    for client, model, spec in zip(result.clients, models, specs):
+        assert model.specs == client.model.specs and model.head_start == client.model.head_start
+        assert model.params.dtype == client.model.params.dtype
+        assert model.params.tobytes() == client.model.params.tobytes()
+        assert len(spec.layer_sizes) == head_layers
+        assert spec.bits.dtype == client.private.bits.dtype
+        np.testing.assert_array_equal(spec.bits, client.private.bits)
+        assert spec.layer_sizes == client.private.layer_sizes
+        assert spec.matrix_seeds == client.private.matrix_seeds

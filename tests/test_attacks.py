@@ -179,7 +179,7 @@ def perfect_slice_rep(n_clients, region_size, seed=0):
 
 def test_attack_report_all_honest_perfect():
     rep, assignments = perfect_slice_rep(n_clients=4, region_size=8)
-    report = attacks.attack_report(rep, assignments, set(), DetectionLedger(), n_clients=4)
+    report = attacks.attack_report(rep, assignments, set(), DetectionLedger())
     assert report.honest_rate == 100.0
     assert report.malicious_rate is None
     assert report.delta is None
@@ -190,7 +190,7 @@ def test_attack_report_splits_by_role():
     rep, assignments = perfect_slice_rep(n_clients=4, region_size=8)
     # wreck client 3's region so its slice reads the wrong bit
     rep[assignments[3].region_start : assignments[3].region_stop] *= -1.0
-    report = attacks.attack_report(rep, assignments, {3}, DetectionLedger(), n_clients=4)
+    report = attacks.attack_report(rep, assignments, {3}, DetectionLedger())
     assert report.honest_rate == 100.0
     assert report.malicious_rate == 0.0
     assert report.delta == 100.0

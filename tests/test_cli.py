@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from fedmark import cli, data, nn, watermark
+from fedmark import artifacts, cli, data, nn, watermark
 from fedmark.config import config_text
 
 
@@ -419,6 +419,21 @@ def test_heatmap_rejects_a_models_npz_that_is_no_archive(tiny_cfg_file, tmp_path
     assert not (tmp_path / "out" / "heatmap.csv").exists()
 
 
+@pytest.mark.parametrize("damage", ["truncated", "not utf-8"])
+def test_heatmap_rejects_a_keys_json_that_is_no_json(tiny_cfg_file, tmp_path, capsys, damage):
+    """A keys.json cut short and one that is not UTF-8 each end in one error
+    line that names keys.json, not in the bare message of the decoder."""
+    cli.main(["train", str(tiny_cfg_file)])
+    path = tmp_path / "out" / "keys.json"
+    text = path.read_bytes()
+    path.write_bytes(text[:50] if damage == "truncated" else text.replace(b'"clients"', b'"\xffclients"'))
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "keys.json" in err and err.count("\n") == 1
+    assert not (tmp_path / "out" / "heatmap.csv").exists()
+
+
 def test_heatmap_matches_a_per_pair_reference(tmp_path):
     """A two-layer head splits each mark into two segments, and the short
     run leaves the marks imperfect, so the cells differ from one another."""
@@ -427,7 +442,7 @@ def test_heatmap_matches_a_per_pair_reference(tmp_path):
     assert cli.main(["train", str(cfg_path)]) == 0
     assert cli.main(["heatmap", str(tmp_path / "out")]) == 0
     rows = read_rows(tmp_path / "out" / "heatmap.csv")
-    models, specs = cli._load_run_models(str(tmp_path / "out"))
+    models, specs = artifacts.load_run_models(str(tmp_path / "out"))
     assert all(len(spec.layer_sizes) == 2 for spec in specs)
     reference = []
     for i, model in enumerate(models):

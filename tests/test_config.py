@@ -1,6 +1,7 @@
 """Config file parsing, overrides, validation, and output-dir resolution."""
 
 import dataclasses
+import re
 import struct
 
 import pytest
@@ -59,6 +60,13 @@ def test_load_config_reports_line_numbers(tmp_path):
     path = write(tmp_path, "just some words\n")
     with pytest.raises(ConfigError, match=r":1: expected key=value"):
         load_config(path)
+
+
+def test_load_config_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"rounds=2\nn_clients=\xff\n")
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read config {path}: 'utf-8' codec")):
+        load_config(str(path))
 
 
 def test_load_config_missing_file():

@@ -7,7 +7,7 @@ import statistics
 import pytest
 
 from conftest import quantile_by_bisection
-from fedmark import detection
+from fedmark import artifacts, detection
 from fedmark.config import RunConfig
 
 
@@ -263,7 +263,7 @@ def test_export_ledger_csv(tmp_path):
     ledger = detection.DetectionLedger()
     ledger.history = [(record(1.0, client_id=3, round_index=2), True), (record(0.25, client_id=1), False)]
     path = tmp_path / "ledger.csv"
-    detection.export_ledger_csv(ledger, path)
+    artifacts.write_ledger_csv(ledger, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "round,client,embedding_count,acc,decision"
     assert lines[1] == "2,3,1,1.000000,accept"

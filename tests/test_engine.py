@@ -11,8 +11,8 @@ import pytest
 
 from conftest import plain_fedrep_oracle, tiny_config
 from fedmark import cli, engine, nn, slicing, watermark
+from fedmark.artifacts import write_run_artifacts
 from fedmark.attacks import attack_report, tamper_bits
-from fedmark.cli import write_run_artifacts
 from fedmark.config import RunConfig
 from fedmark.seeding import STREAM_INIT, STREAM_LOCAL_BATCHES, STREAM_TAMPER, derive_seed
 from fedmark.slicing import assign_slices, slice_loss_and_grad
@@ -512,7 +512,7 @@ def test_upload_shares_match_the_round_reports():
     config = COHORT_CASES["tampering-detector"][0]
     result = engine.run_training(config)
     report = attack_report(
-        result.server.rep_flat, result.server.assignments, result.malicious_ids, result.server.ledger, config.n_clients
+        result.server.rep_flat, result.server.assignments, result.malicious_ids, result.server.ledger
     )
     verified = [u for r in result.reports for u in r.uploads if u.slice_acc is not None]
     tampered = [u.accepted for u in verified if u.client_id in result.malicious_ids]

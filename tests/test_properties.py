@@ -24,7 +24,8 @@ from fedmark.config import (  # noqa: E402
     validate_config,
 )
 from fedmark.data import partition_dirichlet, partition_k_labels  # noqa: E402
-from fedmark.slicing import SliceAssignment, assign_slices, read_manifest, write_manifest  # noqa: E402
+from fedmark.artifacts import read_manifest, write_manifest  # noqa: E402
+from fedmark.slicing import SliceAssignment, assign_slices  # noqa: E402
 from fedmark.watermark import (  # noqa: E402
     _sigmoid,
     bits_to_hex,

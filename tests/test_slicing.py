@@ -4,7 +4,7 @@ slice manifest."""
 import numpy as np
 import pytest
 
-from fedmark import slicing, watermark
+from fedmark import artifacts, slicing, watermark
 
 
 # --- common watermark -----------------------------------------------------------
@@ -203,8 +203,8 @@ def test_manifest_round_trip(tmp_path):
     bits = watermark.random_bits(100, seed=11)
     assignments = slicing.assign_slices(bits, 3, rep_param_count=300, region_size=100, seed=12)
     path = tmp_path / "slices.manifest"
-    slicing.write_manifest(assignments, path)
-    loaded = slicing.read_manifest(path)
+    artifacts.write_manifest(assignments, path)
+    loaded = artifacts.read_manifest(path)
     assert len(loaded) == 3
     for orig, back in zip(assignments, loaded):
         assert back.client_id == orig.client_id
@@ -217,4 +217,4 @@ def test_read_manifest_rejects_foreign_files(tmp_path):
     path = tmp_path / "not_a_manifest.csv"
     path.write_text("round,client\n1,2\n")
     with pytest.raises(ValueError):
-        slicing.read_manifest(path)
+        artifacts.read_manifest(path)
