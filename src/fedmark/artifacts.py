@@ -43,8 +43,9 @@ def write_rounds_csv(result: TrainingResult, path) -> None:
 def write_final_metrics_csv(result: TrainingResult, path) -> None:
     def rows():
         for client in result.clients:
-            acc = nn.evaluate_accuracy(client.model, client.data)
-            rate = None if client.private is None else private_detection_rate(client.model, client.private)
+            model = result.model(client)
+            acc = nn.evaluate_accuracy(model, client.data)
+            rate = None if client.private is None else private_detection_rate(model, client.private)
             sliced = None
             if client.assignment is not None:
                 sliced = slice_detection_rate(result.server.rep_flat, client.assignment)
@@ -54,7 +55,7 @@ def write_final_metrics_csv(result: TrainingResult, path) -> None:
 
 
 def write_keys_json(result: TrainingResult, config: RunConfig, path) -> None:
-    specs = result.clients[0].model.specs
+    specs = result.specs
     payload = {
         "input_dim": specs[0].input_dim,
         "num_classes": specs[-1].output_dim,
@@ -68,7 +69,7 @@ def write_keys_json(result: TrainingResult, config: RunConfig, path) -> None:
             entry["private"] = {
                 "bits_hex": bits_to_hex(client.private.bits),
                 "bits_len": int(len(client.private.bits)),
-                "target_layers": list(client.model.head_layer_ids),
+                "target_layers": list(range(result.head_start, len(specs))),
                 "layer_sizes": list(client.private.layer_sizes),
                 "matrix_seeds": list(client.private.matrix_seeds),
             }
@@ -79,10 +80,7 @@ def write_keys_json(result: TrainingResult, config: RunConfig, path) -> None:
 
 
 def write_models_npz(result: TrainingResult, path) -> None:
-    heads = {
-        f"head_{client.client_id}": client.model.params[client.model.rep_param_count :]
-        for client in result.clients
-    }
+    heads = {f"head_{client.client_id}": client.head for client in result.clients}
     np.savez(path, rep_flat=result.server.rep_flat, **heads)
 
 
@@ -212,7 +210,11 @@ def load_run_models(run_dir: str):
         entries = keys["clients"]
         if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
             raise ValueError(f"keys.json clients must be a list of client objects, got {entries!r}")
-        heads = [f"head_{entry['client_id']}" for entry in entries]
+        # a heatmap labels its rows and columns by position, so position i must hold client i
+        ids = [entry["client_id"] for entry in entries]
+        if ids != list(range(len(ids))) or not all(type(cid) is int for cid in ids):
+            raise ValueError(f"keys.json client_id values {ids!r} must be the integers 0..{len(ids) - 1} in order")
+        heads = [f"head_{cid}" for cid in ids]
         try:  # np.load reads a truncated archive or a foreign file as one of these
             archive = np.load(os.path.join(run_dir, "models.npz"))
             if not isinstance(archive, np.lib.npyio.NpzFile):  # a plain .npy file loads as one array

@@ -75,7 +75,7 @@ def cmd_fidelity_sweep(config: RunConfig, bit_list) -> int:
     rows = []
     for bits, variant in zip(bit_list, variants):
         result = run_training(variant)
-        accs = [nn.evaluate_accuracy(client.model, client.data) for client in result.clients]
+        accs = [nn.evaluate_accuracy(result.model(client), client.data) for client in result.clients]
         rows.append((bits, float(np.mean(accs))))
     baseline = rows[0][1]
     out_dir = resolve_output_dir(config)

@@ -7,14 +7,16 @@ whose loss adds the penalty for its server-issued watermark slice, and
 uploads the representation. The server rejects a non-finite upload unscored,
 verifies every other upload against the client's true slice, optionally
 screens it with the tamper detector, and averages the accepted uploads, as
-a running sum, into the next shared representation. Each client trains its
-own personalized model in place, on the data shard it owns; heads never
-leave their clients. A round's clients never read each other's state, so
-they train together in cohorts: each cohort is one `nn.Model` over the
-leading rows of one run-owned parameter buffer, whose head epochs train its
+a running sum, into the next shared representation. Each client trains on
+the data shard it owns; heads never leave their clients. A client keeps
+only its head between rounds; its
+personalized model is the shared representation plus that head, built on
+demand by `TrainingResult.model`. A round's clients never read each other's
+state, so they train together in cohorts: cohort i is one `nn.Model` over
+the leading rows of run-owned block i, whose head epochs train its
 head-column view, with the same bits as clients trained one by one. Each
-upload is scored once, on the cohort that produced it, and reported as one
-`Upload` row.
+upload is the representation columns of its block row, scored once, on the
+cohort that produced it, and reported as one `Upload` row.
 """
 
 import functools
@@ -61,12 +63,12 @@ from .watermark import (
 
 @dataclass
 class ClientState:
-    """Everything a client keeps between rounds: its personalized model (the
-    last representation it received plus its private head), its private data
-    shard, watermark material, and attack role."""
+    """Everything a client keeps between rounds: its private head parameters,
+    its private data shard, watermark material, and attack role. The
+    representation it trains on is the server's broadcast."""
 
     client_id: int
-    model: nn.Model
+    head: np.ndarray
     data: Dataset
     private: PrivateWatermarkSpec | None = None
     assignment: SliceAssignment | None = None
@@ -109,10 +111,17 @@ class TrainingResult:
     server: ServerState
     clients: list
     reports: list
+    specs: list  # the layers of every client's model
+    head_start: int
 
     @property
     def malicious_ids(self) -> set:
         return {c.client_id for c in self.clients if c.malicious}
+
+    def model(self, client: ClientState) -> nn.Model:
+        """The client's personalized model after the run, in fresh memory:
+        the final shared representation, then the client's head."""
+        return nn.Model(self.specs, np.concatenate([self.server.rep_flat, client.head]), self.head_start)
 
 
 def build_dataset(config: RunConfig) -> Dataset:
@@ -165,6 +174,20 @@ def aggregate(reps: list) -> np.ndarray:
 COHORT_ROWS = 32
 
 
+def cohort_blocks(model: nn.Model, clients: int) -> list:
+    """The training blocks of a round of `clients` clients: block i is a
+    cohort `nn.Model` of `model`'s layers over its own (rows, P) buffer, with
+    the rows of cohort i, at most `COHORT_ROWS`. A run allocates them once,
+    and every round's cohorts train in them. The blocks are cohort-sized,
+    not one (clients, P) buffer: freeing an allocation raises glibc's mmap
+    and trim thresholds to its size, and after one 8 MB buffer a 200-client
+    process kept more of its later arrays on the heap and peaked higher."""
+    return [
+        nn.Model(model.specs, np.empty((min(COHORT_ROWS, clients - lo), model.params.shape[-1])), model.head_start)
+        for lo in range(0, clients, COHORT_ROWS)
+    ]
+
+
 def _cohort_steps(sizes, batch_size) -> list[tuple]:
     """The steps of one epoch over shards of `sizes`, sorted from largest,
     as (lo, length, a, b): stack rows a:b all have a batch of `length` rows
@@ -199,54 +222,54 @@ def client_local_update(
     rep_flat: np.ndarray,
     config: RunConfig,
     round_index: int,
-    cohort_params: np.ndarray,
+    blocks: list,
 ) -> dict:
     """One round for the given clients: head epochs, then a single
     representation epoch, every client trained on its own shard. Returns
-    each client's main-task accuracy on its shard after the update, by
-    client id.
+    each client's (upload, main-task accuracy on its shard after the
+    update), by client id.
 
     The clients never read each other's state, so they train together as
     stacked cohorts of at most `COHORT_ROWS`, largest shards first (see
-    `_train_cohort`), each in the leading rows of `cohort_params`, a
-    (rows, P) buffer of at least min(`COHORT_ROWS`, len(clients)) rows whose
-    values are overwritten: `run_training` allocates one per run, and every
-    cohort of every round trains in it. Each client's model and score come
-    out bit for bit as if it had trained alone; its representation prefix is
-    the upload.
+    `_train_cohort`), cohort i in the leading rows of `blocks[i]`, from
+    `cohort_blocks`, whose values are overwritten. Each client's head and
+    score come out bit for bit as if it had trained alone; its upload is the
+    representation columns of its block row, a view that the next round's
+    training overwrites.
     """
     clients = sorted(clients, key=lambda c: -len(c.data))  # stable: ties keep their order
-    scores = {}
+    trained = {}
     for lo in range(0, len(clients), COHORT_ROWS):
         cohort = clients[lo : lo + COHORT_ROWS]
-        scores.update(_train_cohort(cohort, rep_flat, config, round_index, cohort_params[: len(cohort)]))
-    return scores
+        trained.update(_train_cohort(cohort, rep_flat, config, round_index, blocks[lo // COHORT_ROWS]))
+    return trained
 
 
-def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_index: int, params) -> dict:
+def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_index: int, block) -> dict:
     """Train clients, sorted by shard size from largest, as one cohort, and
-    score them; returns each client's accuracy by client id.
+    score them; returns each client's (upload, accuracy) by client id.
 
-    The cohort is one (C, P) `nn.Model` over `params`, a buffer the caller
-    owns: the broadcast `rep_flat` fills its representation columns and
-    each client's head the rest of its row. The head epochs train the view
-    of its head columns over features computed once per shard, the
-    representation epoch the whole stack. Each main-task step runs on the
-    stack rows that still have a batch at that step, grouped by batch
-    length, with one private-mark call on their head rows and marks:
-    stacked once per round when a row reads its mark more than once, and
-    otherwise read in place from the cache. The feature pass and the scoring
-    run once per group of equal shard lengths, not padded: a one-row product
-    takes another BLAS path. Each client draws its batch orders from its own
-    generator and its watermark gradients from its own stack row, as alone.
-    The trained rows are scored, then written back into each `client.model`.
+    The cohort is one (C, P) `nn.Model` over the leading rows of `block`, a
+    cohort model the caller owns: the broadcast `rep_flat` fills its
+    representation columns and each client's head the rest of its row. The
+    head epochs train the view of its head columns over features computed
+    once per shard, the representation epoch the whole stack. Each main-task
+    step runs on the stack rows that still have a batch at that step,
+    grouped by batch length, with one private-mark call on their head rows
+    and marks: stacked once per round when a row reads its mark more than
+    once, and otherwise read in place from the cache. The feature pass and
+    the scoring run once per group of equal shard lengths, not padded: a
+    one-row product takes another BLAS path. Each client draws its batch
+    orders from its own generator and its watermark gradients from its own
+    stack row, as alone. The trained rows are scored, each row's head is
+    written back into `client.head`, and its representation columns stay in
+    the block as the upload.
     """
-    first = clients[0].model
-    stack = nn.Model(first.specs, params, first.head_start)
+    stack = nn.Model(block.specs, block.params[: len(clients)], block.head_start)
     specs, head_start, rep_size = stack.specs, stack.head_start, stack.rep_param_count
     stack.params[:, :rep_size] = rep_flat
-    for client, row in zip(clients, stack.params):
-        row[rep_size:] = client.model.params[rep_size:]
+    for client, row in zip(clients, stack.params, strict=True):
+        row[rep_size:] = client.head
     sizes = [len(c.data) for c in clients]
     rngs = [
         np.random.default_rng(derive_seed(config.seed, STREAM_LOCAL_BATCHES, c.client_id, round_index))
@@ -323,12 +346,12 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     for _, n, a, b in shards:
         scores[a:b] = nn.evaluate_accuracy(stack_rows(a, b), nn.Batch(inputs[a:b, :n], labels[a:b, :n]))
     for client, row in zip(clients, stack.params):
-        client.model.params[:] = row
-    return {c.client_id: score for c, score in zip(clients, scores.tolist())}
+        client.head[:] = row[rep_size:]
+    return {c.client_id: (row[:rep_size], score) for c, row, score in zip(clients, stack.params, scores.tolist())}
 
 
 def _setup_clients(config, dataset, partition, base_model):
-    _, head_sizes = nn.param_counts(base_model.specs, base_model.head_start)
+    rep_size, head_sizes = nn.param_counts(base_model.specs, base_model.head_start)
     clients = []
     for cid in range(config.n_clients):
         private = None
@@ -338,7 +361,7 @@ def _setup_clients(config, dataset, partition, base_model):
         clients.append(
             ClientState(
                 client_id=cid,
-                model=base_model.copy(),
+                head=base_model.params[rep_size:].copy(),
                 data=dataset.subset(partition.client_indices[cid]),
                 private=private,
             )
@@ -362,8 +385,8 @@ def run_training(config: RunConfig) -> TrainingResult:
     rep = base.params[:rep_size].copy()
     clients = _setup_clients(config, dataset, partition, base)
     del dataset, partition  # each client owns its shard; free the rest before training
-    # every cohort of every round trains in this buffer: no round allocates (and faults in) its own
-    cohort_params = np.empty((min(COHORT_ROWS, round(config.sample_rate * config.n_clients)), base.params.size))
+    # every round's cohorts train in these blocks: no round allocates (and faults in) its own
+    blocks = cohort_blocks(base, round(config.sample_rate * config.n_clients))
 
     assignments = ()
     if config.slice_total_bits > 0:
@@ -390,11 +413,11 @@ def run_training(config: RunConfig) -> TrainingResult:
             config.n_clients, config.sample_rate, derive_seed(config.seed, STREAM_SAMPLING, round_index)
         )
         active = [clients[cid] for cid in sampled if cid not in server.banned]
-        main_acc = client_local_update(active, server.rep_flat, config, round_index, cohort_params)
-        trained = []  # (client, slice accuracy or None) per active client
+        trained = client_local_update(active, server.rep_flat, config, round_index, blocks)
+        scored = []  # (client, upload, slice accuracy or None) per active client
         rejected = set()
         for client in active:
-            upload = client.model.params[:rep_size]
+            upload, _ = trained[client.client_id]
             client.embedding_count += 1
             acc = None
             if not np.isfinite(upload).all():
@@ -402,11 +425,11 @@ def run_training(config: RunConfig) -> TrainingResult:
                 rejected.add(client.client_id)
             elif client.assignment is not None:
                 acc = slice_detection_rate(upload, client.assignment)
-            trained.append((client, acc))
+            scored.append((client, upload, acc))
 
         records = [
             DetectionRecord(round_index, client.client_id, client.embedding_count, acc)
-            for client, acc in trained
+            for client, _, acc in scored
             if acc is not None
         ]
         if config.detector:
@@ -415,7 +438,7 @@ def run_training(config: RunConfig) -> TrainingResult:
         if config.ban_rejected:
             server.banned |= rejected
 
-        kept = [c.model.params[:rep_size] for c, _ in trained if c.client_id not in rejected]
+        kept = [upload for client, upload, _ in scored if client.client_id not in rejected]
         if kept:
             server.rep_flat = aggregate(kept)
 
@@ -426,12 +449,10 @@ def run_training(config: RunConfig) -> TrainingResult:
                 embedding_count=client.embedding_count,
                 slice_acc=acc,
                 accepted=client.client_id not in rejected,
-                main_acc=main_acc[client.client_id],
+                main_acc=trained[client.client_id][1],
             )
-            for client, acc in trained
+            for client, _, acc in scored
         ]
         reports.append(RoundReport(round_index=round_index, sampled=sampled, uploads=uploads))
 
-    for client in clients:  # banned clients keep the final representation too
-        client.model.params[:rep_size] = server.rep_flat
-    return TrainingResult(server=server, clients=clients, reports=reports)
+    return TrainingResult(server=server, clients=clients, reports=reports, specs=specs, head_start=head_start)

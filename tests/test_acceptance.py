@@ -72,7 +72,7 @@ def honest_result():
 
 
 def mean_personal_accuracy(result) -> float:
-    return float(np.mean([nn.evaluate_accuracy(client.model, client.data) for client in result.clients]))
+    return float(np.mean([nn.evaluate_accuracy(result.model(client), client.data) for client in result.clients]))
 
 
 def test_01_formula_units_match_hand_values():
@@ -171,7 +171,7 @@ def test_03_private_watermarks_reliable_and_unique(honest_result):
     watermark (rate 1.0), and no client's key reads another's model at better
     than own rate minus 0.2."""
     clients = honest_result.clients
-    models = [client.model for client in clients]
+    models = [honest_result.model(client) for client in clients]
     n = len(clients)
     rates = np.empty((n, n))
     for i, client in enumerate(clients):
@@ -300,7 +300,7 @@ def test_07_tampering_dilutes_slices_when_detector_off():
 def test_08_private_watermarks_survive_pruning(honest_result):
     """Magnitude-pruning the personalized heads: detection stays >= 0.95 at
     rate 0.7 and never rises by more than noise (0.05) as pruning deepens."""
-    pairs = [(client.model, client) for client in honest_result.clients]
+    pairs = [(honest_result.model(client), client) for client in honest_result.clients]
     mean_rate = {}
     for rate in [round(0.1 * k, 1) for k in range(1, 10)]:
         mean_rate[rate] = float(
@@ -321,7 +321,7 @@ def test_09_private_watermarks_survive_finetuning(honest_result):
     """25 rounds of main-task-only fine-tuning on each client's own shard
     leaves every head watermark detectable at >= 0.75."""
     for client in honest_result.clients:
-        tuned = finetune_attack(client.model, client.data, rounds=25, lr=0.01, seed=client.client_id)
+        tuned = finetune_attack(honest_result.model(client), client.data, rounds=25, lr=0.01, seed=client.client_id)
         rate = private_detection_rate(tuned, client.private)
         assert rate >= 0.75, f"client {client.client_id}: rate {rate:.3f} after fine-tuning"
 
@@ -346,7 +346,7 @@ def test_10_deterministic_artifacts_and_clean_decoupling(tmp_path):
     oracle_rep, oracle_heads = plain_fedrep_oracle(plain)
     np.testing.assert_array_equal(result.server.rep_flat, oracle_rep)
     for client, head in zip(result.clients, oracle_heads):
-        np.testing.assert_array_equal(client.model.params[client.model.rep_param_count :], head)
+        np.testing.assert_array_equal(client.head, head)
     assert result.server.assignments == ()
 
 

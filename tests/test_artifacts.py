@@ -17,9 +17,10 @@ def test_load_run_models_returns_the_trained_models_and_marks(tmp_path, head_lay
     models, specs = artifacts.load_run_models(str(tmp_path))
     assert len(models) == len(specs) == len(result.clients)
     for client, model, spec in zip(result.clients, models, specs):
-        assert model.specs == client.model.specs and model.head_start == client.model.head_start
-        assert model.params.dtype == client.model.params.dtype
-        assert model.params.tobytes() == client.model.params.tobytes()
+        final = result.model(client)
+        assert model.specs == final.specs and model.head_start == final.head_start
+        assert model.params.dtype == final.params.dtype
+        assert model.params.tobytes() == final.params.tobytes()
         assert len(spec.layer_sizes) == head_layers
         assert spec.bits.dtype == client.private.bits.dtype
         np.testing.assert_array_equal(spec.bits, client.private.bits)

@@ -272,6 +272,31 @@ def test_heatmap_rejects_keys_that_do_not_describe_the_run(tiny_cfg_file, tmp_pa
     assert not (tmp_path / "out" / "heatmap.csv").exists()
 
 
+BAD_CLIENT_IDS = {
+    "swapped": lambda clients: clients.insert(0, clients.pop(1)),
+    "duplicated": lambda clients: clients[1].update(client_id=0),
+    "true": lambda clients: clients[1].update(client_id=True),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_CLIENT_IDS))
+def test_heatmap_rejects_client_ids_out_of_order(tiny_cfg_file, tmp_path, capsys, damage):
+    """A heatmap labels row and column i as client i, so keys.json must list
+    the clients with the integer ids 0..n-1 in order. Reordered, duplicated
+    and `true` ids each end in an error line naming client_id, not in a
+    heatmap whose labels name other clients."""
+    cli.main(["train", str(tiny_cfg_file)])
+    path = tmp_path / "out" / "keys.json"
+    keys = json.loads(path.read_text())
+    BAD_CLIENT_IDS[damage](keys["clients"])
+    path.write_text(json.dumps(keys))
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "client_id" in err and err.count("\n") == 1
+    assert not (tmp_path / "out" / "heatmap.csv").exists()
+
+
 def _edit_private_key(out_dir, client, edit):
     path = out_dir / "keys.json"
     keys = json.loads(path.read_text())

@@ -91,7 +91,7 @@ def update_setup(config):
 def make_client(cid, base, dataset, partition, assignment=None, private=None):
     return engine.ClientState(
         client_id=cid,
-        model=base.copy(),
+        head=base.params[base.rep_param_count :].copy(),
         data=dataset.subset(partition.client_indices[cid]),
         private=private,
         assignment=assignment,
@@ -99,7 +99,7 @@ def make_client(cid, base, dataset, partition, assignment=None, private=None):
 
 
 def head_of(client):
-    return client.model.params[client.model.rep_param_count :]
+    return client.head
 
 
 def test_malicious_update_differs_only_inside_its_region():
@@ -117,9 +117,8 @@ def test_malicious_update_differs_only_inside_its_region():
     attacker.malicious = True
 
     rep = base.params[: base.rep_param_count].copy()
-    engine.client_local_update([honest], rep, config, 1, np.empty((1, base.params.size)))
-    engine.client_local_update([attacker], rep, config, 1, np.empty((1, base.params.size)))
-    up_honest, up_attack = honest.model.params[: len(rep)], attacker.model.params[: len(rep)]
+    up_honest, _ = engine.client_local_update([honest], rep, config, 1, engine.cohort_blocks(base, 1))[1]
+    up_attack, _ = engine.client_local_update([attacker], rep, config, 1, engine.cohort_blocks(base, 1))[1]
 
     inside = np.zeros(base.rep_param_count, dtype=bool)
     inside[assignments[1].region_start : assignments[1].region_stop] = True
@@ -143,8 +142,7 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
 
     monkeypatch.setattr(nn, "main_task_loss_and_grads", zero_main)
     rep = base.params[: base.rep_param_count].copy()
-    engine.client_local_update([client], rep, config, 1, np.empty((1, base.params.size)))
-    upload = client.model.params[: len(rep)]
+    upload, _ = engine.client_local_update([client], rep, config, 1, engine.cohort_blocks(base, 1))[2]
 
     inside = np.zeros(base.rep_param_count, dtype=bool)
     inside[assignments[2].region_start : assignments[2].region_stop] = True
@@ -180,8 +178,8 @@ def _check_one_update_against_full_model_steps(config):
     assignment = assign_slices(bits, config.n_clients, rep_size, rep_size // config.n_clients, seed=6)[1]
     client = make_client(1, base, dataset, partition, assignment=assignment, private=private)
     client.malicious = True
-    engine.client_local_update([client], base.params[:rep_size].copy(), config, 2, np.empty((1, base.params.size)))
-    upload = client.model.params[:rep_size]
+    rep = base.params[:rep_size].copy()
+    upload, _ = engine.client_local_update([client], rep, config, 2, engine.cohort_blocks(base, 1))[1]
 
     model = base.copy()
     xs = dataset.inputs[partition.client_indices[1]]
@@ -258,18 +256,18 @@ def test_cohort_training_equals_training_each_client_alone(name, monkeypatch):
     stacked = engine.run_training(config)
     update = engine.client_local_update
 
-    def alone(clients, rep_flat, config, round_index, cohort_params):
-        scores = {}
-        for client in clients:
-            scores.update(update([client], rep_flat, config, round_index, cohort_params))
-        return scores
+    def alone(clients, rep_flat, config, round_index, blocks):
+        trained = {}
+        for client in clients:  # each in a block of its own: an upload is a view of its block row
+            trained.update(update([client], rep_flat, config, round_index, engine.cohort_blocks(blocks[0], 1)))
+        return trained
 
     monkeypatch.setattr(engine, "client_local_update", alone)
     single = engine.run_training(config)
 
     assert stacked.server.rep_flat.tobytes() == single.server.rep_flat.tobytes()
     for a, b in zip(stacked.clients, single.clients, strict=True):
-        assert a.model.params.tobytes() == b.model.params.tobytes(), f"client {a.client_id}"
+        assert stacked.model(a).params.tobytes() == single.model(b).params.tobytes(), f"client {a.client_id}"
     assert [r.uploads for r in stacked.reports] == [r.uploads for r in single.reports]
 
     sizes = [len(c.data) for c in stacked.clients]
@@ -287,26 +285,79 @@ def test_cohort_training_equals_training_each_client_alone(name, monkeypatch):
         assert min(sizes) <= config.batch_size < max(sizes)
 
 
-def test_every_cohort_of_a_run_trains_in_one_buffer(monkeypatch):
-    """A run allocates one (min(COHORT_ROWS, clients per round), P) parameter
-    buffer, and every training step of every cohort in every round, head
-    view or whole stack, runs on a view of it."""
+def test_every_cohort_of_a_run_trains_in_its_own_block(monkeypatch):
+    """A run allocates one block per cohort of a round, (min(COHORT_ROWS,
+    rows left), P) each. Every training step of every cohort in every
+    round, head view or whole stack, runs on a view of one of them, and the
+    server averages each upload in place: the representation columns of its
+    client's block row, in upload order."""
     config = tiny_config(n_clients=8, sample_rate=0.75, rounds=3)  # 6 clients a round: cohorts of 4 and 2
     monkeypatch.setattr(engine, "COHORT_ROWS", 4)
-    trained = []
-    step = nn.main_task_loss_and_grads
+    allocated, trained, averaged = [], [], []
+    allocate, step, aggregate = engine.cohort_blocks, nn.main_task_loss_and_grads, engine.aggregate
 
-    def spy(model, batch, *, with_loss=True):
+    def blocks_spy(model, clients):
+        allocated.extend(allocate(model, clients))
+        return allocated
+
+    def step_spy(model, batch, *, with_loss=True):
         trained.append(model.params)
         return step(model, batch, with_loss=with_loss)
 
-    monkeypatch.setattr(nn, "main_task_loss_and_grads", spy)
+    def aggregate_spy(reps):
+        averaged.append(list(reps))
+        return aggregate(reps)
+
+    monkeypatch.setattr(engine, "cohort_blocks", blocks_spy)
+    monkeypatch.setattr(nn, "main_task_loss_and_grads", step_spy)
+    monkeypatch.setattr(engine, "aggregate", aggregate_spy)
     result = engine.run_training(config)
-    buffer = trained[0].base
-    assert buffer is not None and buffer.shape == (4, result.clients[0].model.params.size)
-    assert all(params.base is buffer for params in trained)
-    assert max(params.shape[0] for params in trained) == 4
+
+    size = result.model(result.clients[0]).params.size
+    buffers = [block.params for block in allocated]
+    assert [b.shape for b in buffers] == [(4, size), (2, size)] and all(b.base is None for b in buffers)
+    assert all(any(params.base is b for b in buffers) for params in trained)
+    assert {params.base.shape[0] for params in trained} == {4, 2}
     assert len({params.shape[-1] for params in trained}) == 2  # head views and whole stacks
+
+    rep_size = len(result.server.rep_flat)
+    assert len(averaged) == config.rounds
+    for report, reps in zip(result.reports, averaged):
+        assert all(u.accepted for u in report.uploads)
+        # cohorts take the clients largest shard first, ties in client order
+        order = sorted(report.uploads, key=lambda u: -len(result.clients[u.client_id].data))
+        assert len(reps) == len(report.uploads)
+        for upload, rep in zip(report.uploads, reps):
+            i = order.index(upload)
+            row = buffers[i // 4][i % 4, :rep_size]
+            assert rep.base is row.base and rep.__array_interface__ == row.__array_interface__
+
+
+def test_clients_hold_only_their_heads_between_rounds(monkeypatch):
+    """Before and after every round's update, a client's only parameters are
+    its head, in memory it owns: no per-client model exists, and no head is
+    a view of a training block."""
+    config = tiny_config(head_layers=2, sample_rate=0.5)
+    update = engine.client_local_update
+    checked_rounds = []
+
+    def check(clients, blocks):
+        rep_size, size = blocks[0].rep_param_count, blocks[0].params.shape[-1]
+        for client in clients:
+            assert [k for k, v in vars(client).items() if isinstance(v, (np.ndarray, nn.Model))] == ["head"]
+            assert client.head.shape == (size - rep_size,) and client.head.base is None
+            assert not any(np.shares_memory(client.head, block.params) for block in blocks)
+
+    def checked(clients, rep_flat, config, round_index, blocks):
+        check(clients, blocks)
+        trained = update(clients, rep_flat, config, round_index, blocks)
+        check(clients, blocks)
+        checked_rounds.append(round_index)
+        return trained
+
+    monkeypatch.setattr(engine, "client_local_update", checked)
+    engine.run_training(config)
+    assert checked_rounds == list(range(1, config.rounds + 1))
 
 
 def test_private_marks_read_once_are_read_in_place(monkeypatch):
@@ -348,11 +399,16 @@ def test_update_scores_equal_the_one_model_accuracy_after_the_update(name, monke
     update = engine.client_local_update
     scores = []
 
-    def checked(clients, rep_flat, config, round_index, cohort_params):
-        returned = update(clients, rep_flat, config, round_index, cohort_params)
-        assert returned == {c.client_id: nn.evaluate_accuracy(c.model, c.data) for c in clients}
+    def checked(clients, rep_flat, config, round_index, blocks):
+        trained = update(clients, rep_flat, config, round_index, blocks)
+        returned = {cid: score for cid, (_, score) in trained.items()}
+
+        def model(c):  # the client's model right after the update: its upload, then its head
+            return nn.Model(blocks[0].specs, np.concatenate([trained[c.client_id][0], c.head]), blocks[0].head_start)
+
+        assert returned == {c.client_id: nn.evaluate_accuracy(model(c), c.data) for c in clients}
         scores.extend(returned.values())
-        return returned
+        return trained
 
     monkeypatch.setattr(engine, "client_local_update", checked)
     engine.run_training(config)
@@ -376,10 +432,10 @@ def test_run_training_is_deterministic():
 def test_zero_rounds_returns_initialization():
     config = tiny_config(rounds=0)
     result = engine.run_training(config)
-    first = result.clients[0].model
+    first = result.model(result.clients[0])
     base = nn.init_model(first.specs, derive_seed(config.seed, STREAM_INIT), first.head_start)
     np.testing.assert_array_equal(result.server.rep_flat, base.params[: base.rep_param_count])
-    for model in (client.model for client in result.clients):
+    for model in (result.model(client) for client in result.clients):
         for k in model.head_layer_ids:
             np.testing.assert_array_equal(model.weights[k], base.weights[k])
     assert result.reports == []
@@ -407,7 +463,7 @@ def test_embedding_count_tracks_sampling():
 
 def test_server_never_holds_head_parameters():
     result = engine.run_training(tiny_config())
-    assert result.server.rep_flat.shape == (result.clients[0].model.rep_param_count,)
+    assert result.server.rep_flat.shape == (result.model(result.clients[0]).rep_param_count,)
     for client in result.clients:
         assert not np.shares_memory(result.server.rep_flat, head_of(client))
 
@@ -415,7 +471,7 @@ def test_server_never_holds_head_parameters():
 def test_region_auto_sizing_covers_all_clients():
     config = tiny_config()
     result = engine.run_training(config)
-    expected = result.clients[0].model.rep_param_count // config.n_clients
+    expected = result.model(result.clients[0]).rep_param_count // config.n_clients
     for assignment in result.server.assignments:
         assert assignment.region_size == expected
     covered = np.concatenate([np.arange(a.region_start, a.region_stop) for a in result.server.assignments])
@@ -433,9 +489,9 @@ def test_ban_rejected_stops_a_rejected_client():
     """With ban_rejected, a client the detector rejects uploads no more: it
     has no Upload after that round, its embedding count stops, and the
     server lists it as banned. Without the ban it keeps uploading. Every
-    client, banned ones included, owns its model: each ends with the final
-    shared representation as its prefix, and no two models, nor a model and
-    the server, share memory."""
+    client, banned ones included, owns its head, and its final model ends
+    with the final shared representation as its prefix; no two heads or
+    models, nor a model and the server, share memory."""
     config = tiny_config(detector=True, ban_rejected=True, malicious_fraction=0.25, tamper_rate=0.3)
     result = engine.run_training(config)
     rejections = [u for r in result.reports for u in r.uploads if not u.accepted]
@@ -448,10 +504,11 @@ def test_ban_rejected_stops_a_rejected_client():
         assert cid in result.server.banned
     rep = result.server.rep_flat
     for client in result.clients:
-        np.testing.assert_array_equal(client.model.params[: len(rep)], rep)
-        assert not np.shares_memory(client.model.params, rep)
+        np.testing.assert_array_equal(result.model(client).params[: len(rep)], rep)
+        assert not np.shares_memory(result.model(client).params, rep)
     for a, b in itertools.combinations(result.clients, 2):
-        assert not np.shares_memory(a.model.params, b.model.params)
+        assert not np.shares_memory(result.model(a).params, result.model(b).params)
+        assert not np.shares_memory(a.head, b.head)
     unbanned = engine.run_training(dataclasses.replace(config, ban_rejected=False))
     assert unbanned.server.banned == set()
     cid, round_index = rejections[0].client_id, rejections[0].round_index
@@ -490,7 +547,7 @@ def test_non_finite_models_score_zero_main_accuracy(tmp_path):
     result = engine.run_training(config)
     unscored = [u for r in result.reports for u in r.uploads if u.slice_acc is None]
     assert unscored and all(u.main_acc == 0.0 for u in unscored)
-    diverged = {c.client_id for c in result.clients if not np.isfinite(c.model.params).all()}
+    diverged = {c.client_id for c in result.clients if not np.isfinite(result.model(c).params).all()}
     assert diverged
     write_run_artifacts(result, config, str(tmp_path))
     with open(tmp_path / "final_metrics.csv", newline="") as f:
