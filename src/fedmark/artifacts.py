@@ -196,8 +196,11 @@ def _check_model_keys(keys) -> None:
         raise ValueError(f"keys.json head_layers must be an integer in 1..{len(hidden)}, got {head!r}")
 
 
-def load_run_models(run_dir: str):
-    """Rebuild final models and private watermark specs from run artifacts."""
+def load_run(run_dir: str):
+    """A finished run's layer specs, `head_start`, final `rep_flat`, the
+    (n, head size) stack of its clients' heads in client order, and their
+    private watermark specs (None for a client without one), after every
+    check of keys.json and models.npz."""
     with open(os.path.join(run_dir, "keys.json"), encoding="utf-8") as f:
         try:  # JSONDecodeError and UnicodeDecodeError are both ValueErrors
             keys = json.load(f)
@@ -226,15 +229,17 @@ def load_run_models(run_dir: str):
         missing = sorted({"rep_flat", *heads} - arrays.keys())
         if missing:
             raise ValueError(f"models.npz lacks the arrays {', '.join(missing)}")
-        rep = arrays["rep_flat"]
-        models = [nn.Model(list(specs), np.concatenate([rep, arrays[head]]), head_start) for head in heads]
-        # after the models, which name the total length when an array is cut short
-        rep_size, _ = nn.param_counts(specs, head_start)
-        if len(rep) != rep_size:
-            raise ValueError(
-                f"models.npz rep_flat holds {len(rep)} parameters, but keys.json hidden_dims and "
-                f"head_layers describe a {rep_size}-parameter representation"
-            )
+        rep_size, head_sizes = nn.param_counts(specs, head_start)
+        head_size = sum(head_sizes)
+        for name, size in [("rep_flat", rep_size), *((head, head_size) for head in heads)]:
+            if arrays[name].shape != (size,):
+                raise ValueError(
+                    f"models.npz {name} has shape {arrays[name].shape}, but keys.json hidden_dims and head_layers "
+                    f"describe a model of length {rep_size + head_size}: a {rep_size}-parameter "
+                    f"representation, then a {head_size}-parameter head"
+                )
+        # the reshape gives a run without clients a (0, head size) stack
+        head_stack = np.array([arrays[head] for head in heads]).reshape(len(heads), head_size)
         # after the model checks, so a wrong head_layers is named, not the marks it misplaces
         wm_specs = [
             None if entry.get("private") is None
@@ -243,4 +248,10 @@ def load_run_models(run_dir: str):
         ]
     except KeyError as err:
         raise ValueError(f"keys.json lacks the key {err}") from None
-    return models, wm_specs
+    return specs, head_start, arrays["rep_flat"], head_stack, wm_specs
+
+
+def load_run_models(run_dir: str):
+    """Rebuild final models and private watermark specs from run artifacts."""
+    specs, head_start, rep, heads, wm_specs = load_run(run_dir)
+    return [nn.Model(list(specs), np.concatenate([rep, head]), head_start) for head in heads], wm_specs

@@ -9,6 +9,7 @@ same name.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .artifacts import load_run_models as _load_run_models  # benchmark/workloads.py reads it under this name
-from .artifacts import write_csv, write_run_artifacts
+from .artifacts import load_run, write_csv, write_run_artifacts
 from .attacks import attack_report
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .config import resolve_output_dir, validate_config
@@ -34,21 +35,18 @@ def cmd_train(config: RunConfig) -> int:
 
 def cmd_heatmap(run_dir: str) -> int:
     """n x n matrix: entry (i, j) is the detection rate of client j's private
-    watermark read out of client i's model. The heads of all models are
-    stacked once into one (n, head size) cohort, and each watermark is read
-    out of it with one `private_detection_rate` call."""
-    models, wm_specs = _load_run_models(run_dir)
+    watermark read out of client i's model. The run's heads are read as one
+    (n, head size) cohort, with no whole model built, and each watermark is
+    read out of it with one `private_detection_rate` call."""
+    specs, head_start, _, head_params, wm_specs = load_run(run_dir)
     if any(s is None for s in wm_specs):
         print("heatmap needs a run with private watermarks enabled", file=sys.stderr)
         return 1
-    n = len(models)
+    n = len(wm_specs)
+    heads = nn.Model(specs[head_start:], head_params, 0)
     rates = np.empty((n, n))
-    if models:
-        first = models[0]
-        head_params = np.stack([m.params[first.rep_param_count :] for m in models])
-        heads = nn.Model(first.specs[first.head_start :], head_params, 0)
-        for j, spec in enumerate(wm_specs):
-            rates[:, j] = private_detection_rate(heads, spec)
+    for j, spec in enumerate(wm_specs):
+        rates[:, j] = private_detection_rate(heads, spec)
     path = os.path.join(run_dir, "heatmap.csv")
     rows = ([i, *row] for i, row in enumerate(rates.tolist()))
     write_csv(path, ["model_client"] + [f"wm_{j}" for j in range(n)], rows)
@@ -176,7 +174,11 @@ def _config_from_args(args) -> RunConfig:
     return load_config(args.config, [f"{key}={value}" for key, value in flags.items() if value is not None])
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built once per process: argparse's objects refer to
+    each other, so a parser built per `main` call left about 700 objects for
+    the cycle collector in a process that calls `main` many times."""
     parser = argparse.ArgumentParser(prog="fedmark", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -200,8 +202,11 @@ def main(argv=None) -> int:
         help="semicolon-separated f_m,f_t pairs; empty for a header-only CSV",
     )
     _add_override_flags(p_atk)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "train":
             return cmd_train(_config_from_args(args))

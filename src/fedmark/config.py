@@ -148,7 +148,7 @@ def validate_config(config: RunConfig) -> None:
         problems.append("n_clients must be at least 2")
     if not 0.0 < config.sample_rate <= 1.0:
         problems.append("sample_rate must lie in (0, 1]")
-    elif round(config.sample_rate * config.n_clients) < 1:
+    elif sample_count(config.n_clients, config.sample_rate) < 1:
         problems.append("sample_rate * n_clients must round to at least 1")
     if config.rounds < 0:
         problems.append("rounds must be non-negative")
@@ -248,6 +248,11 @@ def validate_config(config: RunConfig) -> None:
             problems.append(str(err))
     if problems:
         raise ConfigError("; ".join(problems))
+
+
+def sample_count(n_clients: int, sample_rate: float) -> int:
+    """Clients sampled per round: round(sample_rate * n_clients)."""
+    return round(sample_rate * n_clients)
 
 
 def region_params(config: RunConfig, rep_size: int) -> int:

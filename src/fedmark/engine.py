@@ -14,9 +14,13 @@ personalized model is the shared representation plus that head, built on
 demand by `TrainingResult.model`. A round's clients never read each other's
 state, so they train together in cohorts: cohort i is one `nn.Model` over
 the leading rows of run-owned block i, whose head epochs train its
-head-column view, with the same bits as clients trained one by one. Each
-upload is the representation columns of its block row, scored once, on the
-cohort that produced it, and reported as one `Upload` row.
+head-column view, with the same bits as clients trained one by one. Both
+phases of a cohort's update run through one module-level `_epoch`, with the
+private-mark term `_add_private` in the head epochs and the slice term
+`_add_slice` in the representation epoch; each takes its inputs as
+arguments. Each upload is the representation columns of its block row,
+scored once, on the cohort that produced it, and reported as one `Upload`
+row.
 """
 
 import functools
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import nn
 from .attacks import apply_adaptive_tampering, tamper_bits
-from .config import RunConfig, region_params, validate_config
+from .config import RunConfig, region_params, sample_count, validate_config
 from .data import (
     Dataset,
     Partition,
@@ -147,7 +151,7 @@ def sample_clients(n_clients: int, sample_rate: float, seed: int) -> list[int]:
     """Uniform subset of round(sample_rate * n_clients) distinct clients."""
     if not 0.0 < sample_rate <= 1.0:
         raise ValueError(f"sample_rate must lie in (0, 1], got {sample_rate}")
-    count = round(sample_rate * n_clients)
+    count = sample_count(n_clients, sample_rate)
     if count < 1:
         raise ValueError(f"sample_rate {sample_rate} of {n_clients} clients rounds below 1")
     chosen = np.random.default_rng(seed).choice(n_clients, size=count, replace=False)
@@ -174,6 +178,11 @@ def aggregate(reps: list) -> np.ndarray:
 COHORT_ROWS = 32
 
 
+def _cohorts(items):
+    """`items` in order, cut into cohorts of at most `COHORT_ROWS`."""
+    return [items[lo : lo + COHORT_ROWS] for lo in range(0, len(items), COHORT_ROWS)]
+
+
 def cohort_blocks(model: nn.Model, clients: int) -> list:
     """The training blocks of a round of `clients` clients: block i is a
     cohort `nn.Model` of `model`'s layers over its own (rows, P) buffer, with
@@ -183,8 +192,8 @@ def cohort_blocks(model: nn.Model, clients: int) -> list:
     and trim thresholds to its size, and after one 8 MB buffer a 200-client
     process kept more of its later arrays on the heap and peaked higher."""
     return [
-        nn.Model(model.specs, np.empty((min(COHORT_ROWS, clients - lo), model.params.shape[-1])), model.head_start)
-        for lo in range(0, clients, COHORT_ROWS)
+        nn.Model(model.specs, np.empty((len(rows), model.params.shape[-1])), model.head_start)
+        for rows in _cohorts(range(clients))
     ]
 
 
@@ -239,10 +248,55 @@ def client_local_update(
     """
     clients = sorted(clients, key=lambda c: -len(c.data))  # stable: ties keep their order
     trained = {}
-    for lo in range(0, len(clients), COHORT_ROWS):
-        cohort = clients[lo : lo + COHORT_ROWS]
-        trained.update(_train_cohort(cohort, rep_flat, config, round_index, blocks[lo // COHORT_ROWS]))
+    for cohort, block in zip(_cohorts(clients), blocks):
+        trained.update(_train_cohort(cohort, rep_flat, config, round_index, block))
     return trained
+
+
+def _rows(model: nn.Model):
+    """Rows a:b of a cohort model as a cohort model, each built once."""
+    return functools.cache(lambda a, b: nn.Model(model.specs, model.params[a:b], model.head_start))
+
+
+def _epoch(cohort_rows, source, labels, sizes, rngs, steps, lr, part, add_watermark) -> None:
+    """One epoch of every stack row over its shard, in a fresh batch order
+    from the row's own generator; rows of shorter shards leave the tail of
+    their order unread. Each step takes the main-task gradient of the rows
+    a:b that have a batch, as the cohort model `cohort_rows(a, b)`, adds
+    their watermark gradients through `add_watermark(cohort, a, b, grads)`,
+    and applies `part` of it."""
+    orders = np.zeros((len(sizes), sizes[0]), dtype=np.int64)
+    for row, rng, n in zip(orders, rngs, sizes):
+        row[:n] = rng.permutation(n)
+    for lo, length, a, b in steps:
+        take = (np.arange(a, b)[:, None], orders[a:b, lo : lo + length])
+        cohort = cohort_rows(a, b)
+        _, grads = nn.main_task_loss_and_grads(cohort, nn.Batch(source[take], labels[take]), with_loss=False)
+        add_watermark(cohort, a, b, grads)
+        nn.apply_sgd(cohort.params[:, part], grads[:, part], lr)
+        del grads  # the (C, P) gradient is freed before the next step allocates one
+
+
+def _add_private(marks, strength, heads, a, b, grads) -> None:
+    """Add the private-mark gradients of `heads`, the head view of stack rows
+    a:b, read against rows a:b of `marks` (from `stack_private_marks`; None
+    embeds no mark)."""
+    if marks is None:
+        return
+    rows_marks = [(matrices[a:b], bits[a:b]) for matrices, bits in marks]
+    _, grad = private_embedding_loss_and_grads(heads, rows_marks, with_loss=False)
+    grads += strength * grad
+
+
+def _add_slice(slices, strength, cohort, a, b, grads) -> None:
+    """Add the slice gradient of each row of `cohort`, stack rows a:b, read
+    from the row's representation against rows a:b of `slices`, one
+    (assignment, target bits) per stack row (None bits embed no slice)."""
+    for row, row_grads, (assignment, target) in zip(cohort.params, grads, slices[a:b]):
+        if target is None:
+            continue
+        _, seg_grad = slice_loss_and_grad(row[: cohort.rep_param_count], assignment, target, with_loss=False)
+        row_grads[assignment.region_start : assignment.region_stop] += strength * seg_grad
 
 
 def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_index: int, block) -> dict:
@@ -251,19 +305,21 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
 
     The cohort is one (C, P) `nn.Model` over the leading rows of `block`, a
     cohort model the caller owns: the broadcast `rep_flat` fills its
-    representation columns and each client's head the rest of its row. The
+    representation columns and each client's head the rest of its row. Two
+    phases run through `_epoch`, each taking its inputs as arguments: the
     head epochs train the view of its head columns over features computed
-    once per shard, the representation epoch the whole stack. Each main-task
-    step runs on the stack rows that still have a batch at that step,
-    grouped by batch length, with one private-mark call on their head rows
-    and marks: stacked once per round when a row reads its mark more than
-    once, and otherwise read in place from the cache. The feature pass and
-    the scoring run once per group of equal shard lengths, not padded: a
-    one-row product takes another BLAS path. Each client draws its batch
-    orders from its own generator and its watermark gradients from its own
-    stack row, as alone. The trained rows are scored, each row's head is
-    written back into `client.head`, and its representation columns stay in
-    the block as the upload.
+    once per shard, with the private-mark term `_add_private`; the
+    representation epoch trains the whole stack, with the slice term
+    `_add_slice`. Each main-task step runs on the stack rows that still have
+    a batch at that step, grouped by batch length, with one private-mark
+    call on their head rows and marks: stacked once per round when a row
+    reads its mark more than once, and otherwise read in place from the
+    cache. The feature pass and the scoring run once per group of equal
+    shard lengths, not padded: a one-row product takes another BLAS path.
+    Each client draws its batch orders from its own generator and its
+    watermark gradients from its own stack row, as alone. The trained rows
+    are scored, each row's head is written back into `client.head`, and its
+    representation columns stay in the block as the upload.
     """
     stack = nn.Model(block.specs, block.params[: len(clients)], block.head_start)
     specs, head_start, rep_size = stack.specs, stack.head_start, stack.rep_param_count
@@ -277,71 +333,32 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     ]
     steps = _cohort_steps(sizes, config.batch_size)
     shards = _cohort_steps(sizes, sizes[0])  # one (0, length, a, b) per shard length
-    row_ids = np.arange(len(clients))[:, None]
-    privates = [c.private for c in clients]  # a run gives every client a mark, or none
-
-    def buffer(*shape, dtype=np.float64):
-        """One row per client; rows of shorter shards leave their tail unread."""
-        return np.zeros((len(clients), sizes[0], *shape), dtype=dtype)
-
-    def rows(model):
-        """Rows a:b of a cohort model, each built once per phase."""
-        return functools.cache(lambda a, b: nn.Model(model.specs, model.params[a:b], model.head_start))
-
-    def epoch(cohort_rows, source, add_watermark, part):
-        """One epoch of every row over its shard, in a fresh batch order."""
-        orders = buffer(dtype=np.int64)
-        for row, rng, n in zip(orders, rngs, sizes):
-            row[:n] = rng.permutation(n)
-        for lo, length, a, b in steps:
-            take = (row_ids[a:b], orders[a:b, lo : lo + length])
-            step(cohort_rows(a, b), nn.Batch(source[take], labels[take]), a, b, add_watermark, part)
-
-    def step(cohort, minibatch, a, b, add_watermark, part):
-        """One SGD step of stack rows a:b: the cohort's main-task gradient
-        plus their watermark gradients, applied to `part` of their
-        parameters. The (C, P) gradient dies with the call."""
-        _, grads = nn.main_task_loss_and_grads(cohort, minibatch, with_loss=False)
-        add_watermark(a, b, grads)
-        nn.apply_sgd(cohort.params[:, part], grads[:, part], config.lr)
-
-    def add_private(a, b, grads):
-        if marks is None:
-            return
-        rows_marks = [(matrices[a:b], bits[a:b]) for matrices, bits in marks]
-        _, grad = private_embedding_loss_and_grads(head_rows(a, b), rows_marks, with_loss=False)
-        grads += config.embed_strength * grad
-
-    def add_slice(a, b, grads):
-        for i, row_grads in enumerate(grads, start=a):
-            if targets[i] is None:
-                continue
-            assignment = clients[i].assignment
-            _, seg_grad = slice_loss_and_grad(stack.params[i, :rep_size], assignment, targets[i], with_loss=False)
-            start = assignment.region_start
-            row_grads[start : start + len(seg_grad)] += config.slice_strength * seg_grad
-
-    stack_rows = rows(stack)
-    inputs, labels = buffer(specs[0].input_dim), buffer(dtype=np.int64)
+    # one row per client; rows of shorter shards leave their tail unread
+    inputs = np.zeros((len(clients), sizes[0], specs[0].input_dim))
+    labels = np.zeros((len(clients), sizes[0]), dtype=np.int64)
     for i, client in enumerate(clients):
         inputs[i, : sizes[i]] = client.data.inputs
         labels[i, : sizes[i]] = client.data.labels
     # Head epochs leave the representation frozen, so each shard's features
     # are computed once, through the representation every row shares.
-    rep_rows = rows(stack.view(0, head_start))
-    features = buffer(specs[head_start].input_dim)
+    rep_rows = _rows(stack.view(0, head_start))
+    features = np.zeros((len(clients), sizes[0], specs[head_start].input_dim))
     for _, n, a, b in shards:
         nn.forward(rep_rows(a, b), inputs[a:b, :n], with_cache=False, out=features[a:b, :n])
     # a row reads its mark once per head step, and the largest shard takes the most steps
     reads = config.head_epochs * len(range(0, sizes[0], config.batch_size))
+    privates = [c.private for c in clients]  # a run gives every client a mark, or none
     marks = stack_private_marks(privates, reads) if config.embed_strength != 0.0 and privates[0] is not None else None
-    head_rows = rows(stack.view(head_start, stack.num_layers))
+    head_rows = _rows(stack.view(head_start, stack.num_layers))
+    add_private = functools.partial(_add_private, marks, config.embed_strength)
     for _ in range(config.head_epochs):
-        epoch(head_rows, features, add_private, slice(None))
-    del features, marks
+        _epoch(head_rows, features, labels, sizes, rngs, steps, config.lr, slice(None), add_private)
+    del features, marks, add_private
 
-    targets = [_slice_target(c, config, round_index) for c in clients]
-    epoch(stack_rows, inputs, add_slice, slice(0, rep_size))
+    slices = [(c.assignment, _slice_target(c, config, round_index)) for c in clients]
+    add_slice = functools.partial(_add_slice, slices, config.slice_strength)
+    stack_rows = _rows(stack)
+    _epoch(stack_rows, inputs, labels, sizes, rngs, steps, config.lr, slice(0, rep_size), add_slice)
     scores = np.empty(len(clients))
     for _, n, a, b in shards:
         scores[a:b] = nn.evaluate_accuracy(stack_rows(a, b), nn.Batch(inputs[a:b, :n], labels[a:b, :n]))
@@ -386,7 +403,7 @@ def run_training(config: RunConfig) -> TrainingResult:
     clients = _setup_clients(config, dataset, partition, base)
     del dataset, partition  # each client owns its shard; free the rest before training
     # every round's cohorts train in these blocks: no round allocates (and faults in) its own
-    blocks = cohort_blocks(base, round(config.sample_rate * config.n_clients))
+    blocks = cohort_blocks(base, sample_count(config.n_clients, config.sample_rate))
 
     assignments = ()
     if config.slice_total_bits > 0:

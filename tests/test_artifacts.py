@@ -10,7 +10,9 @@ from fedmark import artifacts, engine
 @pytest.mark.parametrize("head_layers", [1, 2])
 def test_load_run_models_returns_the_trained_models_and_marks(tmp_path, head_layers):
     """Each client's final parameters come back byte for byte, and its
-    private mark with the bits, layer sizes and matrix seeds it trained."""
+    private mark with the bits, layer sizes and matrix seeds it trained;
+    `load_run` returns the final representation and every head in one
+    stack, byte for byte."""
     config = tiny_config(head_layers=head_layers)
     result = engine.run_training(config)
     artifacts.write_run_artifacts(result, config, str(tmp_path))
@@ -26,3 +28,8 @@ def test_load_run_models_returns_the_trained_models_and_marks(tmp_path, head_lay
         np.testing.assert_array_equal(spec.bits, client.private.bits)
         assert spec.layer_sizes == client.private.layer_sizes
         assert spec.matrix_seeds == client.private.matrix_seeds
+    # the heatmap's reader: the same run as layer specs, rep_flat and one head stack
+    layer_specs, head_start, rep, heads, _ = artifacts.load_run(str(tmp_path))
+    assert layer_specs == result.specs and head_start == result.head_start
+    assert rep.tobytes() == result.server.rep_flat.tobytes()
+    assert heads.tobytes() == np.stack([client.head for client in result.clients]).tobytes()

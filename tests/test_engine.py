@@ -360,6 +360,34 @@ def test_clients_hold_only_their_heads_between_rounds(monkeypatch):
     assert checked_rounds == list(range(1, config.rounds + 1))
 
 
+@pytest.mark.parametrize("name", ["dirichlet-ragged", "two-layer-head", "tampering-detector"])
+def test_stale_block_values_are_never_read(name, monkeypatch):
+    """Every block value a round reads, it wrote that round: a run whose
+    blocks are filled with NaN before every round's update ends byte for
+    byte where an unpatched run ends, in the final representation, every
+    head and every upload row."""
+    config, rows = COHORT_CASES[name]
+    monkeypatch.setattr(engine, "COHORT_ROWS", rows)
+    clean = engine.run_training(config)
+    update = engine.client_local_update
+    poisoned_rounds = []
+
+    def poisoned(clients, rep_flat, config, round_index, blocks):
+        for block in blocks:
+            block.params[...] = np.nan
+        poisoned_rounds.append(round_index)
+        return update(clients, rep_flat, config, round_index, blocks)
+
+    monkeypatch.setattr(engine, "client_local_update", poisoned)
+    dirty = engine.run_training(config)
+
+    assert poisoned_rounds == list(range(1, config.rounds + 1))
+    assert clean.server.rep_flat.tobytes() == dirty.server.rep_flat.tobytes()
+    for a, b in zip(clean.clients, dirty.clients, strict=True):
+        assert a.head.tobytes() == b.head.tobytes(), f"client {a.client_id}"
+    assert [r.uploads for r in clean.reports] == [r.uploads for r in dirty.reports]
+
+
 def test_private_marks_read_once_are_read_in_place(monkeypatch):
     """When every row of a round takes one head step, the private-mark kernel
     gets each client's cached `spec.matrix(k)` itself, not a copy. With more
