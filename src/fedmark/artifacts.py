@@ -232,6 +232,8 @@ def load_run(run_dir: str):
         rep_size, head_sizes = nn.param_counts(specs, head_start)
         head_size = sum(head_sizes)
         for name, size in [("rep_flat", rep_size), *((head, head_size) for head in heads)]:
+            if arrays[name].dtype != np.float64:  # what write_models_npz writes
+                raise ValueError(f"models.npz {name} has dtype {arrays[name].dtype}, but a run's arrays are float64")
             if arrays[name].shape != (size,):
                 raise ValueError(
                     f"models.npz {name} has shape {arrays[name].shape}, but keys.json hidden_dims and head_layers "

@@ -2,7 +2,10 @@
 
 Covers collusion-style slice tampering during training plus two post-hoc
 removal attacks on finished models: magnitude pruning of the head and
-main-task-only fine-tuning.
+main-task-only fine-tuning. The tampering attacker is decided here in two
+parts: `choose_tamperers` gives the ids of the clients that tamper, and
+`tampered_slice` gives the slice such a client embeds in a given round.
+The engine only asks them.
 """
 
 from dataclasses import dataclass
@@ -10,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .config import RunConfig
 from .detection import DetectionLedger, detection_metrics, upload_shares
+from .seeding import STREAM_TAMPER, derive_seed
 from .slicing import slice_detection_rate
 
 
@@ -31,22 +36,29 @@ def tamper_bits(bits: np.ndarray, tamper_rate: float, seed: int) -> np.ndarray:
     return out
 
 
-def apply_adaptive_tampering(clients, malicious_fraction: float, seed: int):
-    """Flag floor(malicious_fraction * n) seeded clients as tamperers.
+def choose_tamperers(n_clients: int, malicious_fraction: float, seed: int) -> frozenset:
+    """The ids of floor(malicious_fraction * n_clients) seeded distinct
+    clients, the run's tamperers.
 
-    Malicious clients keep training and head-watermarking honestly; only the
-    slice they embed is corrupted, at the run's tamper_rate.
+    Tamperers keep training and head-watermarking honestly; only the slice
+    they embed is corrupted (see `tampered_slice`).
     """
     if not 0.0 <= malicious_fraction <= 1.0:
         raise ValueError(f"malicious_fraction must lie in [0, 1], got {malicious_fraction}")
-    count = int(malicious_fraction * len(clients))
-    chosen = set()
-    if count:
-        rng = np.random.default_rng(seed)
-        chosen = set(rng.choice(len(clients), size=count, replace=False).tolist())
-    for client in clients:
-        client.malicious = client.client_id in chosen
-    return clients
+    count = int(malicious_fraction * n_clients)
+    if not count:
+        return frozenset()
+    return frozenset(np.random.default_rng(seed).choice(n_clients, size=count, replace=False).tolist())
+
+
+def tampered_slice(bits: np.ndarray, config: RunConfig, client_id: int, round_index: int) -> np.ndarray:
+    """The slice a tamperer embeds in round `round_index`: its true slice
+    `bits` with the run's tamper_rate share flipped. Under fresh_tamper the
+    flips are drawn anew each round; otherwise they are the same every round."""
+    key = (config.seed, STREAM_TAMPER, client_id)
+    if config.fresh_tamper:
+        key = (*key, round_index)
+    return tamper_bits(bits, config.tamper_rate, derive_seed(*key))
 
 
 def prune_attack(model: nn.Model, prune_rate: float) -> nn.Model:

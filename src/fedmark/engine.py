@@ -20,7 +20,9 @@ private-mark term `_add_private` in the head epochs and the slice term
 `_add_slice` in the representation epoch; each takes its inputs as
 arguments. Each upload is the representation columns of its block row,
 scored once, on the cohort that produced it, and reported as one `Upload`
-row.
+row. Every client is built whole before the first round, with its slice and
+its role; the tamperers (`attacks.choose_tamperers`) and the slice a
+tamperer embeds each round (`attacks.tampered_slice`) come from `attacks`.
 """
 
 import functools
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .attacks import apply_adaptive_tampering, tamper_bits
+from .attacks import choose_tamperers, tampered_slice
 from .config import RunConfig, region_params, sample_count, validate_config
 from .data import (
     Dataset,
@@ -52,7 +54,6 @@ from .seeding import (
     STREAM_PRIVATE_MATRIX,
     STREAM_SAMPLING,
     STREAM_SLICE_ASSIGN,
-    STREAM_TAMPER,
     derive_seed,
 )
 from .slicing import SliceAssignment, assign_slices, slice_detection_rate, slice_loss_and_grad
@@ -68,7 +69,8 @@ from .watermark import (
 @dataclass
 class ClientState:
     """Everything a client keeps between rounds: its private head parameters,
-    its private data shard, watermark material, and attack role. The
+    its private data shard, watermark material, and attack role, all given
+    when it is made; only its head and embedding count change. The
     representation it trains on is the server's broadcast."""
 
     client_id: int
@@ -214,16 +216,13 @@ def _cohort_steps(sizes, batch_size) -> list[tuple]:
 
 
 def _slice_target(client: ClientState, config: RunConfig, round_index: int):
-    """The slice bits a client embeds this round (tampered for a malicious
-    client), or None without slice embedding."""
+    """The slice bits a client embeds this round (for a tamperer, its
+    `attacks.tampered_slice`), or None without slice embedding."""
     if client.assignment is None or config.slice_strength == 0.0:
         return None
     if not client.malicious:
         return client.assignment.bits
-    key = (config.seed, STREAM_TAMPER, client.client_id)
-    if config.fresh_tamper:
-        key = (*key, round_index)
-    return tamper_bits(client.assignment.bits, config.tamper_rate, derive_seed(*key))
+    return tampered_slice(client.assignment.bits, config, client.client_id, round_index)
 
 
 def client_local_update(
@@ -367,7 +366,9 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     return {c.client_id: (row[:rep_size], score) for c, row, score in zip(clients, stack.params, scores.tolist())}
 
 
-def _setup_clients(config, dataset, partition, base_model):
+def _setup_clients(config, dataset, partition, base_model, assignments, tamperers):
+    """Every client, whole: its head, shard and private mark, its slice
+    (`assignments[cid]`; none when the run has no slices) and its role."""
     rep_size, head_sizes = nn.param_counts(base_model.specs, base_model.head_start)
     clients = []
     for cid in range(config.n_clients):
@@ -381,6 +382,8 @@ def _setup_clients(config, dataset, partition, base_model):
                 head=base_model.params[rep_size:].copy(),
                 data=dataset.subset(partition.client_indices[cid]),
                 private=private,
+                assignment=assignments[cid] if assignments else None,
+                malicious=cid in tamperers,
             )
         )
     return clients
@@ -400,11 +403,6 @@ def run_training(config: RunConfig) -> TrainingResult:
     base = nn.init_model(specs, derive_seed(config.seed, STREAM_INIT), head_start)
     rep_size = base.rep_param_count
     rep = base.params[:rep_size].copy()
-    clients = _setup_clients(config, dataset, partition, base)
-    del dataset, partition  # each client owns its shard; free the rest before training
-    # every round's cohorts train in these blocks: no round allocates (and faults in) its own
-    blocks = cohort_blocks(base, sample_count(config.n_clients, config.sample_rate))
-
     assignments = ()
     if config.slice_total_bits > 0:
         bits = random_bits(config.slice_total_bits, derive_seed(config.seed, STREAM_COMMON_WATERMARK))
@@ -412,15 +410,14 @@ def run_training(config: RunConfig) -> TrainingResult:
         assignments = tuple(
             assign_slices(bits, config.n_clients, rep_size, region, derive_seed(config.seed, STREAM_SLICE_ASSIGN))
         )
-        for client, assignment in zip(clients, assignments):
-            client.assignment = assignment
-
+    tamperers = frozenset()
     if config.malicious_fraction > 0.0 and config.tamper_rate > 0.0:
-        apply_adaptive_tampering(
-            clients,
-            config.malicious_fraction,
-            derive_seed(config.seed, STREAM_MALICIOUS_SELECT),
-        )
+        select_seed = derive_seed(config.seed, STREAM_MALICIOUS_SELECT)
+        tamperers = choose_tamperers(config.n_clients, config.malicious_fraction, select_seed)
+    clients = _setup_clients(config, dataset, partition, base, assignments, tamperers)
+    del dataset, partition  # each client owns its shard; free the rest before training
+    # every round's cohorts train in these blocks: no round allocates (and faults in) its own
+    blocks = cohort_blocks(base, sample_count(config.n_clients, config.sample_rate))
 
     server = ServerState(rep_flat=rep, ledger=DetectionLedger(), assignments=assignments)
     reports = []

@@ -84,7 +84,7 @@ def extract_bits(params_flat: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
     `params_flat` is one vector, giving one bit per matrix column, or an
     (n, rows) stack of vectors, giving an (n, cols) array. Each vector is its
-    own matrix-vector product against the broadcast view of `matrix.T`, the
+    own matrix-vector product (`_matvecs`) against the view `matrix.T`, the
     same BLAS call for a stack as for one vector, so row i of a stack reads
     bit for bit as `params_flat[i]` alone; `params_flat @ matrix` or a
     contiguous copy of `matrix.T` would round differently.
@@ -94,7 +94,7 @@ def extract_bits(params_flat: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"parameter vector length {params_flat.shape} does not match matrix rows {matrix.shape[0]}"
         )
-    return (np.matmul(matrix.T, params_flat[..., None])[..., 0] > 0.0).astype(np.uint8)
+    return (_matvecs(matrix.T, params_flat) > 0.0).astype(np.uint8)
 
 
 def detection_rate(expected: np.ndarray, extracted: np.ndarray) -> float:

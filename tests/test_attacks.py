@@ -1,12 +1,12 @@
 """Tampering, pruning, and fine-tuning attacks plus run scoring."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from fedmark import attacks, data, nn, slicing, watermark
+from fedmark.config import RunConfig
 from fedmark.detection import DetectionLedger
+from fedmark.seeding import STREAM_TAMPER, derive_seed
 
 
 # --- bit tampering --------------------------------------------------------------
@@ -54,25 +54,53 @@ def test_tamper_deterministic_and_validated():
 # --- malicious client selection -------------------------------------------------
 
 
-def fake_clients(n):
-    return [SimpleNamespace(client_id=i, malicious=False) for i in range(n)]
-
-
-def test_adaptive_tampering_flags_floor_fraction():
-    clients = attacks.apply_adaptive_tampering(fake_clients(20), 0.2, seed=1)
-    flagged = [c for c in clients if c.malicious]
+def test_choose_tamperers_flags_floor_fraction():
+    flagged = attacks.choose_tamperers(20, 0.2, seed=1)
     assert len(flagged) == 4
 
 
-def test_adaptive_tampering_zero_fraction_flags_none():
-    clients = attacks.apply_adaptive_tampering(fake_clients(10), 0.0, seed=1)
-    assert not any(c.malicious for c in clients)
+def test_choose_tamperers_zero_fraction_flags_none():
+    assert not attacks.choose_tamperers(10, 0.0, seed=1)
 
 
-def test_adaptive_tampering_deterministic():
-    a = attacks.apply_adaptive_tampering(fake_clients(12), 0.25, seed=9)
-    b = attacks.apply_adaptive_tampering(fake_clients(12), 0.25, seed=9)
-    assert [c.malicious for c in a] == [c.malicious for c in b]
+def test_choose_tamperers_deterministic():
+    a = attacks.choose_tamperers(12, 0.25, seed=9)
+    b = attacks.choose_tamperers(12, 0.25, seed=9)
+    assert a == b
+
+
+def test_choose_tamperers_draws_are_pinned():
+    """Pinned `default_rng(seed).choice` draws: a seed fixes a run's attackers."""
+    assert attacks.choose_tamperers(20, 0.2, seed=1) == frozenset({8, 9, 14, 19})
+    assert attacks.choose_tamperers(12, 0.25, seed=9) == frozenset({4, 9, 11})
+
+
+def test_choose_tamperers_validates_fraction():
+    for fraction in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="malicious_fraction"):
+            attacks.choose_tamperers(10, fraction, seed=0)
+
+
+# --- per-round tampered slice ---------------------------------------------------
+
+
+def test_tampered_slice_keys_each_round_under_fresh_tamper():
+    """fresh_tamper draws a tamperer's flips from (seed, STREAM_TAMPER, id,
+    round); without it, from (seed, STREAM_TAMPER, id), the same every round."""
+    bits = watermark.random_bits(40, seed=2)
+    fresh = RunConfig(seed=3, tamper_rate=0.25, fresh_tamper=True)
+    fixed = RunConfig(seed=3, tamper_rate=0.25, fresh_tamper=False)
+    for round_index in (1, 2, 7):
+        np.testing.assert_array_equal(
+            attacks.tampered_slice(bits, fresh, 5, round_index),
+            attacks.tamper_bits(bits, 0.25, derive_seed(3, STREAM_TAMPER, 5, round_index)),
+        )
+        np.testing.assert_array_equal(
+            attacks.tampered_slice(bits, fixed, 5, round_index),
+            attacks.tamper_bits(bits, 0.25, derive_seed(3, STREAM_TAMPER, 5)),
+        )
+    rounds = [attacks.tampered_slice(bits, fresh, 5, r) for r in (1, 2)]
+    assert not np.array_equal(*rounds)
 
 
 # --- pruning --------------------------------------------------------------------

@@ -200,6 +200,24 @@ def test_heatmap_rejects_truncated_model_arrays(tiny_cfg_file, tmp_path, capsys,
     assert f"length {expected}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dtype", [str, complex, bool])
+def test_heatmap_rejects_model_arrays_of_another_dtype(tiny_cfg_file, tmp_path, capsys, dtype):
+    """A head_0 of the right length but not float64 ends in one error line
+    that names the array and the dtype found, not in a converted heatmap."""
+    cli.main(["train", str(tiny_cfg_file)])
+    path = tmp_path / "out" / "models.npz"
+    with np.load(path) as stored:
+        arrays = dict(stored)
+    arrays["head_0"] = np.full(len(arrays["head_0"]), "x") if dtype is str else arrays["head_0"].astype(dtype)
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    assert cli.main(["heatmap", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "head_0" in err and str(arrays["head_0"].dtype) in err
+    assert not (tmp_path / "out" / "heatmap.csv").exists()
+
+
 def test_heatmap_rejects_missing_model_arrays(tiny_cfg_file, tmp_path, capsys):
     cli.main(["train", str(tiny_cfg_file)])
     path = tmp_path / "out" / "models.npz"

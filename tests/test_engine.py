@@ -12,9 +12,9 @@ import pytest
 from conftest import plain_fedrep_oracle, tiny_config
 from fedmark import cli, engine, nn, slicing, watermark
 from fedmark.artifacts import write_run_artifacts
-from fedmark.attacks import attack_report, tamper_bits
+from fedmark.attacks import attack_report, choose_tamperers, tamper_bits
 from fedmark.config import RunConfig
-from fedmark.seeding import STREAM_INIT, STREAM_LOCAL_BATCHES, STREAM_TAMPER, derive_seed
+from fedmark.seeding import STREAM_INIT, STREAM_LOCAL_BATCHES, STREAM_MALICIOUS_SELECT, STREAM_TAMPER, derive_seed
 from fedmark.slicing import assign_slices, slice_loss_and_grad
 from fedmark.watermark import make_private_spec, private_embedding_loss_and_grads, random_bits
 
@@ -88,13 +88,14 @@ def update_setup(config):
     return dataset, partition, specs, head_start, base
 
 
-def make_client(cid, base, dataset, partition, assignment=None, private=None):
+def make_client(cid, base, dataset, partition, assignment=None, private=None, malicious=False):
     return engine.ClientState(
         client_id=cid,
         head=base.params[base.rep_param_count :].copy(),
         data=dataset.subset(partition.client_indices[cid]),
         private=private,
         assignment=assignment,
+        malicious=malicious,
     )
 
 
@@ -113,8 +114,7 @@ def test_malicious_update_differs_only_inside_its_region():
     assignments = assign_slices(bits, config.n_clients, base.rep_param_count, region, seed=6)
 
     honest = make_client(1, base, dataset, partition, assignment=assignments[1])
-    attacker = make_client(1, base, dataset, partition, assignment=assignments[1])
-    attacker.malicious = True
+    attacker = make_client(1, base, dataset, partition, assignment=assignments[1], malicious=True)
 
     rep = base.params[: base.rep_param_count].copy()
     up_honest, _ = engine.client_local_update([honest], rep, config, 1, engine.cohort_blocks(base, 1))[1]
@@ -176,8 +176,7 @@ def _check_one_update_against_full_model_steps(config):
     assert all(len(segment) > 0 for segment in private.segments)
     bits = random_bits(config.slice_total_bits, seed=5)
     assignment = assign_slices(bits, config.n_clients, rep_size, rep_size // config.n_clients, seed=6)[1]
-    client = make_client(1, base, dataset, partition, assignment=assignment, private=private)
-    client.malicious = True
+    client = make_client(1, base, dataset, partition, assignment=assignment, private=private, malicious=True)
     rep = base.params[:rep_size].copy()
     upload, _ = engine.client_local_update([client], rep, config, 2, engine.cohort_blocks(base, 1))[1]
 
@@ -616,6 +615,16 @@ def test_tampering_run_marks_clients_and_slices():
     # the attacker's upload scores visibly below perfect on its true slice
     last = result.reports[-1]
     assert {u.client_id: u.slice_acc for u in last.uploads}[bad] < 1.0
+
+
+def test_run_flags_exactly_the_chosen_tamperers():
+    """A run's tamperers are `choose_tamperers` drawn from the
+    STREAM_MALICIOUS_SELECT seed, and nobody tampers at tamper_rate 0."""
+    config = tiny_config(n_clients=8, malicious_fraction=0.5, tamper_rate=0.3, rounds=1)
+    chosen = choose_tamperers(8, 0.5, derive_seed(config.seed, STREAM_MALICIOUS_SELECT))
+    assert len(chosen) == 4
+    assert engine.run_training(config).malicious_ids == chosen
+    assert engine.run_training(dataclasses.replace(config, tamper_rate=0.0)).malicious_ids == set()
 
 
 def test_disabling_watermarks_reproduces_plain_federated_training():
