@@ -88,7 +88,7 @@ def finetune_attack(
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
         for batch in nn.minibatches(dataset.inputs, dataset.labels, batch_size, rng):
-            _, grads = nn.main_task_loss_and_grads(tuned, batch, with_loss=False)
+            grads = nn.main_task_loss_and_grads(tuned, batch)
             nn.apply_sgd(tuned.params, grads, lr)
     return tuned
 

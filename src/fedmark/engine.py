@@ -33,7 +33,7 @@ import numpy as np
 
 from . import nn
 from .attacks import choose_tamperers, tampered_slice
-from .config import RunConfig, region_params, sample_count, validate_config
+from .config import ConfigError, RunConfig, region_params, sample_count, validate_config
 from .data import (
     Dataset,
     Partition,
@@ -143,10 +143,19 @@ def build_dataset(config: RunConfig) -> Dataset:
 
 
 def build_partition(config: RunConfig, dataset: Dataset) -> Partition:
+    """The clients' shards. A split that cannot be drawn raises ConfigError,
+    naming `partition` and the keys that size it."""
     seed = derive_seed(config.seed, STREAM_PARTITION)
-    if config.partition == "dirichlet":
-        return partition_dirichlet(dataset.labels, config.n_clients, config.dirichlet_beta, seed)
-    return partition_k_labels(dataset.labels, config.n_clients, config.k_labels, seed)
+    try:
+        if config.partition == "dirichlet":
+            return partition_dirichlet(dataset.labels, config.n_clients, config.dirichlet_beta, seed)
+        return partition_k_labels(dataset.labels, config.n_clients, config.k_labels, seed)
+    except ValueError as err:
+        key = "dirichlet_beta" if config.partition == "dirichlet" else "k_labels"
+        raise ConfigError(
+            f"partition={config.partition} cannot split {len(dataset)} samples among "
+            f"n_clients={config.n_clients} with {key}={getattr(config, key)}: {err}"
+        ) from None
 
 
 def sample_clients(n_clients: int, sample_rate: float, seed: int) -> list[int]:
@@ -270,7 +279,7 @@ def _epoch(cohort_rows, source, labels, sizes, rngs, steps, lr, part, add_waterm
     for lo, length, a, b in steps:
         take = (np.arange(a, b)[:, None], orders[a:b, lo : lo + length])
         cohort = cohort_rows(a, b)
-        _, grads = nn.main_task_loss_and_grads(cohort, nn.Batch(source[take], labels[take]), with_loss=False)
+        grads = nn.main_task_loss_and_grads(cohort, nn.Batch(source[take], labels[take]))
         add_watermark(cohort, a, b, grads)
         nn.apply_sgd(cohort.params[:, part], grads[:, part], lr)
         del grads  # the (C, P) gradient is freed before the next step allocates one
@@ -283,7 +292,7 @@ def _add_private(marks, strength, heads, a, b, grads) -> None:
     if marks is None:
         return
     rows_marks = [(matrices[a:b], bits[a:b]) for matrices, bits in marks]
-    _, grad = private_embedding_loss_and_grads(heads, rows_marks, with_loss=False)
+    grad = private_embedding_loss_and_grads(heads, rows_marks)
     grads += strength * grad
 
 
@@ -294,7 +303,7 @@ def _add_slice(slices, strength, cohort, a, b, grads) -> None:
     for row, row_grads, (assignment, target) in zip(cohort.params, grads, slices[a:b]):
         if target is None:
             continue
-        _, seg_grad = slice_loss_and_grad(row[: cohort.rep_param_count], assignment, target, with_loss=False)
+        seg_grad = slice_loss_and_grad(row[: cohort.rep_param_count], assignment, target)
         row_grads[assignment.region_start : assignment.region_stop] += strength * seg_grad
 
 

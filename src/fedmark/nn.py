@@ -6,11 +6,13 @@ forward and backward passes work per layer while watermarking code addresses
 the flat vector directly. A configurable layer boundary splits the vector in
 two: the shared representation is its prefix and the private head the rest.
 Gradients share the layout, so training code updates either part with one
-slice operation. Training steps compute gradients only: losses come only with
-`with_loss=True`, the default. A `Batch` is a plain pair of arrays: labels are
-checked once per `data.Dataset` and once per `attacks.finetune_attack` call,
-not on every step. One `forward` serves training steps, feature passes and
-evaluation; the last two keep no activation cache.
+slice operation. Training steps compute gradients only: no run reads a loss
+value, so the cross-entropy itself is stated only in `tests/reference.py`,
+which the gradient checks differentiate. A `Batch` is a plain pair of arrays:
+labels are checked once per `data.Dataset` and once per
+`attacks.finetune_attack` call, not on every step. One `forward` serves
+training steps, feature passes and evaluation; the last two keep no
+activation cache.
 
 A cohort is a `Model` whose parameters are a (C, P) stack, one model per row,
 with (C, d_in, d_out) weight and (C, d_out) bias views. Every kernel works on
@@ -35,7 +37,7 @@ class LayerSpec:
     """Shape and activation of one dense layer.
 
     The "softmax" activation only marks the output layer; the forward pass
-    emits logits and the softmax itself lives inside the cross-entropy loss.
+    emits logits and the softmax itself lives inside the cross-entropy gradient.
     """
 
     input_dim: int
@@ -208,29 +210,22 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def main_task_loss_and_grads(model: Model, batch: Batch, *, with_loss: bool = True):
-    """Mean softmax cross-entropy over the batch and its exact gradients.
-
-    Returns (loss, grads) with grads laid out like `model.params`; callers
-    decide which slice of it to apply. A cohort gets one loss per model and
-    a (C, P) stack of gradients. With `with_loss=False` the loss is None and
-    the labels go unchecked.
+def main_task_loss_and_grads(model: Model, batch: Batch) -> np.ndarray:
+    """Exact gradients of the mean softmax cross-entropy over the batch, laid
+    out like `model.params`; callers decide which slice of it to apply. A
+    cohort gets a (C, P) stack, one row per model. The loss value is not
+    computed, and the labels go unchecked: the engine's were bounded once by
+    `Dataset`, which also sizes its model, and `finetune_attack` checks its
+    own once per call.
     """
     labels = batch.labels
     n = labels.shape[-1]
     if n == 0:
         raise ValueError("empty batch")
     num_classes = model.specs[-1].output_dim
-    # Training steps skip this check: the engine's labels were bounded once by
-    # `Dataset`, which also sizes its model, and `finetune_attack` checks once per call.
-    if with_loss and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"labels must lie in [0, {num_classes})")
 
     logits, cache = forward(model, batch.inputs)
     delta = _softmax(logits)
-    loss = None
-    if with_loss:
-        loss = -np.log(np.take_along_axis(delta, labels[..., None], axis=-1)[..., 0]).mean(axis=-1)
     # subtracting the one-hot labels leaves every other entry as it was (x - 0.0 == x)
     delta -= labels[..., None] == np.arange(num_classes)
     delta /= n
@@ -246,7 +241,7 @@ def main_task_loss_and_grads(model: Model, batch: Batch, *, with_loss: bool = Tr
         np.add.reduce(delta, axis=-2, out=grad_biases[k])
         if k > 0:
             delta = np.matmul(delta, model.weights[k].swapaxes(-1, -2))
-    return loss, grads
+    return grads
 
 
 def minibatches(inputs: np.ndarray, labels: np.ndarray, batch_size: int, rng):

@@ -6,7 +6,8 @@ representation. The list of `SliceAssignment`s is the only form the common
 watermark takes: its bits are the slices joined in client order. Clients
 embed only their own slice inside their own region, so slices never
 interfere, and the server scores an upload against the uploader's slice
-with `slice_detection_rate`.
+with `slice_detection_rate`. Embedding needs only the slice loss's gradient,
+`slice_loss_and_grad`; its value is stated in `tests/reference.py`.
 """
 
 from dataclasses import dataclass
@@ -102,15 +103,13 @@ def slice_detection_rate(rep_flat: np.ndarray, assignment: SliceAssignment) -> f
     return detection_rate(assignment.bits, extract_slice(rep_flat, assignment))
 
 
-def slice_loss_and_grad(rep_flat, assignment: SliceAssignment, bits=None, *, with_loss: bool = True):
-    """Embedding loss of a slice (None unless `with_loss`) and its gradient over the region only.
-
-    `bits` overrides the assignment's true slice (used by tampering clients);
-    the returned gradient has region length and is zero-padded by callers.
-    """
+def slice_loss_and_grad(rep_flat, assignment: SliceAssignment, bits=None) -> np.ndarray:
+    """Gradient of a slice's embedding loss over its region only: it has
+    region length, and callers zero-pad it. `bits` overrides the
+    assignment's true slice (used by tampering clients)."""
     rep_flat = np.asarray(rep_flat, dtype=np.float64)
     target = assignment.bits if bits is None else np.asarray(bits, dtype=np.uint8)
     if len(target) != len(assignment.bits):
         raise ValueError("override bits must match the slice length")
     segment = rep_flat[assignment.region_start : assignment.region_stop]
-    return embedding_loss_and_grad(segment, assignment.matrix(), target, with_loss=with_loss)
+    return embedding_loss_and_grad(segment, assignment.matrix(), target)

@@ -1,9 +1,11 @@
 """White-box watermarks for flattened parameter vectors.
 
 A watermark is a bit string embedded through a fixed random projection
-matrix: training adds a sigmoid cross-entropy penalty that pushes each
-projection toward the sign demanded by its bit, and extraction thresholds
-the projections at zero. Projection matrices are regenerable from their
+matrix: training adds the gradient of a sigmoid cross-entropy penalty that
+pushes each projection toward the sign demanded by its bit, and extraction
+thresholds the projections at zero. The kernels compute that gradient only;
+no run reads the penalty's value, which `tests/reference.py` states for the
+gradient checks. Projection matrices are regenerable from their
 seed, so keys ship as (seed, rows, cols) triples rather than dense arrays.
 A private mark covers every head layer, in order, with at least one bit in
 each (`segment_lengths`): its reads and gradients walk the head layers of
@@ -125,7 +127,7 @@ def _matvecs(matrices, vectors):
     return out
 
 
-def _embedding_kernel(params, matrix, bits, with_loss):
+def _embedding_kernel(params, matrix, bits):
     """`embedding_loss_and_grad` unchecked, on (..., r) params, (..., r, c)
     matrices and (..., c) bits: one product per vector, in the operand layout
     of `extract_bits`, so row i of a stack gives bit for bit what it alone gives.
@@ -134,21 +136,14 @@ def _embedding_kernel(params, matrix, bits, with_loss):
     transposed = [m.T for m in matrix] if isinstance(matrix, list) else matrix.swapaxes(-1, -2)
     proj = _matvecs(transposed, params)
     # float64 minus the uint8 bits promotes to the same values a float copy holds
-    grad = _matvecs(matrix, _sigmoid(proj) - bits) / bits.shape[-1]
-    if not with_loss:
-        return None, grad
-    # log(sigmoid(p)) = -softplus(-p); log(1 - sigmoid(p)) = -softplus(p)
-    softplus = np.logaddexp(0.0, proj)
-    per_bit = bits * (softplus - proj) + (1.0 - bits) * softplus
-    return per_bit.mean(axis=-1), grad
+    return _matvecs(matrix, _sigmoid(proj) - bits) / bits.shape[-1]
 
 
-def embedding_loss_and_grad(params_flat, matrix, bits, *, with_loss: bool = True):
-    """Mean binary cross-entropy between sigmoid(projections) and the bits
-    (None unless `with_loss`), with its exact gradient in parameter space.
-
-    The loss is overflow-safe for arbitrarily large projections. Gradient:
-    matrix @ (sigmoid(proj) - bits) / len(bits).
+def embedding_loss_and_grad(params_flat, matrix, bits) -> np.ndarray:
+    """Exact gradient in parameter space of the mean binary cross-entropy
+    between sigmoid(projections) and the bits:
+    matrix @ (sigmoid(matrix.T @ params) - bits) / len(bits). The sigmoid is
+    overflow-safe for arbitrarily large projections.
     """
     params_flat = np.asarray(params_flat, dtype=np.float64)
     bits = np.asarray(bits)
@@ -156,8 +151,7 @@ def embedding_loss_and_grad(params_flat, matrix, bits, *, with_loss: bool = True
         raise ValueError("bits must be a non-empty 1-d vector")
     if params_flat.ndim != 1 or matrix.shape != (len(params_flat), len(bits)):
         raise ValueError(f"matrix shape {matrix.shape} does not fit {params_flat.shape} params x {len(bits)} bits")
-    loss, grad = _embedding_kernel(params_flat, matrix, bits, with_loss)
-    return (float(loss) if with_loss else None), grad
+    return _embedding_kernel(params_flat, matrix, bits)
 
 
 @dataclass(frozen=True)
@@ -207,19 +201,14 @@ def stack_private_marks(specs, reads: int) -> list:
     ]
 
 
-def private_embedding_loss_and_grads(model, marks, *, with_loss: bool = True):
-    """Total head-mark embedding loss (None unless `with_loss`) plus its
-    gradient laid out like the head parameters, for one model and its spec,
-    or (C,) losses and a (C, head size) gradient for a (C, P) cohort and its
-    `stack_private_marks`: one kernel call per head layer, joined in head order."""
-    if isinstance(marks, PrivateWatermarkSpec):
-        marks = [(marks.matrix(pos), s) for pos, s in enumerate(marks.segments)]
-    parts = [
-        _embedding_kernel(model.layer_flat(layer_id), *mark, with_loss)
-        for layer_id, mark in zip(model.head_layer_ids, marks, strict=True)
-    ]
-    loss = sum(part for part, _ in parts) if with_loss else None
-    return loss, np.concatenate([grad for _, grad in parts], axis=-1)
+def private_embedding_loss_and_grads(model, marks) -> np.ndarray:
+    """Gradient of the total head-mark embedding loss, laid out like the head
+    parameters: (C, head size) for a (C, P) cohort and its
+    `stack_private_marks`, or one vector for one model and one (matrix,
+    segment bits) pair per head layer. One kernel call per head layer, joined
+    in head order."""
+    layers = zip(model.head_layer_ids, marks, strict=True)
+    return np.concatenate([_embedding_kernel(model.layer_flat(layer_id), *mark) for layer_id, mark in layers], axis=-1)
 
 
 def extract_private_bits(model, spec: PrivateWatermarkSpec) -> np.ndarray:

@@ -23,6 +23,12 @@ def finite_difference_grads(loss_fn, params: np.ndarray, h: float = 1e-5) -> np.
     return grad
 
 
+def one_model_marks(spec):
+    """A private mark as one model's `private_embedding_loss_and_grads` input:
+    per head layer, its projection matrix and its segment of the bits."""
+    return [(spec.matrix(pos), bits) for pos, bits in enumerate(spec.segments)]
+
+
 def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray, rel_tol: float = 1e-4):
     denom = np.maximum.reduce([np.abs(analytic), np.abs(numeric), np.full_like(analytic, 1e-6)])
     worst = float(np.max(np.abs(analytic - numeric) / denom))
@@ -122,7 +128,7 @@ def plain_fedrep_oracle(config):
                 order = batch_rng.permutation(len(ys))
                 for lo in range(0, len(order), config.batch_size):
                     take = order[lo : lo + config.batch_size]
-                    _, grads = nn.main_task_loss_and_grads(model, nn.Batch(xs[take], ys[take]))
+                    grads = nn.main_task_loss_and_grads(model, nn.Batch(xs[take], ys[take]))
                     nn.apply_sgd(model.params[part], grads[part], config.lr)
 
             for _ in range(config.head_epochs):

@@ -177,9 +177,9 @@ def test_finetune_rejects_labels_beyond_the_output_before_any_step(monkeypatch):
     ds, model = finetune_setup()  # three classes, three outputs
     steps = []
 
-    def record(model, batch, *, with_loss=True):
+    def record(model, batch):
         steps.append(len(batch.labels))
-        return None, np.zeros_like(model.params)
+        return np.zeros_like(model.params)
 
     monkeypatch.setattr(nn, "main_task_loss_and_grads", record)
     wide = data.gen_synthetic_blobs(4, 4, 30, 0.5, seed=2)

@@ -104,13 +104,26 @@ def test_train_missing_config_fails_cleanly(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_train_reports_an_impossible_partition(tiny_cfg_file, capsys):
-    """Ten clients cannot all get a sample of three classes split at
-    Dirichlet(0.001): the run ends with an error line, not a traceback."""
-    args = ["--n_clients", "10", "--slice_total_bits", "0", "--partition", "dirichlet"]
-    assert cli.main(["train", str(tiny_cfg_file), *args, "--dirichlet_beta", "0.001"]) == 1
+def test_train_reports_an_impossible_partition(tiny_cfg_file, tmp_path, capsys):
+    """Each of these configs passes validation, yet its split cannot be
+    drawn: ten clients over three classes at Dirichlet(0.001), six clients
+    over eight samples at Dirichlet(0.001), and three clients over three
+    one-sample classes, two classes each. The run ends with one error line,
+    not a traceback, that names the partition and the key that sizes it."""
+    tiny = ["--n_clients", "10", "--slice_total_bits", "0", "--partition", "dirichlet", "--dirichlet_beta", "0.001"]
+    assert cli.main(["train", str(tiny_cfg_file), *tiny]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "every client a sample" in err
+    assert err.startswith("error: partition=dirichlet") and "dirichlet_beta=0.001" in err
+    assert "every client a sample" in err and err.count("\n") == 1
+    for keys, named in (
+        ("n_clients=6 blob_samples_per_class=2 partition=dirichlet dirichlet_beta=0.001", "dirichlet_beta"),
+        ("n_clients=3 blob_classes=3 blob_samples_per_class=1 partition=klabels k_labels=2", "k_labels"),
+    ):
+        path = tmp_path / "split.cfg"
+        path.write_text("\n".join([*keys.split(), f"output_dir={tmp_path / 'split'}"]))
+        assert cli.main(["train", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: partition=") and f"{named}=" in err and err.count("\n") == 1
 
 
 def test_train_reports_config_line_numbers(tmp_path, capsys):

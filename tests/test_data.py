@@ -51,7 +51,7 @@ def test_blobs_are_learnable_within_200_steps():
         order = rng.permutation(len(ds))
         for lo in range(0, len(order), 20):
             take = order[lo : lo + 20]
-            _, grads = nn.main_task_loss_and_grads(model, nn.Batch(ds.inputs[take], ds.labels[take]))
+            grads = nn.main_task_loss_and_grads(model, nn.Batch(ds.inputs[take], ds.labels[take]))
             nn.apply_sgd(model.params, grads, lr=0.1)
             steps += 1
             if steps == 200:

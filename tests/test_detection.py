@@ -121,6 +121,17 @@ def test_phase1_is_monotone_in_acc():
     assert decisions == sorted(decisions)  # once accepted, higher accs stay accepted
 
 
+def test_phase1_rejects_an_acc_on_the_band():
+    """Phase 1 accepts only an acc strictly above its cohort's lower band:
+    a record on the band is rejected, the next float above it accepted."""
+    ledger = ledger_with(honest=honest_cohort([0.9, 0.92, 0.94, 0.96, 0.98]))
+    config = RunConfig()
+    mean, std, num = detection.cohort_stats(ledger, embedding_count=1)
+    band = detection.lower_band(mean, std, num, config.honest_confidence)
+    assert not detection.decide(record(band), ledger, config)
+    assert detection.decide(record(math.nextafter(band, 1.0)), ledger, config)
+
+
 def test_small_cohort_accepts_for_lack_of_evidence():
     config = RunConfig()
     assert detection.decide(record(0.0), detection.DetectionLedger(), config)

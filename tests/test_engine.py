@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import plain_fedrep_oracle, tiny_config
+from conftest import one_model_marks, plain_fedrep_oracle, tiny_config
 from fedmark import cli, engine, nn, slicing, watermark
 from fedmark.artifacts import write_run_artifacts
 from fedmark.attacks import attack_report, choose_tamperers, tamper_bits
@@ -137,8 +137,8 @@ def test_masked_main_loss_confines_updates_to_watermark_surfaces(monkeypatch):
     assignments = assign_slices(bits, config.n_clients, base.rep_param_count, region, seed=6)
     client = make_client(2, base, dataset, partition, assignment=assignments[2])
 
-    def zero_main(model, batch, *, with_loss=True):
-        return 0.0, np.zeros_like(model.params)
+    def zero_main(model, batch):
+        return np.zeros_like(model.params)
 
     monkeypatch.setattr(nn, "main_task_loss_and_grads", zero_main)
     rep = base.params[: base.rep_param_count].copy()
@@ -196,13 +196,13 @@ def _check_one_update_against_full_model_steps(config):
 
     for _ in range(config.head_epochs):
         for batch in batches():
-            _, grads = nn.main_task_loss_and_grads(model, batch)
-            _, private_grad = private_embedding_loss_and_grads(model, private)  # laid out like the head
+            grads = nn.main_task_loss_and_grads(model, batch)
+            private_grad = private_embedding_loss_and_grads(model, one_model_marks(private))  # laid out like the head
             grads[rep_size:] = grads[rep_size:] + config.embed_strength * private_grad
             nn.apply_sgd(model.params[rep_size:], grads[rep_size:], config.lr)
     for batch in batches():
-        _, grads = nn.main_task_loss_and_grads(model, batch)
-        _, seg_grad = slice_loss_and_grad(model.params[:rep_size], assignment, target)
+        grads = nn.main_task_loss_and_grads(model, batch)
+        seg_grad = slice_loss_and_grad(model.params[:rep_size], assignment, target)
         lo, hi = assignment.region_start, assignment.region_stop
         grads[lo:hi] = grads[lo:hi] + config.slice_strength * seg_grad
         nn.apply_sgd(model.params[:rep_size], grads[:rep_size], config.lr)
@@ -299,9 +299,9 @@ def test_every_cohort_of_a_run_trains_in_its_own_block(monkeypatch):
         allocated.extend(allocate(model, clients))
         return allocated
 
-    def step_spy(model, batch, *, with_loss=True):
+    def step_spy(model, batch):
         trained.append(model.params)
-        return step(model, batch, with_loss=with_loss)
+        return step(model, batch)
 
     def aggregate_spy(reps):
         averaged.append(list(reps))
@@ -394,10 +394,10 @@ def test_private_marks_read_once_are_read_in_place(monkeypatch):
     matrices = []
     kernel = watermark._embedding_kernel
 
-    def spy(params, matrix, bits, with_loss):
+    def spy(params, matrix, bits):
         if np.ndim(params) == 2:  # a cohort's private mark; the slices pass one vector
             matrices.append(matrix)
-        return kernel(params, matrix, bits, with_loss)
+        return kernel(params, matrix, bits)
 
     monkeypatch.setattr(watermark, "_embedding_kernel", spy)
     one_step = tiny_config(head_layers=2, head_epochs=1, batch_size=10_000, rounds=1)

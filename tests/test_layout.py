@@ -79,7 +79,7 @@ def test_rep_sgd_leaves_the_head_bit_identical(drawn, lr):
         rng.standard_normal((4, model.specs[0].input_dim)),
         rng.integers(0, model.specs[-1].output_dim, 4),
     )
-    _, grads = nn.main_task_loss_and_grads(model, batch)
+    grads = nn.main_task_loss_and_grads(model, batch)
     assert grads.shape == model.params.shape
     rep = model.rep_param_count
     head_before = model.params[rep:].tobytes()
@@ -127,11 +127,9 @@ def test_cohort_rows_have_the_layers_of_their_models(drawn):
 @given(cohorts())
 def test_cohort_step_equals_per_model_steps_bit_for_bit(drawn):
     cohort, inputs, labels = drawn
-    losses, grads = nn.main_task_loss_and_grads(cohort, nn.Batch(inputs, labels))
-    _, fast = nn.main_task_loss_and_grads(cohort, nn.Batch(inputs, labels), with_loss=False)
-    assert grads.shape == cohort.params.shape and fast.tobytes() == grads.tobytes()
+    grads = nn.main_task_loss_and_grads(cohort, nn.Batch(inputs, labels))
+    assert grads.shape == cohort.params.shape
     for i, row in enumerate(cohort.params):
         model = nn.Model(cohort.specs, row.copy(), cohort.head_start)
-        loss, alone = nn.main_task_loss_and_grads(model, nn.Batch(inputs[i], labels[i]))
+        alone = nn.main_task_loss_and_grads(model, nn.Batch(inputs[i], labels[i]))
         assert alone.tobytes() == grads[i].tobytes()
-        assert np.float64(loss).tobytes() == np.float64(losses[i]).tobytes()

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import reference
 from conftest import assert_grads_close, finite_difference_grads
-from fedmark import nn
+from fedmark import data, nn
 
 
 def small_specs():
@@ -134,28 +135,31 @@ def test_forward_rejects_wrong_width():
 
 
 def test_uniform_logits_loss_is_log_num_classes():
+    """The reference cross-entropy that the gradient checks differentiate."""
     model = nn.init_model(small_specs(), seed=5)
     for k in range(model.num_layers):
         model.weights[k][:] = 0.0
     batch = nn.Batch(np.ones((6, 5)), np.array([0, 1, 2, 0, 1, 2]))
-    loss, _ = nn.main_task_loss_and_grads(model, batch)
-    assert loss == pytest.approx(np.log(3), abs=1e-12)
+    assert reference.cross_entropy(model, batch) == pytest.approx(np.log(3), abs=1e-12)
 
 
 def test_loss_nonnegative_and_labels_validated():
+    """The reference loss is non-negative. Labels are bounded by the `Dataset`
+    that training batches come from, not by the gradient kernel, which
+    rejects only an empty batch."""
     model = nn.init_model(small_specs(), seed=5)
     rng = np.random.default_rng(2)
     batch = nn.Batch(rng.standard_normal((8, 5)), rng.integers(0, 3, 8))
-    loss, _ = nn.main_task_loss_and_grads(model, batch)
-    assert loss >= 0.0
+    assert reference.cross_entropy(model, batch) >= 0.0
     with pytest.raises(ValueError, match="labels"):
-        nn.main_task_loss_and_grads(model, nn.Batch(np.ones((2, 5)), np.array([0, 3])))
+        data.Dataset(np.ones((2, 5)), np.array([0, 3]), 3)
     with pytest.raises(ValueError, match="empty"):
         nn.main_task_loss_and_grads(model, nn.Batch(np.empty((0, 5)), np.empty(0, dtype=int)))
 
 
 def test_main_task_grads_match_finite_differences():
-    """Backprop versus a central-difference oracle on random small models.
+    """Backprop versus a central-difference oracle of the reference loss on
+    random small models.
 
     The loss is only piecewise smooth, so instances where a pre-activation
     sits on a relu kink (where two-sided differences straddle the corner)
@@ -180,13 +184,12 @@ def test_main_task_grads_match_finite_differences():
         if min(np.abs(z).min() for _, z in cache[:-1]) < 1e-3:
             continue
         checked += 1
-        _, analytic = nn.main_task_loss_and_grads(model, batch)
+        analytic = nn.main_task_loss_and_grads(model, batch)
 
         def loss_at(flat, model=model, batch=batch):
             probe = model.copy()
             probe.params[:] = flat
-            loss, _ = nn.main_task_loss_and_grads(probe, batch)
-            return loss
+            return reference.cross_entropy(probe, batch)
 
         numeric = finite_difference_grads(loss_at, model.params)
         assert_grads_close(analytic, numeric)
@@ -200,25 +203,6 @@ def test_minibatches_follow_the_permutation_with_a_short_last_batch():
     rows = np.concatenate([b.inputs[:, 0] for b in batches]).astype(int) // 2
     np.testing.assert_array_equal(rows, np.random.default_rng(4).permutation(23))
     np.testing.assert_array_equal(np.concatenate([b.labels for b in batches]), labels[rows])
-
-
-@pytest.mark.parametrize("head_layers", [1, 2])
-def test_gradient_only_steps_match_the_loss_path(head_layers):
-    """with_loss=False returns no loss and the same gradient bits, on the
-    whole model and on a head view, through a short last batch."""
-    model = nn.init_model(small_specs(), seed=7, head_start=3 - head_layers)
-    rng = np.random.default_rng(3)
-    inputs, labels = rng.standard_normal((23, 5)), rng.integers(0, 3, 23)
-    features, _ = nn.forward(model.view(0, model.head_start), inputs)
-    head = model.view(model.head_start, model.num_layers)
-    for target, rows in ((model, inputs), (head, features)):
-        batches = list(nn.minibatches(rows, labels, 10, np.random.default_rng(5)))
-        assert len(batches[-1].labels) == 3
-        for batch in batches:
-            loss, grads = nn.main_task_loss_and_grads(target, batch)
-            none, fast = nn.main_task_loss_and_grads(target, batch, with_loss=False)
-            assert loss > 0.0 and none is None
-            assert np.array_equal(fast, grads)
 
 
 # --- SGD ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ slice manifest."""
 import numpy as np
 import pytest
 
+import reference
+from conftest import assert_grads_close, finite_difference_grads
 from fedmark import artifacts, slicing, watermark
 
 
@@ -89,8 +91,7 @@ def embed_slice(assignment, rep_len, steps=400, lr=0.1, seed=0):
     """Drive a random representation to carry the slice via plain descent."""
     rep = np.random.default_rng(seed).standard_normal(rep_len)
     for _ in range(steps):
-        _, seg_grad = slicing.slice_loss_and_grad(rep, assignment)
-        rep[assignment.region_start : assignment.region_stop] -= lr * seg_grad
+        rep[assignment.region_start : assignment.region_stop] -= lr * slicing.slice_loss_and_grad(rep, assignment)
     return rep
 
 
@@ -163,7 +164,7 @@ def test_slice_gradient_is_confined_to_the_region():
     rep = np.random.default_rng(3).standard_normal(120)
     before = rep.copy()
     for _ in range(50):
-        _, seg_grad = slicing.slice_loss_and_grad(rep, target)
+        seg_grad = slicing.slice_loss_and_grad(rep, target)
         assert seg_grad.shape == (target.region_size,)
         full = np.zeros_like(rep)
         full[target.region_start : target.region_stop] = seg_grad
@@ -175,25 +176,21 @@ def test_slice_gradient_is_confined_to_the_region():
 
 
 def test_slice_loss_override_bits():
+    """Override bits replace the slice as the target: the gradient differs from
+    the true slice's and matches finite differences of the reference loss of
+    the override over the region."""
     bits = watermark.random_bits(16, seed=9)
     assignments = slicing.assign_slices(bits, 2, rep_param_count=64, region_size=32, seed=0)
     rep = np.random.default_rng(1).standard_normal(64)
-    own_loss, _ = slicing.slice_loss_and_grad(rep, assignments[0])
-    flipped_loss, _ = slicing.slice_loss_and_grad(rep, assignments[0], bits=1 - assignments[0].bits)
-    assert own_loss != flipped_loss
+    flipped = 1 - assignments[0].bits
+    own = slicing.slice_loss_and_grad(rep, assignments[0])
+    overridden = slicing.slice_loss_and_grad(rep, assignments[0], bits=flipped)
+    assert not np.array_equal(own, overridden)
+    region = rep[assignments[0].region_start : assignments[0].region_stop]
+    matrix = assignments[0].matrix()
+    assert_grads_close(overridden, finite_difference_grads(lambda p: reference.embedding_bce(p, matrix, flipped), region))
     with pytest.raises(ValueError):
         slicing.slice_loss_and_grad(rep, assignments[0], bits=np.array([1, 0]))
-
-
-def test_slice_gradient_only_matches_the_loss_path():
-    bits = watermark.random_bits(16, seed=9)
-    assignments = slicing.assign_slices(bits, 2, rep_param_count=64, region_size=32, seed=0)
-    rep = np.random.default_rng(1).standard_normal(64)
-    for bits in (None, 1 - assignments[1].bits):  # the true slice, then an override
-        loss, grad = slicing.slice_loss_and_grad(rep, assignments[1], bits)
-        none, fast = slicing.slice_loss_and_grad(rep, assignments[1], bits, with_loss=False)
-        assert loss > 0.0 and none is None
-        assert np.array_equal(fast, grad)
 
 
 # --- manifest -------------------------------------------------------------------

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, finite_difference_grads
+import reference
+from conftest import assert_grads_close, finite_difference_grads, one_model_marks
 from fedmark import nn, watermark
 
 
@@ -179,13 +180,13 @@ def test_sigmoid_matches_the_two_branch_form_at_the_extremes():
 
 
 def test_embedding_loss_analytic_point():
-    """At zero parameters the sigmoid sits at 0.5: loss ln 2, gradient ±0.5."""
-    loss, grad = watermark.embedding_loss_and_grad(np.zeros(1), np.array([[1.0]]), np.array([1]))
-    assert loss == pytest.approx(math.log(2), abs=1e-12)
-    assert grad[0] == pytest.approx(-0.5, abs=1e-12)
-    loss, grad = watermark.embedding_loss_and_grad(np.zeros(1), np.array([[1.0]]), np.array([0]))
-    assert loss == pytest.approx(math.log(2), abs=1e-12)
-    assert grad[0] == pytest.approx(0.5, abs=1e-12)
+    """At zero parameters the sigmoid sits at 0.5: the reference loss is
+    ln 2 and the kernel's gradient ±0.5."""
+    for bit, slope in ((1, -0.5), (0, 0.5)):
+        bits = np.array([bit])
+        assert reference.embedding_bce(np.zeros(1), np.array([[1.0]]), bits) == pytest.approx(math.log(2), abs=1e-12)
+        grad = watermark.embedding_loss_and_grad(np.zeros(1), np.array([[1.0]]), bits)
+        assert grad[0] == pytest.approx(slope, abs=1e-12)
 
 
 def test_embedding_loss_matches_finite_differences(rng):
@@ -193,18 +194,18 @@ def test_embedding_loss_matches_finite_differences(rng):
         params = rng.standard_normal(20)
         matrix = watermark.gen_embedding_matrix(20, 8, seed=int(rng.integers(1 << 30)))
         bits = watermark.random_bits(8, seed=int(rng.integers(1 << 30)))
-        _, grad = watermark.embedding_loss_and_grad(params, matrix, bits)
-        numeric = finite_difference_grads(
-            lambda p: watermark.embedding_loss_and_grad(p, matrix, bits)[0], params
-        )
+        grad = watermark.embedding_loss_and_grad(params, matrix, bits)
+        numeric = finite_difference_grads(lambda p: reference.embedding_bce(p, matrix, bits), params)
         assert_grads_close(grad, numeric)
 
 
 def test_embedding_loss_is_overflow_safe():
     params = np.full(4, 1e5)
     matrix = watermark.gen_embedding_matrix(4, 6, seed=3)
+    bits = watermark.random_bits(6, 1)
     with np.errstate(over="raise"):
-        loss, grad = watermark.embedding_loss_and_grad(params, matrix, watermark.random_bits(6, 1))
+        grad = watermark.embedding_loss_and_grad(params, matrix, bits)
+        loss = reference.embedding_bce(params, matrix, bits)
     assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
 
@@ -226,18 +227,8 @@ def test_embedding_descent_converges_to_perfect_detection(rng):
     matrix = watermark.gen_embedding_matrix(40, 20, seed=21)
     bits = watermark.random_bits(20, seed=22)
     for _ in range(500):
-        _, grad = watermark.embedding_loss_and_grad(params, matrix, bits)
-        params -= 0.1 * grad
+        params -= 0.1 * watermark.embedding_loss_and_grad(params, matrix, bits)
     assert watermark.detection_rate(bits, watermark.extract_bits(params, matrix)) == 1.0
-
-
-def test_embedding_gradient_only_matches_the_loss_path(rng):
-    params, matrix = rng.standard_normal(30), rng.standard_normal((30, 12))
-    bits = watermark.random_bits(12, seed=2)
-    loss, grad = watermark.embedding_loss_and_grad(params, matrix, bits)
-    none, fast = watermark.embedding_loss_and_grad(params, matrix, bits, with_loss=False)
-    assert loss > 0.0 and none is None
-    assert np.array_equal(fast, grad)
 
 
 # --- private (head) watermark specs ---------------------------------------------
@@ -287,7 +278,7 @@ def test_private_embedding_gradients_match_finite_differences():
     sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
     bits = watermark.random_bits(12, seed=8)
     spec = watermark.make_private_spec(bits, sizes, key_seed=3)
-    _, grad = watermark.private_embedding_loss_and_grads(model, spec)
+    grad = watermark.private_embedding_loss_and_grads(model, one_model_marks(spec))
     rep_size = model.rep_param_count
     assert grad.shape == (model.params.size - rep_size,)  # laid out like the head
     for layer_id in model.head_layer_ids:
@@ -295,28 +286,15 @@ def test_private_embedding_gradients_match_finite_differences():
         def loss_at(flat, layer_id=layer_id):
             probe = model.copy()
             probe.layer_flat(layer_id)[...] = flat
-            total, _ = watermark.private_embedding_loss_and_grads(probe, spec)
-            return total
+            return reference.private_mark_loss(probe, spec)
 
         numeric = finite_difference_grads(loss_at, model.layer_flat(layer_id))
         assert_grads_close(grad[model.offsets[layer_id] - rep_size : model.offsets[layer_id + 1] - rep_size], numeric)
 
 
-def test_private_embedding_gradient_only_matches_the_loss_path():
-    model = head_model()  # a two-layer head
-    sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
-    bits = watermark.random_bits(21, seed=5)
-    spec = watermark.make_private_spec(bits, sizes, key_seed=2)
-    total, grad = watermark.private_embedding_loss_and_grads(model, spec)
-    none, fast = watermark.private_embedding_loss_and_grads(model, spec, with_loss=False)
-    assert total > 0.0 and none is None
-    assert fast.shape == grad.shape == (model.params.size - model.rep_param_count,)
-    assert np.array_equal(fast, grad)
-
-
 def test_private_embedding_rows_match_the_one_model_calls():
-    """A cohort call on its stacked marks gives row i's losses and gradients
-    of row i alone with its own mark, bit for bit."""
+    """A cohort call on its stacked marks gives row i the gradient of row i
+    alone with its own mark, bit for bit."""
     model = head_model()
     sizes = [model.specs[k].flat_size for k in model.head_layer_ids]
     specs = [
@@ -326,13 +304,11 @@ def test_private_embedding_rows_match_the_one_model_calls():
     assert [(matrix.shape, bits.shape) for matrix, bits in marks] == [((3, 45, 15), (3, 15)), ((3, 18, 6), (3, 6))]
     rows = np.stack([model.params, model.params + 0.1, model.params - 0.2])
     cohort = nn.Model(model.specs, rows, model.head_start)
-    losses, grads = watermark.private_embedding_loss_and_grads(cohort, marks)
-    none, fast = watermark.private_embedding_loss_and_grads(cohort, marks, with_loss=False)
-    assert none is None and fast.shape == grads.shape == (3, sum(sizes))
+    grads = watermark.private_embedding_loss_and_grads(cohort, marks)
+    assert grads.shape == (3, sum(sizes))
     for i, spec in enumerate(specs):
-        loss, alone = watermark.private_embedding_loss_and_grads(nn.Model(model.specs, rows[i], 1), spec)
-        assert losses[i] == loss
-        assert grads[i].tobytes() == alone.tobytes() == fast[i].tobytes()
+        alone = watermark.private_embedding_loss_and_grads(nn.Model(model.specs, rows[i], 1), one_model_marks(spec))
+        assert grads[i].tobytes() == alone.tobytes()
 
 
 def test_private_reads_of_a_cohort_equal_the_one_model_reads():
@@ -368,7 +344,7 @@ def test_private_mark_must_fit_the_head_it_is_read_from(sizes):
     with pytest.raises(ValueError):
         watermark.extract_private_bits(model, spec)
     with pytest.raises(ValueError):
-        watermark.private_embedding_loss_and_grads(model, spec)
+        watermark.private_embedding_loss_and_grads(model, one_model_marks(spec))
     cohort = nn.Model(model.specs, np.stack([model.params, model.params]), model.head_start)
     for reads in (1, 2):
         with pytest.raises(ValueError):
