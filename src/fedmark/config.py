@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -18,51 +19,63 @@ class ConfigError(ValueError):
     pass
 
 
+_BOUND_WORDS = {"ge": "at least", "gt": "above", "le": "at most", "lt": "below"}  # named as in `operator`
+_TYPE_WORDS = {bool: "a bool", int: "an int", float: "a number", str: "a string", tuple: "a non-empty tuple of ints"}
+
+
+def key(default, *, ge=None, gt=None, le=None, lt=None, choices=()):
+    """A RunConfig field with its domain: the default's type, the bounds
+    (ge, gt, le, lt) on the value or on each entry of a tuple, and the
+    strings a str key allows."""
+    bounds = {op: bound for op, bound in dict(ge=ge, gt=gt, le=le, lt=lt).items() if bound is not None}
+    return dataclasses.field(default=default, metadata={"bounds": bounds, "choices": choices})
+
+
 @dataclass
 class RunConfig:
     # federation schedule
-    n_clients: int = 20
-    sample_rate: float = 1.0
-    rounds: int = 30
-    head_epochs: int = 10
-    lr: float = 0.01
-    batch_size: int = 10
+    n_clients: int = key(20, ge=2)
+    sample_rate: float = key(1.0, gt=0, le=1)
+    rounds: int = key(30, ge=0)
+    head_epochs: int = key(10, ge=1)
+    lr: float = key(0.01, ge=0)
+    batch_size: int = key(10, ge=1)
     # model architecture: input -> hidden_dims -> classes, the trailing
     # head_layers layers form the private head
-    hidden_dims: tuple = (64, 64)
-    head_layers: int = 1
+    hidden_dims: tuple = key((64, 64), ge=1)
+    head_layers: int = key(1, ge=1)
     # watermarks
-    private_bits: int = 100
-    slice_total_bits: int = 640
-    embed_strength: float = 1.0
-    slice_strength: float = 25.0
-    region_size: int = 0  # 0: auto, rep_param_count // n_clients
+    private_bits: int = key(100, ge=0)
+    slice_total_bits: int = key(640, ge=0)
+    embed_strength: float = key(1.0, ge=0)
+    slice_strength: float = key(25.0, ge=0)
+    region_size: int = key(0, ge=0)  # 0: auto, rep_param_count // n_clients
     # dataset
-    dataset: str = "blobs"
-    blob_classes: int = 4
-    blob_dim: int = 8
+    dataset: str = key("blobs", choices=("blobs", "idx"))
+    blob_classes: int = key(4, ge=2)
+    blob_dim: int = key(8, ge=1)
     blob_samples_per_class: int = 500
-    blob_spread: float = 0.5
+    blob_spread: float = key(0.5, ge=0)
     idx_images: str = ""
     idx_labels: str = ""
     # partitioning
-    partition: str = "dirichlet"
-    dirichlet_beta: float = 0.5
-    k_labels: int = 2
+    partition: str = key("dirichlet", choices=("dirichlet", "klabels"))
+    dirichlet_beta: float = key(0.5, gt=0)
+    k_labels: int = key(2, ge=1)
     # tampering attack during training
-    malicious_fraction: float = 0.0
-    tamper_rate: float = 0.0
+    malicious_fraction: float = key(0.0, ge=0, le=1)
+    tamper_rate: float = key(0.0, ge=0, le=1)
     fresh_tamper: bool = True
     finetune_rounds: int = 25
     # detector
     detector: bool = False
-    honest_confidence: float = 0.975
-    malicious_confidence: float = 0.5
-    pool_threshold: int = 5
-    min_cohort: int = 3
+    honest_confidence: float = key(0.975, gt=0, lt=1)
+    malicious_confidence: float = key(0.5, gt=0, lt=1)
+    pool_threshold: int = key(5, ge=1)
+    min_cohort: int = key(3, ge=1)
     ban_rejected: bool = False
     # run identity
-    seed: int = 0
+    seed: int = key(0, ge=0)
     output_dir: str = "run"
 
 
@@ -107,7 +120,7 @@ def load_config(path: str, overrides=()) -> RunConfig:
 
     Errors carry the file name and line number.
     """
-    values = {}
+    values, first_line = {}, {}
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -121,6 +134,9 @@ def load_config(path: str, overrides=()) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is set again, first on line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = _parse_value(key, raw)
         except ConfigError as err:
@@ -142,71 +158,57 @@ def apply_overrides(config: RunConfig, overrides) -> RunConfig:
     return merged
 
 
+def _fits_type(kind, value) -> bool:
+    """Whether a value has its key's type: an int passes for a float, and a
+    bool only for a bool."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is tuple:
+        return isinstance(value, tuple) and len(value) > 0 and all(_fits_type(int, v) for v in value)
+    return isinstance(value, kind)
+
+
+def _domain_problem(f: dataclasses.Field, value) -> str:
+    """What a value lacks to lie in its field's domain, or "" if it does."""
+    kind = type(f.default)
+    if not _fits_type(kind, value):
+        return f"be {_TYPE_WORDS[kind]}"
+    if kind is float and not math.isfinite(value):
+        return "be finite"
+    # config.txt holds one key=value per line and its reader strips each value
+    if kind is str and (value != value.strip() or len(value.splitlines()) > 1):
+        return "not start or end with whitespace or hold a line break"
+    choices = f.metadata.get("choices")
+    if choices and value not in choices:
+        return "be one of " + ", ".join(map(repr, choices))
+    for op, bound in f.metadata.get("bounds", {}).items():
+        if not all(getattr(operator, op)(v, bound) for v in (value if kind is tuple else (value,))):
+            return f"be {_BOUND_WORDS[op]} {bound}" + (" in every entry" if kind is tuple else "")
+    return ""
+
+
 def validate_config(config: RunConfig) -> None:
     problems = []
-    if config.n_clients < 2:
-        problems.append("n_clients must be at least 2")
-    if not 0.0 < config.sample_rate <= 1.0:
-        problems.append("sample_rate must lie in (0, 1]")
-    elif sample_count(config.n_clients, config.sample_rate) < 1:
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(config, f.name)
+        problem = _domain_problem(f, value)
+        if problem:
+            problems.append(f"{f.name} must {problem}, got {value!r}")
+    if problems:  # the rules below compare keys, so they need every key in its domain
+        raise ConfigError("; ".join(problems))
+    if sample_count(config.n_clients, config.sample_rate) < 1:
         problems.append("sample_rate * n_clients must round to at least 1")
-    if config.rounds < 0:
-        problems.append("rounds must be non-negative")
-    if config.head_epochs < 1:
-        problems.append("head_epochs must be at least 1")
-    if config.batch_size < 1:
-        problems.append("batch_size must be at least 1")
-    if config.lr < 0:
-        problems.append("lr must be non-negative")
-    if not config.hidden_dims:
-        problems.append("hidden_dims must name at least one layer")
-    elif min(config.hidden_dims) < 1:
-        problems.append("hidden_dims must be positive")
-    if config.blob_dim < 1:
-        problems.append("blob_dim must be positive")
-    if config.blob_classes < 2:
-        problems.append("blob_classes must be at least 2")
-    if not 1 <= config.head_layers <= len(config.hidden_dims):
+    if config.head_layers > len(config.hidden_dims):
         problems.append("head_layers must leave at least one representation layer")
-    if config.dataset not in ("blobs", "idx"):
-        problems.append(f"dataset must be 'blobs' or 'idx', got {config.dataset!r}")
     if config.dataset == "idx" and not (config.idx_images and config.idx_labels):
         problems.append("dataset=idx needs idx_images and idx_labels paths")
-    if config.partition not in ("dirichlet", "klabels"):
-        problems.append(f"partition must be 'dirichlet' or 'klabels', got {config.partition!r}")
-    if config.dirichlet_beta <= 0:
-        problems.append("dirichlet_beta must be positive")
-    if config.k_labels < 1:
-        problems.append("k_labels must be at least 1")
     blobs = config.dataset == "blobs"
     if blobs and config.partition == "klabels" and config.k_labels > config.blob_classes:
         problems.append(f"k_labels ({config.k_labels}) exceeds blob_classes ({config.blob_classes})")
     if blobs and config.blob_classes * config.blob_samples_per_class < config.n_clients:
         problems.append("blob_samples_per_class * blob_classes must be at least n_clients")
-    for name in ("malicious_fraction", "tamper_rate"):
-        if not 0.0 <= getattr(config, name) <= 1.0:
-            problems.append(f"{name} must lie in [0, 1]")
-    for name in ("honest_confidence", "malicious_confidence"):
-        if not 0.0 < getattr(config, name) < 1.0:
-            problems.append(f"{name} must lie in (0, 1)")
-    if config.pool_threshold < 1:
-        problems.append("pool_threshold must be at least 1")
-    if config.min_cohort < 1:
-        problems.append("min_cohort must be at least 1")
-    if config.seed < 0:
-        problems.append("seed must be non-negative")
-    if config.region_size < 0:
-        problems.append("region_size must be non-negative (0 means auto)")
-    for name in ("private_bits", "slice_total_bits", "embed_strength", "slice_strength", "blob_spread"):
-        if getattr(config, name) < 0:
-            problems.append(f"{name} must be non-negative")
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(config, f.name)
-        if isinstance(f.default, float) and not math.isfinite(value):
-            problems.append(f"{f.name} must be finite, got {value!r}")
-        # config.txt holds one key=value per line and its reader strips each value
-        if isinstance(f.default, str) and (value != value.strip() or len(value.splitlines()) > 1):
-            problems.append(f"{f.name} must not start or end with whitespace or hold a line break, got {value!r}")
 
     @functools.cache
     def idx_labels() -> set:

@@ -74,6 +74,14 @@ def test_load_config_missing_file():
         load_config("/nonexistent/run.cfg")
 
 
+def test_load_config_rejects_a_key_set_twice(tmp_path):
+    path = write(tmp_path, "rounds=5\nn_clients=8\n\nrounds=1\n")
+    with pytest.raises(ConfigError, match=r":4: 'rounds' is set again, first on line 1"):
+        load_config(path)
+    path = write(tmp_path, "rounds=5\nn_clients=8\n")
+    assert load_config(path, ["rounds=1"]).rounds == 1  # a flag still replaces a file value
+
+
 def test_bad_boolean_word(tmp_path):
     path = write(tmp_path, "detector=maybe\n")
     with pytest.raises(ConfigError, match="boolean"):
@@ -272,6 +280,23 @@ def test_validate_rejects_strings_that_config_text_cannot_round_trip(key, value)
     value, so an edge space would be lost and a line break would split the
     line."""
     with pytest.raises(ConfigError, match=f"{key} must not start or end with whitespace"):
+        validate_config(dataclasses.replace(RunConfig(), **{key: value}))
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("detector", "false", "a bool"),
+        ("hidden_dims", [8, 8], "a non-empty tuple of ints"),
+        ("rounds", 2.0, "an int"),
+        ("n_clients", True, "an int"),
+    ],
+)
+def test_validate_rejects_a_value_of_the_wrong_type(key, value, kind):
+    """A config built in code can hold a value that config.txt cannot write
+    back, or that training cannot use: it fails before training, naming the
+    key and the type its default has."""
+    with pytest.raises(ConfigError, match=rf"^{key} must be {kind}, got {re.escape(repr(value))}$"):
         validate_config(dataclasses.replace(RunConfig(), **{key: value}))
 
 

@@ -24,7 +24,7 @@ from fedmark.config import (  # noqa: E402
     validate_config,
 )
 from fedmark.data import partition_dirichlet, partition_k_labels  # noqa: E402
-from fedmark.artifacts import read_manifest, write_manifest  # noqa: E402
+from fedmark.artifacts import load_run, read_manifest, write_manifest, write_run_artifacts  # noqa: E402
 from fedmark.slicing import SliceAssignment, assign_slices  # noqa: E402
 from fedmark.watermark import (  # noqa: E402
     _sigmoid,
@@ -269,6 +269,115 @@ def test_config_strings_round_trip_or_fail_naming_the_key(config, key, value):
             f.write(config_text(changed))
         loaded = load_config(path)
     assert dataclasses.asdict(loaded) == dataclasses.asdict(changed)
+
+
+# --- the config domains -----------------------------------------------------------
+
+FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# values of another type than a key of each kind takes
+WRONG_TYPES = {
+    bool: ["false", 1, 0.0, None],
+    int: [True, 2.0, "2", None],
+    float: [False, "0.5", None, (1.0,)],
+    str: [1, None, True, ("run",)],
+    tuple: [[8, 8], (8, True), (8, 2.0), (), "8,8", 8],
+}
+# a run of milliseconds; an in-domain draw changes a few of its keys
+SMALL_RUN = RunConfig(
+    n_clients=3,
+    rounds=1,
+    head_epochs=1,
+    hidden_dims=(4, 4),
+    private_bits=4,
+    slice_total_bits=3,
+    blob_classes=3,
+    blob_dim=3,
+    blob_samples_per_class=8,
+)
+# a drawn number reaches this far above its lower bound, or above the small
+# run's value for a key without one, so the runs stay small
+SPAN = 4
+
+
+def out_of_domain(f):
+    """Values that break a field's domain: another type, a number beyond a
+    bound (in a tuple, as one entry), a non-finite float, a string that
+    config.txt cannot hold, or one outside the allowed strings."""
+    kind = type(f.default)
+    choices = f.metadata.get("choices")
+    outside = [st.sampled_from(WRONG_TYPES[kind])]
+    for op, bound in f.metadata.get("bounds", {}).items():
+        if kind is float and op in ("ge", "gt"):
+            beyond = st.floats(max_value=bound, exclude_max=op == "ge")
+        elif kind is float:
+            beyond = st.floats(min_value=bound, exclude_min=op == "le")
+        elif op in ("ge", "gt"):
+            beyond = st.integers(max_value=bound - (op == "ge"))
+        else:
+            beyond = st.integers(min_value=bound + (op == "le"))
+        outside.append(beyond.map(lambda v: (8, v)) if kind is tuple else beyond)
+    if kind is float:
+        outside.append(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if kind is str:
+        outside.append(st.sampled_from([" run", "run ", "a\nb", "\t"]))
+    if choices:
+        outside.append(st.text("abdiklorsx", max_size=9).filter(lambda text: text not in choices))
+    return st.one_of(outside)
+
+
+def in_domain(f):
+    """Small values inside a field's domain. A free string keeps the small
+    run's value: a path is only in a run's domain when it names a readable
+    file."""
+    kind = type(f.default)
+    bounds = f.metadata.get("bounds", {})
+    if kind is bool:
+        return st.booleans()
+    if kind is str:
+        return st.sampled_from(f.metadata.get("choices") or [getattr(SMALL_RUN, f.name)])
+    low = bounds.get("gt", bounds.get("ge", getattr(SMALL_RUN, f.name)))
+    high = bounds.get("lt", bounds.get("le", low + SPAN))
+    if kind is float:
+        return st.floats(low, high, exclude_min="gt" in bounds, exclude_max="lt" in bounds)
+    numbers = st.integers(low + ("gt" in bounds), high - ("lt" in bounds))
+    return st.lists(numbers, min_size=1, max_size=3).map(tuple) if kind is tuple else numbers
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@settings(PROPERTY, max_examples=20)
+@given(data=st.data())
+def test_out_of_domain_values_fail_naming_the_key(name, data):
+    """A value outside its field's domain, or of another type, fails
+    validation with an error that names the key."""
+    value = data.draw(out_of_domain(FIELDS[name]))
+    with pytest.raises(ConfigError, match=rf"\b{name} must"):
+        validate_config(dataclasses.replace(RunConfig(), **{name: value}))
+
+
+@st.composite
+def small_in_domain_configs(draw):
+    """The small run with up to four keys drawn from their domains."""
+    names = draw(st.lists(st.sampled_from(list(FIELDS)), max_size=4, unique=True))
+    return dataclasses.replace(SMALL_RUN, **{name: draw(in_domain(FIELDS[name])) for name in names})
+
+
+@settings(PROPERTY, max_examples=150)
+@given(small_in_domain_configs())
+def test_in_domain_configs_fail_naming_a_key_or_run_and_round_trip(config):
+    """A config drawn from the domains either fails with an error that names
+    a key, from a cross-key rule before training or from the partition, or
+    trains, writes a run whose config.txt loads back equal, and passes
+    `load_run`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = dataclasses.replace(config, output_dir=os.path.join(tmp, "run"))
+        try:
+            result = engine.run_training(config)
+        except ConfigError as err:
+            assert any(name in str(err) for name in FIELDS), str(err)
+            return
+        write_run_artifacts(result, config, config.output_dir)
+        assert load_config(os.path.join(config.output_dir, "config.txt")) == config
+        load_run(config.output_dir)
 
 
 # --- tampering --------------------------------------------------------------------
