@@ -4,8 +4,9 @@ Covers collusion-style slice tampering during training plus two post-hoc
 removal attacks on finished models: magnitude pruning of the head and
 main-task-only fine-tuning. The tampering attacker is decided here in two
 parts: `choose_tamperers` gives the ids of the clients that tamper, and
-`tampered_slice` gives the slice such a client embeds in a given round.
-The engine only asks them.
+`tampered_slices` gives the slices they embed in a given round, every
+tamperer's flips drawn from one vectorized seed derivation
+(`seeding.derive_seeds`). The engine only asks them.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 from . import nn
 from .config import RunConfig
 from .detection import DetectionLedger, detection_metrics, upload_shares
-from .seeding import STREAM_TAMPER, derive_seed
+from .seeding import STREAM_TAMPER, derive_seeds, seeded_generators
 from .slicing import slice_detection_rate
 
 
@@ -24,6 +25,11 @@ def tamper_bits(bits: np.ndarray, tamper_rate: float, seed: int) -> np.ndarray:
 
     tamper_rate 0 returns an untouched copy; 1 flips every bit.
     """
+    return _flip(bits, tamper_rate, np.random.default_rng(seed))
+
+
+def _flip(bits, tamper_rate: float, generator) -> np.ndarray:
+    """`tamper_bits` drawing its positions from `generator`."""
     bits = np.asarray(bits, dtype=np.uint8)
     if not 0.0 <= tamper_rate <= 1.0:
         raise ValueError(f"tamper_rate must lie in [0, 1], got {tamper_rate}")
@@ -31,7 +37,7 @@ def tamper_bits(bits: np.ndarray, tamper_rate: float, seed: int) -> np.ndarray:
     if tamper_rate == 0.0:
         return out
     flips = max(1, int(tamper_rate * len(bits)))
-    where = np.random.default_rng(seed).choice(len(bits), size=flips, replace=False)
+    where = generator.choice(len(bits), size=flips, replace=False)
     out[where] ^= 1
     return out
 
@@ -41,7 +47,7 @@ def choose_tamperers(n_clients: int, malicious_fraction: float, seed: int) -> fr
     clients, the run's tamperers.
 
     Tamperers keep training and head-watermarking honestly; only the slice
-    they embed is corrupted (see `tampered_slice`).
+    they embed is corrupted (see `tampered_slices`).
     """
     if not 0.0 <= malicious_fraction <= 1.0:
         raise ValueError(f"malicious_fraction must lie in [0, 1], got {malicious_fraction}")
@@ -51,14 +57,19 @@ def choose_tamperers(n_clients: int, malicious_fraction: float, seed: int) -> fr
     return frozenset(np.random.default_rng(seed).choice(n_clients, size=count, replace=False).tolist())
 
 
-def tampered_slice(bits: np.ndarray, config: RunConfig, client_id: int, round_index: int) -> np.ndarray:
-    """The slice a tamperer embeds in round `round_index`: its true slice
-    `bits` with the run's tamper_rate share flipped. Under fresh_tamper the
-    flips are drawn anew each round; otherwise they are the same every round."""
-    key = (config.seed, STREAM_TAMPER, client_id)
-    if config.fresh_tamper:
-        key = (*key, round_index)
-    return tamper_bits(bits, config.tamper_rate, derive_seed(*key))
+def tampered_slices(slices: dict, config: RunConfig, round_index: int) -> dict:
+    """The slices the tamperers embed in round `round_index`, by client id:
+    each tamperer's true slice `slices[client_id]` with the run's tamper_rate
+    share flipped, as `tamper_bits` flips it. Under fresh_tamper the flips
+    are keyed (seed, STREAM_TAMPER, client id, round), drawn anew each
+    round; otherwise (seed, STREAM_TAMPER, client id), the same every round.
+    The round's keys are hashed in one call."""
+    if not slices:
+        return {}
+    ids = list(slices)
+    key = (config.seed, STREAM_TAMPER, ids, round_index) if config.fresh_tamper else (config.seed, STREAM_TAMPER, ids)
+    generators = seeded_generators(derive_seeds(*key))
+    return {cid: _flip(slices[cid], config.tamper_rate, generator) for cid, generator in zip(ids, generators)}
 
 
 def prune_attack(model: nn.Model, prune_rate: float) -> nn.Model:

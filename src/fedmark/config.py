@@ -1,7 +1,6 @@
 """Run configuration: a flat key=value text file, overridable per key."""
 
 import dataclasses
-import functools
 import math
 import operator
 import os
@@ -210,23 +209,26 @@ def validate_config(config: RunConfig) -> None:
     if blobs and config.blob_classes * config.blob_samples_per_class < config.n_clients:
         problems.append("blob_samples_per_class * blob_classes must be at least n_clients")
 
-    @functools.cache
-    def idx_labels() -> set:
-        """The distinct labels of an idx run's label file, read once, as `load_idx` reads it."""
+    width, labels = config.blob_dim, None  # an idx run's input width and distinct labels come from its files
+    if not problems and not blobs:
+        # both files are read before training, so a missing or damaged one fails here, named
         try:
+            (_, rows, cols), _ = read_idx(config.idx_images, IDX_IMAGES_MAGIC, 3, payload=False)
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"idx_images: {err}") from None
+        try:  # the distinct labels, as `load_idx` reads them
             labels = set(read_idx(config.idx_labels, IDX_LABELS_MAGIC, 1)[1])
             if not labels:
                 raise ValueError(f"{config.idx_labels}: holds no label")
         except (OSError, ValueError) as err:
             raise ConfigError(f"idx_labels: {err}") from None
-        return labels
-
-    if not problems and not blobs and config.partition == "klabels" and config.k_labels > len(idx_labels()):
-        # `partition_k_labels` bounds k by the distinct labels, not by the class count
-        problems.append(f"k_labels ({config.k_labels}) exceeds the {len(idx_labels())} distinct labels of idx_labels")
+        width = rows * cols
+        if config.partition == "klabels" and config.k_labels > len(labels):
+            # `partition_k_labels` bounds k by the distinct labels, not by the class count
+            problems.append(f"k_labels ({config.k_labels}) exceeds the {len(labels)} distinct labels of idx_labels")
     if not problems and config.private_bits > 0 and config.head_layers > 1:
         # the input width sizes only the first layer, which is never in the head
-        classes = config.blob_classes if blobs else max(idx_labels()) + 1  # as `load_idx` counts classes
+        classes = config.blob_classes if blobs else max(labels) + 1  # as `load_idx` counts classes
         specs = build_layer_specs(1, config.hidden_dims, classes)
         _, head_sizes = param_counts(specs, len(specs) - config.head_layers)
         try:
@@ -235,14 +237,7 @@ def validate_config(config: RunConfig) -> None:
             problems.append(f"private_bits ({config.private_bits}) must give every head layer a bit: {err}")
     if not problems and config.slice_total_bits > 0:
         # the class count sizes only the head, so the input width fixes the representation
-        try:  # an idx run reads its input width from the 16-byte image header
-            width = config.blob_dim
-            if not blobs:
-                (_, rows, cols), _ = read_idx(config.idx_images, IDX_IMAGES_MAGIC, 3, payload=False)
-                width = rows * cols
-            specs = build_layer_specs(width, config.hidden_dims, 1)
-        except (OSError, ValueError) as err:  # only an idx header can fail here
-            raise ConfigError(f"idx_images: {err}") from None
+        specs = build_layer_specs(width, config.hidden_dims, 1)
         rep_size, _ = param_counts(specs, len(specs) - config.head_layers)
         try:
             check_slice_layout(config.slice_total_bits, config.n_clients, rep_size, region_params(config, rep_size))

@@ -14,15 +14,21 @@ personalized model is the shared representation plus that head, built on
 demand by `TrainingResult.model`. A round's clients never read each other's
 state, so they train together in cohorts: cohort i is one `nn.Model` over
 the leading rows of run-owned block i, whose head epochs train its
-head-column view, with the same bits as clients trained one by one. Both
+head-column view, with the same bits as clients trained one by one. Every
+client still draws its batch orders from its own seeded stream, keyed
+(seed, STREAM_LOCAL_BATCHES, client, round); the round derives all of its
+clients' seeds in one `seeding.derive_seeds` call and draws each client's
+orders for every epoch in one go from `seeding.seeded_generators`. Both
 phases of a cohort's update run through one module-level `_epoch`, with the
 private-mark term `_add_private` in the head epochs and the slice term
 `_add_slice` in the representation epoch; each takes its inputs as
 arguments. Each upload is the representation columns of its block row,
 scored once, on the cohort that produced it, and reported as one `Upload`
-row. Every client is built whole before the first round, with its slice and
-its role; the tamperers (`attacks.choose_tamperers`) and the slice a
-tamperer embeds each round (`attacks.tampered_slice`) come from `attacks`.
+row; the server reads all of a round's slices with one
+`slicing.slice_detection_rates` call. Every client is built whole before
+the first round, with its slice and its role; the tamperers
+(`attacks.choose_tamperers`) and the slices they embed each round
+(`attacks.tampered_slices`) come from `attacks`.
 """
 
 import functools
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .attacks import choose_tamperers, tampered_slice
+from .attacks import choose_tamperers, tampered_slices
 from .config import ConfigError, RunConfig, region_params, sample_count, validate_config
 from .data import (
     Dataset,
@@ -55,8 +61,10 @@ from .seeding import (
     STREAM_SAMPLING,
     STREAM_SLICE_ASSIGN,
     derive_seed,
+    derive_seeds,
+    seeded_generators,
 )
-from .slicing import SliceAssignment, assign_slices, slice_detection_rate, slice_loss_and_grad
+from .slicing import SliceAssignment, assign_slices, slice_detection_rates, slice_loss_and_grad
 from .watermark import (
     PrivateWatermarkSpec,
     make_private_spec,
@@ -224,14 +232,27 @@ def _cohort_steps(sizes, batch_size) -> list[tuple]:
     return steps
 
 
-def _slice_target(client: ClientState, config: RunConfig, round_index: int):
-    """The slice bits a client embeds this round (for a tamperer, its
-    `attacks.tampered_slice`), or None without slice embedding."""
-    if client.assignment is None or config.slice_strength == 0.0:
-        return None
-    if not client.malicious:
-        return client.assignment.bits
-    return tampered_slice(client.assignment.bits, config, client.client_id, round_index)
+def _slice_targets(clients: list, config: RunConfig, round_index: int) -> list:
+    """The slice bits each client embeds this round, in client order: its
+    true slice, a tamperer's from `attacks.tampered_slices`, or None
+    without slice embedding."""
+    embedded = [None if c.assignment is None or config.slice_strength == 0.0 else c.assignment.bits for c in clients]
+    tamperers = {c.client_id: bits for c, bits in zip(clients, embedded) if c.malicious and bits is not None}
+    tampered = tampered_slices(tamperers, config, round_index)
+    return [tampered.get(c.client_id, bits) for c, bits in zip(clients, embedded)]
+
+
+def _batch_orders(sizes, generators, epochs: int) -> np.ndarray:
+    """The batch orders of every epoch for C shards of `sizes`, sorted from
+    largest, as an (epochs, C, sizes[0]) array: row i holds the
+    permutations the i-th of `generators` draws, all of a row's epochs
+    before the next row's; a shorter shard leaves the tail of its row
+    unread."""
+    orders = np.zeros((epochs, len(sizes), sizes[0]), dtype=np.int64)
+    for i, (n, generator) in enumerate(zip(sizes, generators)):
+        for epoch in orders:
+            epoch[i, :n] = generator.permutation(n)
+    return orders
 
 
 def client_local_update(
@@ -252,12 +273,20 @@ def client_local_update(
     `cohort_blocks`, whose values are overwritten. Each client's head and
     score come out bit for bit as if it had trained alone; its upload is the
     representation columns of its block row, a view that the next round's
-    training overwrites.
+    training overwrites. Each client draws every epoch's batch order from
+    its own stream, keyed (seed, STREAM_LOCAL_BATCHES, client, round).
     """
     clients = sorted(clients, key=lambda c: -len(c.data))  # stable: ties keep their order
+    # seeds and tampered slices for the whole round at once: per cohort, the
+    # vectorized hash's fixed cost would outweigh what it saves
+    ids = [c.client_id for c in clients]
+    generators = seeded_generators(derive_seeds(config.seed, STREAM_LOCAL_BATCHES, ids, round_index))
+    targets = _slice_targets(clients, config, round_index)
     trained = {}
-    for cohort, block in zip(_cohorts(clients), blocks):
-        trained.update(_train_cohort(cohort, rep_flat, config, round_index, block))
+    for cohort, cohort_targets, block in zip(_cohorts(clients), _cohorts(targets), blocks):
+        sizes = [len(c.data) for c in cohort]
+        orders = _batch_orders(sizes, itertools.islice(generators, len(cohort)), config.head_epochs + 1)
+        trained.update(_train_cohort(cohort, orders, cohort_targets, rep_flat, config, block))
     return trained
 
 
@@ -266,16 +295,12 @@ def _rows(model: nn.Model):
     return functools.cache(lambda a, b: nn.Model(model.specs, model.params[a:b], model.head_start))
 
 
-def _epoch(cohort_rows, source, labels, sizes, rngs, steps, lr, part, add_watermark) -> None:
-    """One epoch of every stack row over its shard, in a fresh batch order
-    from the row's own generator; rows of shorter shards leave the tail of
-    their order unread. Each step takes the main-task gradient of the rows
-    a:b that have a batch, as the cohort model `cohort_rows(a, b)`, adds
-    their watermark gradients through `add_watermark(cohort, a, b, grads)`,
-    and applies `part` of it."""
-    orders = np.zeros((len(sizes), sizes[0]), dtype=np.int64)
-    for row, rng, n in zip(orders, rngs, sizes):
-        row[:n] = rng.permutation(n)
+def _epoch(cohort_rows, source, labels, orders, steps, lr, part, add_watermark) -> None:
+    """One epoch of every stack row over its shard, in the row's batch order
+    of `orders`. Each step takes the main-task gradient of the rows a:b
+    that have a batch, as the cohort model `cohort_rows(a, b)`, adds their
+    watermark gradients through `add_watermark(cohort, a, b, grads)`, and
+    applies `part` of it."""
     for lo, length, a, b in steps:
         take = (np.arange(a, b)[:, None], orders[a:b, lo : lo + length])
         cohort = cohort_rows(a, b)
@@ -307,9 +332,10 @@ def _add_slice(slices, strength, cohort, a, b, grads) -> None:
         row_grads[assignment.region_start : assignment.region_stop] += strength * seg_grad
 
 
-def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_index: int, block) -> dict:
-    """Train clients, sorted by shard size from largest, as one cohort, and
-    score them; returns each client's (upload, accuracy) by client id.
+def _train_cohort(clients: list, orders, targets: list, rep_flat: np.ndarray, config: RunConfig, block) -> dict:
+    """Train clients, sorted by shard size from largest, as one cohort, in
+    their `_batch_orders` of every epoch, embedding their slice `targets`,
+    and score them; returns each client's (upload, accuracy) by client id.
 
     The cohort is one (C, P) `nn.Model` over the leading rows of `block`, a
     cohort model the caller owns: the broadcast `rep_flat` fills its
@@ -324,10 +350,10 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     reads its mark more than once, and otherwise read in place from the
     cache. The feature pass and the scoring run once per group of equal
     shard lengths, not padded: a one-row product takes another BLAS path.
-    Each client draws its batch orders from its own generator and its
-    watermark gradients from its own stack row, as alone. The trained rows
-    are scored, each row's head is written back into `client.head`, and its
-    representation columns stay in the block as the upload.
+    Each client takes its watermark gradients from its own stack row, as
+    alone. The trained rows are scored, each row's head is written back into
+    `client.head`, and its representation columns stay in the block as the
+    upload.
     """
     stack = nn.Model(block.specs, block.params[: len(clients)], block.head_start)
     specs, head_start, rep_size = stack.specs, stack.head_start, stack.rep_param_count
@@ -335,10 +361,6 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     for client, row in zip(clients, stack.params, strict=True):
         row[rep_size:] = client.head
     sizes = [len(c.data) for c in clients]
-    rngs = [
-        np.random.default_rng(derive_seed(config.seed, STREAM_LOCAL_BATCHES, c.client_id, round_index))
-        for c in clients
-    ]
     steps = _cohort_steps(sizes, config.batch_size)
     shards = _cohort_steps(sizes, sizes[0])  # one (0, length, a, b) per shard length
     # one row per client; rows of shorter shards leave their tail unread
@@ -359,14 +381,14 @@ def _train_cohort(clients: list, rep_flat: np.ndarray, config: RunConfig, round_
     marks = stack_private_marks(privates, reads) if config.embed_strength != 0.0 and privates[0] is not None else None
     head_rows = _rows(stack.view(head_start, stack.num_layers))
     add_private = functools.partial(_add_private, marks, config.embed_strength)
-    for _ in range(config.head_epochs):
-        _epoch(head_rows, features, labels, sizes, rngs, steps, config.lr, slice(None), add_private)
+    for epoch_orders in orders[:-1]:
+        _epoch(head_rows, features, labels, epoch_orders, steps, config.lr, slice(None), add_private)
     del features, marks, add_private
 
-    slices = [(c.assignment, _slice_target(c, config, round_index)) for c in clients]
+    slices = [(c.assignment, target) for c, target in zip(clients, targets, strict=True)]
     add_slice = functools.partial(_add_slice, slices, config.slice_strength)
     stack_rows = _rows(stack)
-    _epoch(stack_rows, inputs, labels, sizes, rngs, steps, config.lr, slice(0, rep_size), add_slice)
+    _epoch(stack_rows, inputs, labels, orders[-1], steps, config.lr, slice(0, rep_size), add_slice)
     scores = np.empty(len(clients))
     for _, n, a, b in shards:
         scores[a:b] = nn.evaluate_accuracy(stack_rows(a, b), nn.Batch(inputs[a:b, :n], labels[a:b, :n]))
@@ -437,23 +459,18 @@ def run_training(config: RunConfig) -> TrainingResult:
         )
         active = [clients[cid] for cid in sampled if cid not in server.banned]
         trained = client_local_update(active, server.rep_flat, config, round_index, blocks)
-        scored = []  # (client, upload, slice accuracy or None) per active client
         rejected = set()
         for client in active:
-            upload, _ = trained[client.client_id]
             client.embedding_count += 1
-            acc = None
-            if not np.isfinite(upload).all():
+            if not np.isfinite(trained[client.client_id][0]).all():
                 # never scored: a non-finite projection extracts as plausible bits
                 rejected.add(client.client_id)
-            elif client.assignment is not None:
-                acc = slice_detection_rate(upload, client.assignment)
-            scored.append((client, upload, acc))
+        verified = [c for c in active if c.client_id not in rejected and c.assignment is not None]
+        rates = slice_detection_rates([trained[c.client_id][0] for c in verified], [c.assignment for c in verified])
+        slice_acc = dict(zip([c.client_id for c in verified], rates))  # in client order
 
         records = [
-            DetectionRecord(round_index, client.client_id, client.embedding_count, acc)
-            for client, _, acc in scored
-            if acc is not None
+            DetectionRecord(round_index, cid, clients[cid].embedding_count, acc) for cid, acc in slice_acc.items()
         ]
         if config.detector:
             verdicts = server.ledger.screen_round(records, config)
@@ -461,7 +478,7 @@ def run_training(config: RunConfig) -> TrainingResult:
         if config.ban_rejected:
             server.banned |= rejected
 
-        kept = [upload for client, upload, _ in scored if client.client_id not in rejected]
+        kept = [trained[c.client_id][0] for c in active if c.client_id not in rejected]
         if kept:
             server.rep_flat = aggregate(kept)
 
@@ -470,11 +487,11 @@ def run_training(config: RunConfig) -> TrainingResult:
                 round_index=round_index,
                 client_id=client.client_id,
                 embedding_count=client.embedding_count,
-                slice_acc=acc,
+                slice_acc=slice_acc.get(client.client_id),
                 accepted=client.client_id not in rejected,
                 main_acc=trained[client.client_id][1],
             )
-            for client, _, acc in scored
+            for client in active
         ]
         reports.append(RoundReport(round_index=round_index, sampled=sampled, uploads=uploads))
 

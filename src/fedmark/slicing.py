@@ -6,7 +6,8 @@ representation. The list of `SliceAssignment`s is the only form the common
 watermark takes: its bits are the slices joined in client order. Clients
 embed only their own slice inside their own region, so slices never
 interfere, and the server scores an upload against the uploader's slice
-with `slice_detection_rate`. Embedding needs only the slice loss's gradient,
+with `slice_detection_rate`, or a round's uploads at once with
+`slice_detection_rates`. Embedding needs only the slice loss's gradient,
 `slice_loss_and_grad`; its value is stated in `tests/reference.py`.
 """
 
@@ -101,6 +102,26 @@ def extract_slice(rep_flat: np.ndarray, assignment: SliceAssignment) -> np.ndarr
 def slice_detection_rate(rep_flat: np.ndarray, assignment: SliceAssignment) -> float:
     """Detection rate of a client's slice in a flattened representation."""
     return detection_rate(assignment.bits, extract_slice(rep_flat, assignment))
+
+
+def slice_detection_rates(reps: list, assignments: list) -> list[float]:
+    """`slice_detection_rate` of each flattened representation against its
+    assignment, from one `extract_bits` call per slice shape, which reads
+    each slice's cached matrix in place. A run's slices take at most two
+    shapes: the last slice absorbs the remainder."""
+    rates = [0.0] * len(reps)
+    groups = {}
+    for i, a in enumerate(assignments):
+        groups.setdefault((a.region_size, len(a.bits)), []).append(i)
+    for members in groups.values():
+        group = [assignments[i] for i in members]
+        segments = np.stack([reps[i][a.region_start : a.region_stop] for i, a in zip(members, group)])
+        extracted = extract_bits(segments, [a.matrix() for a in group])
+        # integer hit counts over the slice length: exact, as in detection_rate
+        hits = (extracted == np.stack([a.bits for a in group])).mean(axis=1)
+        for i, rate in zip(members, hits.tolist()):
+            rates[i] = rate
+    return rates
 
 
 def slice_loss_and_grad(rep_flat, assignment: SliceAssignment, bits=None) -> np.ndarray:

@@ -81,7 +81,7 @@ def cached_embedding_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     return matrix
 
 
-def extract_bits(params_flat: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+def extract_bits(params_flat: np.ndarray, matrix) -> np.ndarray:
     """Read bits as the sign of each projection; ties at exactly zero give 0.
 
     `params_flat` is one vector, giving one bit per matrix column, or an
@@ -89,14 +89,16 @@ def extract_bits(params_flat: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     own matrix-vector product (`_matvecs`) against the view `matrix.T`, the
     same BLAS call for a stack as for one vector, so row i of a stack reads
     bit for bit as `params_flat[i]` alone; `params_flat @ matrix` or a
-    contiguous copy of `matrix.T` would round differently.
+    contiguous copy of `matrix.T` would round differently. For a stack,
+    `matrix` may also be a list of n matrices of one shape, row i read
+    against matrix i in place, with the products a stack would give.
     """
     params_flat = np.asarray(params_flat, dtype=np.float64)
-    if params_flat.ndim not in (1, 2) or params_flat.shape[-1] != matrix.shape[0]:
-        raise ValueError(
-            f"parameter vector length {params_flat.shape} does not match matrix rows {matrix.shape[0]}"
-        )
-    return (_matvecs(matrix.T, params_flat) > 0.0).astype(np.uint8)
+    rows = (matrix[0] if isinstance(matrix, list) else matrix).shape[0]
+    if params_flat.ndim not in (1, 2) or params_flat.shape[-1] != rows:
+        raise ValueError(f"parameter vector length {params_flat.shape} does not match matrix rows {rows}")
+    transposed = [m.T for m in matrix] if isinstance(matrix, list) else matrix.T
+    return (_matvecs(transposed, params_flat) > 0.0).astype(np.uint8)
 
 
 def detection_rate(expected: np.ndarray, extracted: np.ndarray) -> float:

@@ -86,21 +86,22 @@ def test_choose_tamperers_validates_fraction():
 
 def test_tampered_slice_keys_each_round_under_fresh_tamper():
     """fresh_tamper draws a tamperer's flips from (seed, STREAM_TAMPER, id,
-    round); without it, from (seed, STREAM_TAMPER, id), the same every round."""
-    bits = watermark.random_bits(40, seed=2)
+    round); without it, from (seed, STREAM_TAMPER, id), the same every round.
+    One `tampered_slices` call serves a round's tamperers."""
+    slices = {5: watermark.random_bits(40, seed=2), 11: watermark.random_bits(40, seed=4)}
     fresh = RunConfig(seed=3, tamper_rate=0.25, fresh_tamper=True)
     fixed = RunConfig(seed=3, tamper_rate=0.25, fresh_tamper=False)
     for round_index in (1, 2, 7):
-        np.testing.assert_array_equal(
-            attacks.tampered_slice(bits, fresh, 5, round_index),
-            attacks.tamper_bits(bits, 0.25, derive_seed(3, STREAM_TAMPER, 5, round_index)),
-        )
-        np.testing.assert_array_equal(
-            attacks.tampered_slice(bits, fixed, 5, round_index),
-            attacks.tamper_bits(bits, 0.25, derive_seed(3, STREAM_TAMPER, 5)),
-        )
-    rounds = [attacks.tampered_slice(bits, fresh, 5, r) for r in (1, 2)]
+        for config, key in ((fresh, (round_index,)), (fixed, ())):
+            tampered = attacks.tampered_slices(slices, config, round_index)
+            assert list(tampered) == [5, 11]
+            for cid, bits in slices.items():
+                np.testing.assert_array_equal(
+                    tampered[cid], attacks.tamper_bits(bits, 0.25, derive_seed(3, STREAM_TAMPER, cid, *key))
+                )
+    rounds = [attacks.tampered_slices(slices, fresh, r)[5] for r in (1, 2)]
     assert not np.array_equal(*rounds)
+    assert attacks.tampered_slices({}, fresh, 1) == {}
 
 
 # --- pruning --------------------------------------------------------------------

@@ -174,6 +174,7 @@ def idx_config(tmp_path, rows, cols, magic=data.IDX_IMAGES_MAGIC, header_bytes=1
 
 
 def test_validate_sizes_an_idx_representation_from_the_image_header(tmp_path):
+    (tmp_path / "labels.idx").write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, 2) + bytes(range(2)))
     # 2x2 images: 4*64+64 + 64*64+64 = 4480 params, so 22-param regions for 200 clients
     crowd = {"n_clients": 200, "slice_total_bits": 4600}  # the last slice takes 23 bits
     with pytest.raises(ConfigError, match="slice_total_bits .*23 bits.*22 params"):
@@ -190,7 +191,8 @@ def test_validate_rejects_a_bad_idx_header(tmp_path, damage, message):
     cfg = idx_config(tmp_path, 28, 28, **damage)
     with pytest.raises(ConfigError, match=f"idx_images: .*{message}"):
         validate_config(cfg)
-    validate_config(dataclasses.replace(cfg, slice_total_bits=0))  # no slices, no header read
+    with pytest.raises(ConfigError, match=f"idx_images: .*{message}"):
+        validate_config(dataclasses.replace(cfg, slice_total_bits=0))  # read without slices too
 
 
 def test_validate_reads_an_idx_class_count_from_the_label_file(tmp_path):
@@ -232,6 +234,19 @@ def test_validate_rejects_a_missing_idx_file(tmp_path):
     cfg = dataclasses.replace(idx_config(tmp_path, 28, 28), idx_images=str(tmp_path / "absent.idx"))
     with pytest.raises(ConfigError, match="idx_images: .*absent.idx"):
         validate_config(cfg)
+
+
+def test_validate_reads_both_idx_files_of_any_idx_config(tmp_path):
+    """A config that needs neither file's contents (no slices, a one-layer
+    head, dirichlet) still fails validation when either file is missing,
+    naming its key, not with a bare file error at load time."""
+    cfg = idx_config(tmp_path, 28, 28, slice_total_bits=0, head_layers=1, partition="dirichlet")
+    with pytest.raises(ConfigError, match="idx_labels: .*labels.idx"):
+        validate_config(cfg)
+    (tmp_path / "labels.idx").write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, 2) + bytes(range(2)))
+    validate_config(cfg)
+    with pytest.raises(ConfigError, match="idx_images: .*nope.idx"):
+        validate_config(dataclasses.replace(cfg, idx_images=str(tmp_path / "nope.idx")))
 
 
 def test_validate_k_labels_fit_the_blob_classes():

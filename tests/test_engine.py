@@ -442,6 +442,56 @@ def test_update_scores_equal_the_one_model_accuracy_after_the_update(name, monke
     assert len(set(scores)) > 2
 
 
+@pytest.mark.parametrize("fresh_tamper", [True, False])
+def test_a_round_draws_what_each_client_alone_would_draw(fresh_tamper, monkeypatch):
+    """A round derives its clients' seeds in one call and draws from one
+    shared generator. Over uneven shards, several cohorts a round and four
+    epochs, every client's batch orders equal the permutations of its own
+    `default_rng(derive_seed(seed, STREAM_LOCAL_BATCHES, client, round))`,
+    and every tamperer's slice equals `tamper_bits` keyed by its client and,
+    under fresh_tamper, the round."""
+    config = tiny_config(
+        partition="dirichlet", n_clients=8, sample_rate=0.75, head_epochs=3, batch_size=4,
+        malicious_fraction=0.25, tamper_rate=0.3, fresh_tamper=fresh_tamper,
+    )
+    monkeypatch.setattr(engine, "COHORT_ROWS", 3)  # 6 clients a round: cohorts of 3 and 3
+    update, train = engine.client_local_update, engine._train_cohort
+    rounds, drawn = [], []
+
+    def update_spy(clients, rep_flat, config, round_index, blocks):
+        rounds.append(round_index)
+        return update(clients, rep_flat, config, round_index, blocks)
+
+    def train_spy(clients, orders, targets, rep_flat, config, block):
+        for i, (client, target) in enumerate(zip(clients, targets, strict=True)):
+            drawn.append((rounds[-1], client, orders[:, i, : len(client.data)].copy(), target))
+        return train(clients, orders, targets, rep_flat, config, block)
+
+    monkeypatch.setattr(engine, "client_local_update", update_spy)
+    monkeypatch.setattr(engine, "_train_cohort", train_spy)
+    result = engine.run_training(config)
+
+    assert rounds == [1, 2, 3] and len(drawn) == 18
+    assert len({len(c.data) for c in result.clients}) > 2
+    tampered = {}
+    for round_index, client, orders, target in drawn:
+        cid = client.client_id
+        rng = np.random.default_rng(derive_seed(config.seed, STREAM_LOCAL_BATCHES, cid, round_index))
+        expected = [rng.permutation(len(client.data)) for _ in range(config.head_epochs + 1)]
+        np.testing.assert_array_equal(orders, expected)
+        if not client.malicious:
+            assert target is client.assignment.bits
+            continue
+        key = (config.seed, STREAM_TAMPER, cid, *((round_index,) if fresh_tamper else ()))
+        expected = tamper_bits(client.assignment.bits, config.tamper_rate, derive_seed(*key))
+        np.testing.assert_array_equal(target, expected)
+        tampered.setdefault(cid, []).append(target)
+    assert tampered.keys() == result.malicious_ids
+    for slices in tampered.values():
+        assert len(slices) > 1
+        assert all(np.array_equal(slices[0], s) for s in slices) == (not fresh_tamper)
+
+
 # --- full runs ------------------------------------------------------------------
 
 
@@ -615,6 +665,16 @@ def test_tampering_run_marks_clients_and_slices():
     # the attacker's upload scores visibly below perfect on its true slice
     last = result.reports[-1]
     assert {u.client_id: u.slice_acc for u in last.uploads}[bad] < 1.0
+
+
+def test_tamperers_without_slices_train_as_honest_clients():
+    """With no slices there is nothing to tamper with: the chosen tamperers
+    train exactly as they would if nobody tampered."""
+    config = tiny_config(slice_total_bits=0, malicious_fraction=0.25, tamper_rate=0.3, rounds=2)
+    result = engine.run_training(config)
+    assert result.malicious_ids
+    honest = engine.run_training(dataclasses.replace(config, malicious_fraction=0.0))
+    assert result.server.rep_flat.tobytes() == honest.server.rep_flat.tobytes()
 
 
 def test_run_flags_exactly_the_chosen_tamperers():

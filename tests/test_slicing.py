@@ -115,6 +115,34 @@ def test_slice_detection_rate_scores_the_extracted_slice():
         slicing.slice_detection_rate(rep[:150], assignments[1])
 
 
+def test_slice_detection_rates_score_each_upload_as_alone(monkeypatch):
+    """A round's verification: one read per slice shape (here 9 bits, and
+    the last slice's 12), each slice's cached matrix read in place, gives
+    every upload the `slice_detection_rate` it gets alone."""
+    bits = watermark.random_bits(66, seed=4)
+    assignments = slicing.assign_slices(bits, 7, rep_param_count=210, region_size=30, seed=6)
+    rng = np.random.default_rng(8)
+    reps = [rng.standard_normal(210) for _ in range(11)]
+    owners = [assignments[i] for i in (6, 0, 3, 6, 1, 2, 5, 4, 0, 3, 6)]
+    reads = []
+    extract = slicing.extract_bits
+
+    def spy(params, matrix):
+        reads.append(matrix)
+        return extract(params, matrix)
+
+    monkeypatch.setattr(slicing, "extract_bits", spy)
+    rates = slicing.slice_detection_rates(reps, owners)
+    assert [len(m) for m in reads] == [3, 8]  # uploads of the last slice are read first
+    cached = [a.matrix() for a in assignments]
+    assert all(isinstance(m, list) for m in reads)
+    assert all(any(m is c for c in cached) for matrices in reads for m in matrices)
+    monkeypatch.undo()
+    assert rates == [slicing.slice_detection_rate(rep, a) for rep, a in zip(reps, owners)]
+    assert len(set(rates)) > 2
+    assert slicing.slice_detection_rates([], []) == []
+
+
 def test_wrong_matrix_reads_noise():
     """Random-projection oracle: a different client's matrix over the same
     region recovers nothing better than coin flips."""
