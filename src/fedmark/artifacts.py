@@ -14,7 +14,7 @@ from . import nn
 from .config import RunConfig, config_text
 from .detection import DetectionLedger
 from .engine import TrainingResult
-from .slicing import SliceAssignment, slice_detection_rate
+from .slicing import SliceAssignment, slice_detection_rates
 from .watermark import PrivateWatermarkSpec, bits_to_hex, hex_to_bits, private_detection_rate
 
 
@@ -41,15 +41,17 @@ def write_rounds_csv(result: TrainingResult, path) -> None:
 
 
 def write_final_metrics_csv(result: TrainingResult, path) -> None:
+    """One row per client; every final slice is scored against `rep_flat`
+    in one `slice_detection_rates` call."""
+    assignments = result.server.assignments
+    sliced = slice_detection_rates([result.server.rep_flat] * len(assignments), assignments)
+
     def rows():
         for client in result.clients:
             model = result.model(client)
             acc = nn.evaluate_accuracy(model, client.data)
             rate = None if client.private is None else private_detection_rate(model, client.private)
-            sliced = None
-            if client.assignment is not None:
-                sliced = slice_detection_rate(result.server.rep_flat, client.assignment)
-            yield [client.client_id, acc, rate, sliced]
+            yield [client.client_id, acc, rate, None if client.assignment is None else sliced[client.client_id]]
 
     write_csv(path, ["client", "main_acc", "private_rate", "slice_acc"], rows())
 
@@ -111,7 +113,7 @@ def write_run_artifacts(result: TrainingResult, config: RunConfig, out_dir: str)
     """Every file of a run. One function per file, so each file's
     temporaries are freed before the next file is written."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.txt"), "w") as f:
+    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as f:  # as load_config reads it
         f.write(config_text(config))
     write_rounds_csv(result, os.path.join(out_dir, "rounds.csv"))
     write_final_metrics_csv(result, os.path.join(out_dir, "final_metrics.csv"))

@@ -17,7 +17,7 @@ from . import nn
 from .config import RunConfig
 from .detection import DetectionLedger, detection_metrics, upload_shares
 from .seeding import STREAM_TAMPER, derive_seeds, seeded_generators
-from .slicing import slice_detection_rate
+from .slicing import slice_detection_rates
 
 
 def tamper_bits(bits: np.ndarray, tamper_rate: float, seed: int) -> np.ndarray:
@@ -133,11 +133,12 @@ def attack_report(
     ledger: DetectionLedger,
 ) -> AttackReport:
     """Score a finished run with one slice per client: slice detection rates
-    are measured against the final shared representation, the surface every party keeps."""
+    are measured against the final shared representation, the surface every
+    party keeps, with one `slice_detection_rates` call."""
     malicious_ids = set(malicious_ids)
     honest, malicious = [], []
-    for a in assignments:
-        (malicious if a.client_id in malicious_ids else honest).append(slice_detection_rate(rep_flat, a))
+    for a, rate in zip(assignments, slice_detection_rates([rep_flat] * len(assignments), assignments)):
+        (malicious if a.client_id in malicious_ids else honest).append(rate)
     d_t, d_f = detection_metrics(ledger, malicious_ids, len(assignments))
     malicious_rejected, honest_rejected, tampered_aggregated = upload_shares(ledger, malicious_ids)
     return AttackReport(

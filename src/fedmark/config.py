@@ -214,6 +214,8 @@ def validate_config(config: RunConfig) -> None:
         # both files are read before training, so a missing or damaged one fails here, named
         try:
             (_, rows, cols), _ = read_idx(config.idx_images, IDX_IMAGES_MAGIC, 3, payload=False)
+            if not rows * cols:
+                raise ValueError(f"{config.idx_images}: images of {rows}x{cols} pixels give the model no input")
         except (OSError, ValueError) as err:
             raise ConfigError(f"idx_images: {err}") from None
         try:  # the distinct labels, as `load_idx` reads them
@@ -226,23 +228,21 @@ def validate_config(config: RunConfig) -> None:
         if config.partition == "klabels" and config.k_labels > len(labels):
             # `partition_k_labels` bounds k by the distinct labels, not by the class count
             problems.append(f"k_labels ({config.k_labels}) exceeds the {len(labels)} distinct labels of idx_labels")
-    if not problems and config.private_bits > 0 and config.head_layers > 1:
-        # the input width sizes only the first layer, which is never in the head
+    if not problems and (config.private_bits > 0 or config.slice_total_bits > 0):
+        # the layers the run will build: the input width sizes the representation, the class count the head
         classes = config.blob_classes if blobs else max(labels) + 1  # as `load_idx` counts classes
-        specs = build_layer_specs(1, config.hidden_dims, classes)
-        _, head_sizes = param_counts(specs, len(specs) - config.head_layers)
-        try:
-            segment_lengths(config.private_bits, head_sizes)
-        except ValueError as err:
-            problems.append(f"private_bits ({config.private_bits}) must give every head layer a bit: {err}")
-    if not problems and config.slice_total_bits > 0:
-        # the class count sizes only the head, so the input width fixes the representation
-        specs = build_layer_specs(width, config.hidden_dims, 1)
-        rep_size, _ = param_counts(specs, len(specs) - config.head_layers)
-        try:
-            check_slice_layout(config.slice_total_bits, config.n_clients, rep_size, region_params(config, rep_size))
-        except ValueError as err:
-            problems.append(str(err))
+        specs = build_layer_specs(width, config.hidden_dims, classes)
+        rep_size, head_sizes = param_counts(specs, len(specs) - config.head_layers)
+        if config.private_bits > 0:
+            try:
+                segment_lengths(config.private_bits, head_sizes)
+            except ValueError as err:
+                problems.append(f"private_bits ({config.private_bits}) must give every head layer a bit: {err}")
+        if config.slice_total_bits > 0:
+            try:
+                check_slice_layout(config.slice_total_bits, config.n_clients, rep_size, region_params(config, rep_size))
+            except ValueError as err:
+                problems.append(str(err))
     if problems:
         raise ConfigError("; ".join(problems))
 

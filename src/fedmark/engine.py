@@ -463,7 +463,7 @@ def run_training(config: RunConfig) -> TrainingResult:
         for client in active:
             client.embedding_count += 1
             if not np.isfinite(trained[client.client_id][0]).all():
-                # never scored: a non-finite projection extracts as plausible bits
+                # rejected unscored: it stays out of the aggregate, the detector and the ledger
                 rejected.add(client.client_id)
         verified = [c for c in active if c.client_id not in rejected and c.assignment is not None]
         rates = slice_detection_rates([trained[c.client_id][0] for c in verified], [c.assignment for c in verified])

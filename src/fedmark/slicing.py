@@ -5,10 +5,11 @@ pins each slice to a disjoint contiguous region of the flattened shared
 representation. The list of `SliceAssignment`s is the only form the common
 watermark takes: its bits are the slices joined in client order. Clients
 embed only their own slice inside their own region, so slices never
-interfere, and the server scores an upload against the uploader's slice
-with `slice_detection_rate`, or a round's uploads at once with
-`slice_detection_rates`. Embedding needs only the slice loss's gradient,
-`slice_loss_and_grad`; its value is stated in `tests/reference.py`.
+interfere. `slice_detection_rates` scores representations against their
+slices, a round's uploads or a run's final slices, with one `extract_slice`
+read per slice shape; `extract_slice` also reads one slice alone. Embedding
+needs only the slice loss's gradient, `slice_loss_and_grad`; its value is
+stated in `tests/reference.py`.
 """
 
 from dataclasses import dataclass
@@ -87,39 +88,37 @@ def assign_slices(
     ]
 
 
-def extract_slice(rep_flat: np.ndarray, assignment: SliceAssignment) -> np.ndarray:
-    """Read a client's slice bits out of a flattened representation."""
+def extract_slice(rep_flat, assignment):
+    """Read a client's slice bits out of a flattened representation. Given a
+    list of representations and a list of assignments of one slice shape,
+    read each against its own assignment instead, in one `extract_bits` call
+    over each slice's cached matrix, in place: an (n, bits) array whose row i
+    equals the one-slice read."""
+    if isinstance(assignment, list):
+        segments = [rep[a.region_start : a.region_stop] for rep, a in zip(rep_flat, assignment, strict=True)]
+        return extract_bits(np.stack(segments), [a.matrix() for a in assignment])
     rep_flat = np.asarray(rep_flat, dtype=np.float64)
     if rep_flat.ndim != 1 or len(rep_flat) < assignment.region_stop:
         raise ValueError(
             f"representation of length {rep_flat.shape} does not cover region "
             f"[{assignment.region_start}, {assignment.region_stop})"
         )
-    segment = rep_flat[assignment.region_start : assignment.region_stop]
-    return extract_bits(segment, assignment.matrix())
-
-
-def slice_detection_rate(rep_flat: np.ndarray, assignment: SliceAssignment) -> float:
-    """Detection rate of a client's slice in a flattened representation."""
-    return detection_rate(assignment.bits, extract_slice(rep_flat, assignment))
+    return extract_bits(rep_flat[assignment.region_start : assignment.region_stop], assignment.matrix())
 
 
 def slice_detection_rates(reps: list, assignments: list) -> list[float]:
-    """`slice_detection_rate` of each flattened representation against its
-    assignment, from one `extract_bits` call per slice shape, which reads
-    each slice's cached matrix in place. A run's slices take at most two
-    shapes: the last slice absorbs the remainder."""
+    """The detection rate of each flattened representation against its
+    assignment, from one list-form `extract_slice` read per slice shape; each
+    rate equals `detection_rate(a.bits, extract_slice(rep, a))`. A run's
+    slices take at most two shapes: the last slice absorbs the remainder."""
     rates = [0.0] * len(reps)
     groups = {}
     for i, a in enumerate(assignments):
         groups.setdefault((a.region_size, len(a.bits)), []).append(i)
     for members in groups.values():
         group = [assignments[i] for i in members]
-        segments = np.stack([reps[i][a.region_start : a.region_stop] for i, a in zip(members, group)])
-        extracted = extract_bits(segments, [a.matrix() for a in group])
-        # integer hit counts over the slice length: exact, as in detection_rate
-        hits = (extracted == np.stack([a.bits for a in group])).mean(axis=1)
-        for i, rate in zip(members, hits.tolist()):
+        extracted = extract_slice([reps[i] for i in members], group)
+        for i, rate in zip(members, detection_rate(np.stack([a.bits for a in group]), extracted).tolist()):
             rates[i] = rate
     return rates
 

@@ -5,7 +5,10 @@ matrix: training adds the gradient of a sigmoid cross-entropy penalty that
 pushes each projection toward the sign demanded by its bit, and extraction
 thresholds the projections at zero. The kernels compute that gradient only;
 no run reads the penalty's value, which `tests/reference.py` states for the
-gradient checks. Projection matrices are regenerable from their
+gradient checks. Every mark, slice or private, is scored one way:
+`extract_bits` alone decides that a bit cannot be read (its projection is
+non-finite), and `detection_rate` alone counts the hits, of one read or a
+stack of them. Projection matrices are regenerable from their
 seed, so keys ship as (seed, rows, cols) triples rather than dense arrays.
 A private mark covers every head layer, in order, with at least one bit in
 each (`segment_lengths`): its reads and gradients walk the head layers of
@@ -82,7 +85,9 @@ def cached_embedding_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 
 
 def extract_bits(params_flat: np.ndarray, matrix) -> np.ndarray:
-    """Read bits as the sign of each projection; ties at exactly zero give 0.
+    """Read bits as the sign of each projection; ties at exactly zero give 0,
+    and a non-finite projection, which has no sign, gives 2: it matches
+    neither bit, so `detection_rate` counts it as a miss.
 
     `params_flat` is one vector, giving one bit per matrix column, or an
     (n, rows) stack of vectors, giving an (n, cols) array. Each vector is its
@@ -98,16 +103,25 @@ def extract_bits(params_flat: np.ndarray, matrix) -> np.ndarray:
     if params_flat.ndim not in (1, 2) or params_flat.shape[-1] != rows:
         raise ValueError(f"parameter vector length {params_flat.shape} does not match matrix rows {rows}")
     transposed = [m.T for m in matrix] if isinstance(matrix, list) else matrix.T
-    return (_matvecs(transposed, params_flat) > 0.0).astype(np.uint8)
+    proj = _matvecs(transposed, params_flat)
+    bits = (proj > 0.0).astype(np.uint8)
+    bits[~np.isfinite(proj)] = 2
+    return bits
 
 
-def detection_rate(expected: np.ndarray, extracted: np.ndarray) -> float:
-    """1 minus the normalized Hamming distance between bit vectors."""
+def detection_rate(expected: np.ndarray, extracted: np.ndarray):
+    """1 minus the normalized Hamming distance between bit vectors: the one
+    hit-rate rule. `extracted` may be an (n, bits) stack, giving an (n,)
+    array of rates, read against one `expected` vector or, row by row, an
+    (n, bits) stack of them. Integer hit counts over the bit count: a rate
+    is exact, whatever the order of the reads."""
     expected = np.asarray(expected, dtype=np.uint8)
     extracted = np.asarray(extracted, dtype=np.uint8)
-    if expected.shape != extracted.shape or expected.ndim != 1 or len(expected) == 0:
-        raise ValueError("bit vectors must be 1-d, non-empty, and of equal length")
-    return float((expected == extracted).mean())
+    width = extracted.shape[-1:]
+    if extracted.ndim not in (1, 2) or width == (0,) or expected.shape not in (extracted.shape, width):
+        raise ValueError("bits must be non-empty vectors of equal length, or an (n, bits) stack of them")
+    rates = (expected == extracted).mean(axis=-1)
+    return float(rates) if extracted.ndim == 1 else rates
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -225,12 +239,6 @@ def extract_private_bits(model, spec: PrivateWatermarkSpec) -> np.ndarray:
 
 def private_detection_rate(model, spec: PrivateWatermarkSpec):
     """Detection rate of a head watermark in one model, or a (C,) array of
-    rates for a cohort. A bit read out of a layer with a non-finite entry is
-    a miss: all of that layer's projections are then non-finite, and
-    `extract_bits` would turn them into plausible bits."""
-    extracted = extract_private_bits(model, spec)
-    finite = np.stack([np.isfinite(model.layer_flat(k)).all(axis=-1) for k in model.head_layer_ids], axis=-1)
-    hits = (extracted == spec.bits) & np.repeat(finite, [len(s) for s in spec.segments], axis=-1)
-    # integer hit counts over len(bits): exact, as in detection_rate
-    rates = hits.mean(axis=-1)
-    return float(rates) if model.params.ndim == 1 else rates
+    rates for a cohort. A layer with a non-finite entry makes every
+    projection through it non-finite, so each of its bits is a miss."""
+    return detection_rate(spec.bits, extract_private_bits(model, spec))

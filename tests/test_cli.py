@@ -14,7 +14,7 @@ import pytest
 
 from conftest import tiny_config
 from fedmark import artifacts, cli, data, nn, watermark
-from fedmark.config import config_text
+from fedmark.config import config_text, load_config
 
 
 @pytest.fixture()
@@ -97,6 +97,26 @@ def test_train_artifacts_do_not_depend_on_blas_threads(tmp_path):
         digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()})
     assert "models.npz" in digests[0]
     assert digests[0] == digests[1]
+
+
+def test_config_txt_is_written_as_utf8_under_an_ascii_locale(tmp_path):
+    """Under the C locale, without UTF-8 mode or locale coercion, Python's
+    default file encoding is ASCII. A run whose config holds a non-ASCII
+    path must still write config.txt in UTF-8, the encoding `load_config`
+    reads, so the file loads back equal; its ASCII lines keep their bytes."""
+    cfg = tiny_config(rounds=1, idx_images="café.idx", output_dir="run")
+    (tmp_path / "run.cfg").write_text(config_text(cfg), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env.pop("FEDMARK_OUTPUT_ROOT", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "fedmark.cli", "train", "run.cfg"], cwd=tmp_path, env=env, capture_output=True
+    )
+    assert done.returncode == 0, done.stderr
+    written = tmp_path / "run" / "config.txt"
+    assert written.read_bytes() == config_text(cfg).encode("utf-8")
+    assert load_config(str(written)) == cfg
 
 
 def test_train_missing_config_fails_cleanly(capsys):

@@ -195,6 +195,16 @@ def test_validate_rejects_a_bad_idx_header(tmp_path, damage, message):
         validate_config(dataclasses.replace(cfg, slice_total_bits=0))  # read without slices too
 
 
+@pytest.mark.parametrize("slice_total_bits", [0, 64])
+def test_validate_rejects_idx_images_without_pixels(tmp_path, slice_total_bits):
+    """Images of 0x28 pixels leave the model no input: validation names
+    idx_images, with slices or without, before any layer is built."""
+    (tmp_path / "labels.idx").write_bytes(struct.pack(">II", data.IDX_LABELS_MAGIC, 3) + bytes(range(3)))
+    cfg = idx_config(tmp_path, 0, 28, slice_total_bits=slice_total_bits)
+    with pytest.raises(ConfigError, match="idx_images: .*0x28 pixels"):
+        validate_config(cfg)
+
+
 def test_validate_reads_an_idx_class_count_from_the_label_file(tmp_path):
     """Over a (2, 64) head, two private bits split as [1, 1] with 2 classes
     (head layers of 192 and 130 params) and as [0, 2] with 10 (192 and 650);

@@ -1,7 +1,9 @@
 """Property tests of the run's invariants: partitions, slice layouts, the key
-and manifest formats, the config file, the tamper flip count, cohort scoring,
-stacked private-mark gradients and the server's running-sum aggregate."""
+and manifest formats, the config file, the tamper flip count, watermark
+scoring, cohort scoring, stacked private-mark gradients and the server's
+running-sum aggregate."""
 
+import csv
 import dataclasses
 import math
 import os
@@ -24,12 +26,21 @@ from fedmark.config import (  # noqa: E402
     validate_config,
 )
 from fedmark.data import partition_dirichlet, partition_k_labels  # noqa: E402
-from fedmark.artifacts import load_run, read_manifest, write_manifest, write_run_artifacts  # noqa: E402
-from fedmark.slicing import SliceAssignment, assign_slices  # noqa: E402
+from fedmark.artifacts import (  # noqa: E402
+    load_run,
+    read_manifest,
+    write_final_metrics_csv,
+    write_manifest,
+    write_run_artifacts,
+)
+from fedmark.slicing import SliceAssignment, assign_slices, extract_slice  # noqa: E402
 from fedmark.watermark import (  # noqa: E402
     _sigmoid,
     bits_to_hex,
+    detection_rate,
     embedding_loss_and_grad,
+    extract_bits,
+    gen_embedding_matrix,
     hex_to_bits,
     make_private_spec,
     private_embedding_loss_and_grads,
@@ -389,6 +400,93 @@ def test_tamper_flips_the_floor_count(bits, rate, seed):
     flipped = int(np.count_nonzero(tamper_bits(bits, rate, seed) != bits))
     assert flipped == (max(1, math.floor(rate * len(bits))) if rate > 0.0 else 0)
 
+
+# --- watermark scoring ------------------------------------------------------------
+
+
+@PROPERTY
+@given(st.integers(0, 5), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@example(n=1, bits=1, seed=0)
+def test_detection_rate_of_a_stack_equals_each_rows_rate(n, bits, seed):
+    """`detection_rate` of an (n, bits) read is the (n,) array of each row's
+    one-vector rate, against a stack of expected rows or one shared vector;
+    a one-vector rate is the plain hit count over the bit count, and an
+    unreadable bit (2) matches neither 0 nor 1."""
+    rng = np.random.default_rng(seed)
+    expected = rng.integers(0, 2, (n, bits), dtype=np.uint8)
+    extracted = rng.integers(0, 3, (n, bits), dtype=np.uint8)
+    shared = rng.integers(0, 2, bits, dtype=np.uint8)
+    for against, rows in ((expected, expected), (shared, [shared] * n)):
+        rates = detection_rate(against, extracted)
+        alone = [detection_rate(e, x) for e, x in zip(rows, extracted)]
+        assert rates.shape == (n,) and rates.tolist() == alone
+        assert alone == [sum(int(a) == int(b) for a, b in zip(e, x)) / bits for e, x in zip(rows, extracted)]
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.lists(st.sampled_from([None, math.nan, math.inf, -math.inf, "overflow"]), min_size=4, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=2, rows=4, cols=6, poison=["overflow", None, None, None], seed=0)  # reads 2, 0, 0, 2, 0, 1
+def test_extract_bits_reads_a_non_finite_projection_as_a_miss(n, rows, cols, poison, seed):
+    """A projection that is NaN or infinite reads as 2, and a finite one as
+    its sign, as `matrix.T @ params` gives it, in the one-vector, stack and
+    list forms alike. A NaN or infinite parameter makes every projection
+    non-finite; parameters near the float64 limit overflow some projections
+    and leave others finite."""
+    rng = np.random.default_rng(seed)
+    params = rng.standard_normal((n, rows))
+    for row, kind in zip(params, poison):
+        if kind == "overflow":
+            row[:] = np.sign(row) * 1e308
+        elif kind is not None:
+            row[rng.integers(rows)] = kind
+    matrices = [gen_embedding_matrix(rows, cols, seed + i) for i in range(n)]
+
+    def reference(row, matrix):
+        proj = matrix.T @ row
+        return np.where(np.isfinite(proj), proj > 0.0, 2).astype(np.uint8)
+
+    with np.errstate(all="ignore"):
+        expected = [reference(row, matrix) for row, matrix in zip(params, matrices)]
+        shared = [reference(row, matrices[0]) for row in params]
+        alone = [extract_bits(row, matrix) for row, matrix in zip(params, matrices)]
+        stacked = extract_bits(params, matrices[0])
+        listed = extract_bits(params, matrices)
+    for i in range(n):
+        np.testing.assert_array_equal(alone[i], expected[i])
+        np.testing.assert_array_equal(listed[i], expected[i])
+        np.testing.assert_array_equal(stacked[i], shared[i])
+    for i, kind in enumerate(poison[:n]):
+        if kind is not None and kind != "overflow":
+            assert (alone[i] == 2).all() and detection_rate(np.zeros(cols, np.uint8), alone[i]) == 0.0
+
+
+@settings(PROPERTY, max_examples=15)
+@given(st.integers(2, 6), st.integers(0, 30), st.floats(0.0, 25.0), st.integers(0, 2**32 - 1))
+def test_final_slice_acc_equals_each_slices_one_vector_read(n_clients, extra_bits, strength, seed):
+    """Each client's `slice_acc` in final_metrics.csv, scored for all
+    clients in one call, is `detection_rate(a.bits, extract_slice(rep, a))`
+    of its slice alone, in slices of one or two shapes."""
+    config = dataclasses.replace(
+        SMALL_RUN, n_clients=n_clients, slice_total_bits=n_clients + extra_bits, slice_strength=strength, seed=seed
+    )
+    try:
+        result = engine.run_training(config)
+    except ConfigError:
+        assume(False)
+    rep = result.server.rep_flat
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "final_metrics.csv")
+        write_final_metrics_csv(result, path)
+        with open(path, newline="") as f:
+            written = [row["slice_acc"] for row in csv.DictReader(f)]
+    alone = [detection_rate(a.bits, extract_slice(rep, a)) for a in result.server.assignments]
+    assert written == [f"{rate:.6f}" for rate in alone]
 
 # --- cohort scoring ---------------------------------------------------------------
 

@@ -107,18 +107,18 @@ def test_slice_detection_rate_scores_the_extracted_slice():
     bits = watermark.random_bits(64, seed=4)
     assignments = slicing.assign_slices(bits, 2, rep_param_count=200, region_size=100, seed=6)
     rep = embed_slice(assignments[0], 200)
-    assert slicing.slice_detection_rate(rep, assignments[0]) == 1.0
+    assert slicing.slice_detection_rates([rep], [assignments[0]]) == [1.0]
     for a in assignments:
         expected = watermark.detection_rate(a.bits, slicing.extract_slice(rep, a))
-        assert slicing.slice_detection_rate(rep, a) == expected
+        assert slicing.slice_detection_rates([rep], [a]) == [expected]
     with pytest.raises(ValueError):
-        slicing.slice_detection_rate(rep[:150], assignments[1])
+        slicing.slice_detection_rates([rep[:150]], [assignments[1]])
 
 
 def test_slice_detection_rates_score_each_upload_as_alone(monkeypatch):
     """A round's verification: one read per slice shape (here 9 bits, and
     the last slice's 12), each slice's cached matrix read in place, gives
-    every upload the `slice_detection_rate` it gets alone."""
+    every upload the rate of its one-vector read alone."""
     bits = watermark.random_bits(66, seed=4)
     assignments = slicing.assign_slices(bits, 7, rep_param_count=210, region_size=30, seed=6)
     rng = np.random.default_rng(8)
@@ -138,7 +138,7 @@ def test_slice_detection_rates_score_each_upload_as_alone(monkeypatch):
     assert all(isinstance(m, list) for m in reads)
     assert all(any(m is c for c in cached) for matrices in reads for m in matrices)
     monkeypatch.undo()
-    assert rates == [slicing.slice_detection_rate(rep, a) for rep, a in zip(reps, owners)]
+    assert rates == [watermark.detection_rate(a.bits, slicing.extract_slice(rep, a)) for rep, a in zip(reps, owners)]
     assert len(set(rates)) > 2
     assert slicing.slice_detection_rates([], []) == []
 
