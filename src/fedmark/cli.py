@@ -30,6 +30,13 @@ def cmd_train(config: RunConfig) -> int:
     out_dir = resolve_output_dir(config)
     write_run_artifacts(result, config, out_dir)
     print(f"run complete: {len(result.reports)} rounds, artifacts in {out_dir}")
+    diverged = [u for report in result.reports for u in report.uploads if u.non_finite]
+    if diverged:
+        print(
+            f"warning: the run diverged: {len(diverged)} uploads were rejected unscored as non-finite, "
+            f"the first in round {diverged[0].round_index}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -37,7 +44,9 @@ def cmd_heatmap(run_dir: str) -> int:
     """n x n matrix: entry (i, j) is the detection rate of client j's private
     watermark read out of client i's model. The run's heads are read as one
     (n, head size) cohort, with no whole model built, and each watermark is
-    read out of it with one `private_detection_rate` call."""
+    read out of it with one `private_detection_rate` call: one matrix
+    product per head layer, each row as its model alone reads it (see
+    `watermark.extract_bits`)."""
     specs, head_start, _, head_params, wm_specs = load_run(run_dir)
     if any(s is None for s in wm_specs):
         print("heatmap needs a run with private watermarks enabled", file=sys.stderr)

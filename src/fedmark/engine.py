@@ -112,6 +112,12 @@ class Upload:
     accepted: bool
     main_acc: float  # the local model's accuracy on the client's own shard
 
+    @property
+    def non_finite(self) -> bool:
+        """Rejected unscored: only a non-finite upload is rejected with no
+        slice accuracy, since the detector screens scored uploads alone."""
+        return not self.accepted and self.slice_acc is None
+
 
 @dataclass
 class RoundReport:
@@ -420,10 +426,14 @@ def _setup_clients(config, dataset, partition, base_model, assignments, tamperer
     return clients
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_training(config: RunConfig) -> TrainingResult:
     """Run the full federation per the configuration. Deterministic: equal
     configs produce bit-identical results. Raises ConfigError, naming the
-    key, for a config that validate_config rejects."""
+    key, for a config that validate_config rejects. numpy's overflow and
+    invalid-value warnings are off: a diverging run overflows, the server
+    rejects each non-finite upload, and the reports name them
+    (`Upload.non_finite`)."""
     validate_config(config)
     dataset = build_dataset(config)
     partition = build_partition(config, dataset)

@@ -93,17 +93,23 @@ def extract_slice(rep_flat, assignment):
     list of representations and a list of assignments of one slice shape,
     read each against its own assignment instead, in one `extract_bits` call
     over each slice's cached matrix, in place: an (n, bits) array whose row i
-    equals the one-slice read."""
+    equals the one-slice read. Either form raises unless each representation
+    is one vector that covers its slice's region."""
     if isinstance(assignment, list):
-        segments = [rep[a.region_start : a.region_stop] for rep, a in zip(rep_flat, assignment, strict=True)]
+        segments = [_region(rep, a) for rep, a in zip(rep_flat, assignment, strict=True)]
         return extract_bits(np.stack(segments), [a.matrix() for a in assignment])
+    return extract_bits(_region(rep_flat, assignment), assignment.matrix())
+
+
+def _region(rep_flat, assignment: SliceAssignment) -> np.ndarray:
+    """The assignment's region of one flattened representation."""
     rep_flat = np.asarray(rep_flat, dtype=np.float64)
     if rep_flat.ndim != 1 or len(rep_flat) < assignment.region_stop:
         raise ValueError(
             f"representation of length {rep_flat.shape} does not cover region "
             f"[{assignment.region_start}, {assignment.region_stop})"
         )
-    return extract_bits(rep_flat[assignment.region_start : assignment.region_stop], assignment.matrix())
+    return rep_flat[assignment.region_start : assignment.region_stop]
 
 
 def slice_detection_rates(reps: list, assignments: list) -> list[float]:

@@ -90,11 +90,13 @@ def extract_bits(params_flat: np.ndarray, matrix) -> np.ndarray:
     neither bit, so `detection_rate` counts it as a miss.
 
     `params_flat` is one vector, giving one bit per matrix column, or an
-    (n, rows) stack of vectors, giving an (n, cols) array. Each vector is its
-    own matrix-vector product (`_matvecs`) against the view `matrix.T`, the
-    same BLAS call for a stack as for one vector, so row i of a stack reads
-    bit for bit as `params_flat[i]` alone; `params_flat @ matrix` or a
-    contiguous copy of `matrix.T` would round differently. For a stack,
+    (n, rows) stack of vectors, giving an (n, cols) array whose row i reads
+    bit for bit as `params_flat[i]` alone. One vector is one matrix-vector
+    product (`_matvecs`) against the view `matrix.T`. A stack read against
+    one shared matrix is one product, `params_flat @ matrix`, which rounds
+    differently but whose sign is proven wherever it exceeds twice the
+    rounding bound of any summation order (`_shared_matrix_bits`); a row
+    with any entry unproven is redone as one-vector products. For a stack,
     `matrix` may also be a list of n matrices of one shape, row i read
     against matrix i in place, with the products a stack would give.
     """
@@ -102,10 +104,63 @@ def extract_bits(params_flat: np.ndarray, matrix) -> np.ndarray:
     rows = (matrix[0] if isinstance(matrix, list) else matrix).shape[0]
     if params_flat.ndim not in (1, 2) or params_flat.shape[-1] != rows:
         raise ValueError(f"parameter vector length {params_flat.shape} does not match matrix rows {rows}")
+    if params_flat.ndim == 2 and not isinstance(matrix, list):
+        return _shared_matrix_bits(params_flat, matrix)
     transposed = [m.T for m in matrix] if isinstance(matrix, list) else matrix.T
-    proj = _matvecs(transposed, params_flat)
+    return _signs(_matvecs(transposed, params_flat))
+
+
+def _signs(proj: np.ndarray) -> np.ndarray:
+    """The `extract_bits` reading of projections: 1 above zero, else 0, and
+    2 where non-finite."""
     bits = (proj > 0.0).astype(np.uint8)
     bits[~np.isfinite(proj)] = 2
+    return bits
+
+
+# Any summation order of an r-term inner product, with or without fused
+# multiply-adds, lands within gamma_r * |x|.|y| <= gamma_r * ||x|| ||y|| of
+# the exact value, gamma_r = r u / (1 - r u) (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., eq. 3.5), plus at most one half of the
+# smallest subnormal per product that underflows.
+_UNIT_ROUNDOFF = 2.0**-53
+# Squared norms are trusted in [2^-960, 2^960]: below, squares that underflow
+# could leave a norm short; above, a norm product could pass 2^1000, where
+# some summation order might overflow.
+_SQUARED_NORM_RANGE = (2.0**-960, 2.0**960)
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, r) array, NaN where the squared
+    norm lies outside `_SQUARED_NORM_RANGE` or is NaN (a zero row included),
+    so that no bound built on it proves anything."""
+    squares = np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
+    low, high = _SQUARED_NORM_RANGE
+    squares[~((squares >= low) & (squares <= high))] = np.nan
+    return np.sqrt(squares)
+
+
+def _shared_matrix_bits(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """`extract_bits` of an (n, r) stack against one (r, c) matrix, from one
+    product P = stack @ matrix. With E = gamma_r ||row|| ||column|| plus the
+    underflow slack, doubled for E's own rounding, both the exact projection
+    and the one-vector product lie within E of P, so where |P| > 2 E they
+    share P's sign and neither is zero. Every row with an entry not so
+    proven (zero, non-finite or within 2 E of zero) is redone with
+    `_matvecs(matrix.T, rows)`."""
+    r = matrix.shape[0]
+    gamma = r * _UNIT_ROUNDOFF / (1.0 - r * _UNIT_ROUNDOFF)
+    slack = r * np.finfo(np.float64).smallest_subnormal
+    with np.errstate(all="ignore"):  # a row that overflows or holds a non-finite value is redone, and warns there
+        proj = stack @ matrix
+    bits = np.greater(proj, 0.0).view(np.uint8)
+    bound = np.multiply.outer(_norms(stack), _norms(matrix.T))
+    bound *= 4.0 * gamma  # 2 E = 2 (2 (gamma ||row|| ||column|| + slack))
+    bound += 4.0 * slack
+    proven = np.greater(np.abs(proj, out=proj), bound).all(axis=1)
+    redo = np.flatnonzero(~proven)
+    if len(redo):
+        bits[redo] = _signs(_matvecs(matrix.T, stack[redo]))
     return bits
 
 

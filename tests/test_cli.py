@@ -14,7 +14,8 @@ import pytest
 
 from conftest import tiny_config
 from fedmark import artifacts, cli, data, nn, watermark
-from fedmark.config import config_text, load_config
+from fedmark.config import RunConfig, config_text, load_config
+from fedmark.engine import run_training
 
 
 @pytest.fixture()
@@ -144,6 +145,25 @@ def test_train_reports_an_impossible_partition(tiny_cfg_file, tmp_path, capsys):
         assert cli.main(["train", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: partition=") and f"{named}=" in err and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_says_that_a_run_diverged(tmp_path, capsys):
+    """At lr=50 the default model diverges within two rounds. Training still
+    exits 0, without numpy's overflow warnings, and ends with one warning
+    line naming how many uploads were rejected as non-finite and the first
+    round that had one."""
+    config = RunConfig(n_clients=4, lr=50.0, min_cohort=2, rounds=5, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "diverging.cfg"
+    path.write_text(config_text(config))
+    assert cli.main(["train", str(path)]) == 0
+    err = capsys.readouterr().err
+    diverged = [u for r in run_training(config).reports for u in r.uploads if not u.accepted and u.slice_acc is None]
+    assert diverged
+    assert err == (
+        f"warning: the run diverged: {len(diverged)} uploads were rejected unscored as non-finite, "
+        f"the first in round {diverged[0].round_index}\n"
+    )
 
 
 def test_train_reports_config_line_numbers(tmp_path, capsys):

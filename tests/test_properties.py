@@ -466,6 +466,74 @@ def test_extract_bits_reads_a_non_finite_projection_as_a_miss(n, rows, cols, poi
             assert (alone[i] == 2).all() and detection_rate(np.zeros(cols, np.uint8), alone[i]) == 0.0
 
 
+def plant_row(row, matrix, kind, rng):
+    """Make `row` an adversarial read of `matrix`, in place: an exact zero
+    projection onto a random column ("orthogonal"), a projection near twice
+    the rounding bound that a shared-matrix read proves signs by ("bound"),
+    the orthogonal row scaled to 2^-600, whose squares underflow ("tiny"),
+    a zero row, a NaN or infinite entry, entries near 1e200 whose squares
+    overflow ("huge") or near 1e308 whose projections overflow."""
+    r, c = matrix.shape
+    j = rng.integers(c)
+    if kind in ("orthogonal", "tiny") and r > 1:
+        a, b = rng.choice(r, size=2, replace=False)
+        row[:] = 0.0
+        row[a], row[b] = matrix[b, j], -matrix[a, j]  # the exact projection onto column j is 0
+        row *= 2.0**-600 if kind == "tiny" else 1.0
+    elif kind in ("orthogonal", "tiny", "zero"):
+        row[:] = 0.0
+    elif kind == "bound":
+        column = matrix[:, j]
+        gamma = r * 2.0**-53 / (1.0 - r * 2.0**-53)
+        twice_bound = 4.0 * (gamma * np.linalg.norm(row) * np.linalg.norm(column) + r * 5e-324)
+        target = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * twice_bound
+        row += (target - row @ column) / (column @ column) * column
+    elif kind == "huge":
+        row *= 1e200
+    elif kind == "overflow":
+        row[:] = np.sign(row) * 1e308
+    elif kind is not None:
+        row[rng.integers(r)] = kind
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.sampled_from(
+            [None, "orthogonal", "bound", "tiny", "zero", math.nan, math.inf, -math.inf, "huge", "overflow"]
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+@example(kinds=[None], hidden=1, width=1, cols=1, seed=0)  # n = 1, (2, 1) and (6, 1) matrices
+@example(kinds=["orthogonal", "bound", "bound", "tiny", None], hidden=8, width=8, cols=12, seed=1)
+@example(kinds=["zero", math.nan, math.inf, -math.inf, "huge", "overflow"], hidden=5, width=4, cols=6, seed=2)
+def test_shared_matrix_stack_reads_each_row_as_alone(kinds, hidden, width, cols, seed):
+    """A stack read against one shared matrix, one product whose signs are
+    kept only where a rounding bound proves them, gives row i bit for bit as
+    `extract_bits(row_i, matrix)` alone, for each head layer view of a
+    two-layer-head cohort and for a contiguous copy, whatever rows the stack
+    holds: exact zero projections, projections on the bound, rows whose
+    squares underflow, zero, non-finite, huge and overflowing rows."""
+    rng = np.random.default_rng(seed)
+    specs = nn.build_layer_specs(3, (hidden, width), 3)
+    cohort = nn.Model(specs, rng.standard_normal((len(kinds), nn.init_model(specs, 0).params.size)), 1)
+    for layer_id in cohort.head_layer_ids:
+        stack = cohort.layer_flat(layer_id)
+        matrix = gen_embedding_matrix(stack.shape[1], cols, seed + layer_id)
+        for row, kind in zip(stack, kinds):
+            plant_row(row, matrix, kind, rng)
+        with np.errstate(all="ignore"):
+            alone = np.stack([extract_bits(row, matrix) for row in stack])
+            assert extract_bits(stack, matrix).tobytes() == alone.tobytes()
+            assert extract_bits(np.ascontiguousarray(stack), matrix).tobytes() == alone.tobytes()
+
+
 @settings(PROPERTY, max_examples=15)
 @given(st.integers(2, 6), st.integers(0, 30), st.floats(0.0, 25.0), st.integers(0, 2**32 - 1))
 def test_final_slice_acc_equals_each_slices_one_vector_read(n_clients, extra_bits, strength, seed):

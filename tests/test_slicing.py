@@ -111,7 +111,7 @@ def test_slice_detection_rate_scores_the_extracted_slice():
     for a in assignments:
         expected = watermark.detection_rate(a.bits, slicing.extract_slice(rep, a))
         assert slicing.slice_detection_rates([rep], [a]) == [expected]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not cover region"):
         slicing.slice_detection_rates([rep[:150]], [assignments[1]])
 
 

@@ -103,6 +103,8 @@ def test_extract_follows_projection_signs():
     # one parameter, matrix columns chosen to give projections [0.3, -0.2]
     matrix = np.array([[0.3, -0.2]])
     np.testing.assert_array_equal(watermark.extract_bits(np.array([1.0]), matrix), [1, 0])
+    # an integer matrix with a zero column, read by a stack: the tie reads 0
+    np.testing.assert_array_equal(watermark.extract_bits(np.ones((2, 2)), np.array([[1, 0], [2, 0]])), [[1, 0]] * 2)
 
 
 def test_extract_zero_params_gives_zero_bits():
@@ -132,6 +134,34 @@ def test_extract_reads_a_stack_row_for_row(rng):
     for bad in (np.zeros((2, 259)), np.zeros((1, 2, 260))):
         with pytest.raises(ValueError):
             watermark.extract_bits(bad, matrix)
+
+
+def test_shared_matrix_read_redoes_only_the_rows_it_cannot_prove(rng, monkeypatch):
+    """A well-conditioned 200 x 260 stack read against one (260, 100) matrix
+    takes no one-vector product: one matrix product proves every sign. Rows
+    planted with an exact zero projection, a tie the product cannot settle,
+    are the only ones redone, in one `_matvecs` call."""
+    matrix = watermark.gen_embedding_matrix(260, 100, seed=3)
+    stack = rng.standard_normal((200, 260))
+    ties = [3, 77, 150]
+    for i, column in zip(ties, (0, 42, 99)):
+        stack[i] = 0.0
+        stack[i, 10], stack[i, 200] = matrix[200, column], -matrix[10, column]
+    alone = np.stack([watermark.extract_bits(row, matrix) for row in stack])
+    calls = []
+    matvecs = watermark._matvecs
+
+    def spy(matrices, vectors):
+        calls.append(vectors.copy())
+        return matvecs(matrices, vectors)
+
+    monkeypatch.setattr(watermark, "_matvecs", spy)
+    clear = np.delete(stack, ties, axis=0)
+    np.testing.assert_array_equal(watermark.extract_bits(clear, matrix), np.delete(alone, ties, axis=0))
+    assert calls == []
+    bits = watermark.extract_bits(stack, matrix)
+    assert len(calls) == 1 and calls[0].tobytes() == stack[ties].tobytes()
+    assert bits.tobytes() == alone.tobytes()
 
 
 def test_extract_rejects_length_mismatch():
