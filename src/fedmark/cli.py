@@ -30,14 +30,20 @@ def cmd_train(config: RunConfig) -> int:
     out_dir = resolve_output_dir(config)
     write_run_artifacts(result, config, out_dir)
     print(f"run complete: {len(result.reports)} rounds, artifacts in {out_dir}")
+    _warn_if_diverged(result, "the run")
+    return 0
+
+
+def _warn_if_diverged(result, run: str) -> None:
+    """One stderr line for a run whose uploads went non-finite: training
+    keeps numpy's overflow warnings off, so this line is the only sign."""
     diverged = [u for report in result.reports for u in report.uploads if u.non_finite]
     if diverged:
         print(
-            f"warning: the run diverged: {len(diverged)} uploads were rejected unscored as non-finite, "
+            f"warning: {run} diverged: {len(diverged)} uploads were rejected unscored as non-finite, "
             f"the first in round {diverged[0].round_index}",
             file=sys.stderr,
         )
-    return 0
 
 
 def cmd_heatmap(run_dir: str) -> int:
@@ -82,6 +88,7 @@ def cmd_fidelity_sweep(config: RunConfig, bit_list) -> int:
     rows = []
     for bits, variant in zip(bit_list, variants):
         result = run_training(variant)
+        _warn_if_diverged(result, f"the private_bits={bits} run")
         accs = [nn.evaluate_accuracy(result.model(client), client.data) for client in result.clients]
         rows.append((bits, float(np.mean(accs))))
     baseline = rows[0][1]
@@ -124,6 +131,7 @@ def cmd_attack_sweep(config: RunConfig, grid) -> int:
     def rows():
         for (f_m, f_t), variant in zip(grid, variants):
             result = run_training(variant)
+            _warn_if_diverged(result, f"the f_m={f_m:g} f_t={f_t:g} run")
             report = attack_report(
                 result.server.rep_flat, result.server.assignments, result.malicious_ids, result.server.ledger
             )

@@ -1,6 +1,7 @@
 """Command-line workflows: artifacts, reruns, overrides, and the sweeps."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,9 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from fedmark import artifacts, cli, data, nn, watermark
+from fedmark import artifacts, cli, data, engine, nn, watermark
 from fedmark.config import RunConfig, config_text, load_config
-from fedmark.engine import run_training
 
 
 @pytest.fixture()
@@ -147,23 +147,70 @@ def test_train_reports_an_impossible_partition(tiny_cfg_file, tmp_path, capsys):
         assert err.startswith("error: partition=") and f"{named}=" in err and err.count("\n") == 1
 
 
+def record_non_finite_uploads(monkeypatch) -> list:
+    """One list per run_training call the CLI makes, holding the round of
+    each locally trained representation with a non-finite entry, read
+    straight off client_local_update's return."""
+    runs = []
+    real_run, real_update = cli.run_training, engine.client_local_update
+
+    def run(config):
+        runs.append([])
+        return real_run(config)
+
+    def update(active, rep_flat, config, round_index, blocks):
+        trained = real_update(active, rep_flat, config, round_index, blocks)
+        runs[-1].extend(round_index for rep, _ in trained.values() if not np.isfinite(rep).all())
+        return trained
+
+    monkeypatch.setattr(cli, "run_training", run)
+    monkeypatch.setattr(engine, "client_local_update", update)
+    return runs
+
+
+def diverged_line(run: str, rounds: list) -> str:
+    return (
+        f"warning: {run} diverged: {len(rounds)} uploads were rejected unscored as non-finite, "
+        f"the first in round {rounds[0]}\n"
+    )
+
+
+DIVERGING = RunConfig(n_clients=4, lr=50.0, min_cohort=2, rounds=5)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_train_says_that_a_run_diverged(tmp_path, capsys):
+def test_train_says_that_a_run_diverged(tmp_path, monkeypatch, capsys):
     """At lr=50 the default model diverges within two rounds. Training still
     exits 0, without numpy's overflow warnings, and ends with one warning
     line naming how many uploads were rejected as non-finite and the first
     round that had one."""
-    config = RunConfig(n_clients=4, lr=50.0, min_cohort=2, rounds=5, output_dir=str(tmp_path / "out"))
     path = tmp_path / "diverging.cfg"
-    path.write_text(config_text(config))
+    path.write_text(config_text(dataclasses.replace(DIVERGING, output_dir=str(tmp_path / "out"))))
+    runs = record_non_finite_uploads(monkeypatch)
     assert cli.main(["train", str(path)]) == 0
-    err = capsys.readouterr().err
-    diverged = [u for r in run_training(config).reports for u in r.uploads if not u.accepted and u.slice_acc is None]
-    assert diverged
-    assert err == (
-        f"warning: the run diverged: {len(diverged)} uploads were rejected unscored as non-finite, "
-        f"the first in round {diverged[0].round_index}\n"
-    )
+    [rounds] = runs
+    assert rounds
+    assert capsys.readouterr().err == diverged_line("the run", rounds)
+
+
+@pytest.mark.parametrize(
+    "argv, runs_named",
+    [
+        (["fidelity-sweep", "--bits", "100"], ["the private_bits=0 run", "the private_bits=100 run"]),
+        (["attack-sweep", "--cells", "0.25,0.3"], ["the f_m=0.25 f_t=0.3 run"]),
+    ],
+)
+def test_sweeps_say_which_runs_diverged(tmp_path, monkeypatch, capsys, argv, runs_named):
+    """A sweep trains with numpy's overflow warnings off too, so each of its
+    runs that diverged, and only those, ends with the train command's
+    warning line, naming the run."""
+    path = tmp_path / "diverging.cfg"
+    path.write_text(config_text(dataclasses.replace(DIVERGING, output_dir=str(tmp_path / "out"))))
+    runs = record_non_finite_uploads(monkeypatch)
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    assert len(runs) == len(runs_named) and any(runs)
+    lines = [diverged_line(run, rounds) for run, rounds in zip(runs_named, runs) if rounds]
+    assert capsys.readouterr().err == "".join(lines)
 
 
 def test_train_reports_config_line_numbers(tmp_path, capsys):
